@@ -1,13 +1,15 @@
 """B-PLAN bench: compiled activation plans vs the per-call interpreter.
 
-The tentpole claim of the plan-compilation refactor is that moderation
-pays its composition tax (bank walk, ordering policy, health/injector
-probes, attribute chases) *once per revision* instead of once per call.
-This bench measures exactly that:
+The claim of plan compilation is that moderation pays its composition
+tax (bank walk, ordering policy, health/injector probes, attribute
+chases) *once per revision* instead of once per call. The interpreted
+side is the differential suites' oracle,
+:class:`tests.oracle.InterpretingModerator` — the paper's per-call
+interpreter, kept in one place. This bench measures exactly that:
 
 * ``interpreted_call`` / ``compiled_call`` — the same moderated call
-  (one never_blocks aspect, proxy fast path) under ``compile_plans``
-  off and on; the headline pair;
+  (one never_blocks aspect, proxy fast path) on the oracle and on the
+  production moderator; the headline pair;
 * ``interpreted_chain3`` / ``compiled_chain3`` — a three-aspect chain,
   where the interpreter's per-call ordering+lookup cost grows with
   chain length and the compiled executor's does not;
@@ -15,7 +17,8 @@ This bench measures exactly that:
   chain through the domain-locked slow path, isolating the plan's gain
   when the condition machinery dominates;
 * ``plan_compile_cost`` — a forced recompile per call (ordering-policy
-  reassignment bumps its epoch), bounding the price of invalidation;
+  reassignment bumps the plan version), bounding the price of
+  invalidation;
 * ``test_recompiles_only_on_revision_bumps`` — not a timing: a counter
   proof that N calls compile once, and exactly one more after a swap.
 
@@ -34,6 +37,7 @@ from repro.core import (
     FunctionAspect,
     RESUME,
 )
+from tests.oracle import InterpretingModerator
 
 def fmt_row(*columns, widths=(34, 14, 14, 14)):
     cells = []
@@ -48,8 +52,9 @@ class Component:
         return value + 1
 
 
-def _proxy(compile_plans, aspects=1, never_blocks=True):
-    moderator = AspectModerator(compile_plans=compile_plans)
+def _proxy(interpreted, aspects=1, never_blocks=True):
+    moderator = (InterpretingModerator if interpreted
+                 else AspectModerator)()
     for index in range(aspects):
         moderator.register_aspect(
             "service", f"concern{index}",
@@ -63,15 +68,15 @@ def _proxy(compile_plans, aspects=1, never_blocks=True):
 # headline pair: one-aspect fast-path call
 # ----------------------------------------------------------------------
 def test_interpreted_call(benchmark):
-    """Reference: per-call interpretation (``compile_plans=False``)."""
-    _moderator, proxy = _proxy(compile_plans=False)
+    """Reference: per-call interpretation (the test oracle)."""
+    _moderator, proxy = _proxy(interpreted=True)
     result = benchmark(lambda: proxy.service())
     assert result == 2
 
 
 def test_compiled_call(benchmark):
     """Same call through the compiled plan executor."""
-    moderator, proxy = _proxy(compile_plans=True)
+    moderator, proxy = _proxy(interpreted=False)
     result = benchmark(lambda: proxy.service())
     assert result == 2
     # the whole run compiled exactly once
@@ -82,12 +87,12 @@ def test_compiled_call(benchmark):
 # chain length: the interpreter's tax grows, the plan's does not
 # ----------------------------------------------------------------------
 def test_interpreted_chain3(benchmark):
-    _moderator, proxy = _proxy(compile_plans=False, aspects=3)
+    _moderator, proxy = _proxy(interpreted=True, aspects=3)
     assert benchmark(lambda: proxy.service()) == 2
 
 
 def test_compiled_chain3(benchmark):
-    moderator, proxy = _proxy(compile_plans=True, aspects=3)
+    moderator, proxy = _proxy(interpreted=False, aspects=3)
     assert benchmark(lambda: proxy.service()) == 2
     assert moderator.stats.plan_compiles == 1
 
@@ -97,14 +102,14 @@ def test_compiled_chain3(benchmark):
 # ----------------------------------------------------------------------
 def test_locked_interpreted(benchmark):
     _moderator, proxy = _proxy(
-        compile_plans=False, aspects=2, never_blocks=False
+        interpreted=True, aspects=2, never_blocks=False
     )
     assert benchmark(lambda: proxy.service()) == 2
 
 
 def test_locked_compiled(benchmark):
     moderator, proxy = _proxy(
-        compile_plans=True, aspects=2, never_blocks=False
+        interpreted=False, aspects=2, never_blocks=False
     )
     assert benchmark(lambda: proxy.service()) == 2
     assert moderator.stats.plan_compiles == 1
@@ -115,11 +120,11 @@ def test_locked_compiled(benchmark):
 # ----------------------------------------------------------------------
 def test_plan_compile_cost(benchmark):
     """Upper bound: force a full recompile on every fetch."""
-    moderator, _proxy_unused = _proxy(compile_plans=True, aspects=3)
+    moderator, _proxy_unused = _proxy(interpreted=False, aspects=3)
     policy = moderator.ordering
 
     def recompile():
-        moderator.ordering = policy  # bumps the ordering epoch
+        moderator.ordering = policy  # bumps the plan version
         return moderator.plan_for("service")
 
     plan = benchmark(recompile)
@@ -136,7 +141,7 @@ def test_recompiles_only_on_revision_bumps(benchmark):
     """N calls -> one compile; one swap -> exactly one more."""
 
     def scenario():
-        moderator, proxy = _proxy(compile_plans=True)
+        moderator, proxy = _proxy(interpreted=False)
         for _ in range(100):
             proxy.service()
         first = moderator.stats.plan_compiles
@@ -170,8 +175,8 @@ def test_compiled_call_allocates_less(benchmark):
             if stat.size_diff > 0
         )
 
-    _m1, interpreted = _proxy(compile_plans=False, aspects=3)
-    _m2, compiled = _proxy(compile_plans=True, aspects=3)
+    _m1, interpreted = _proxy(interpreted=True, aspects=3)
+    _m2, compiled = _proxy(interpreted=False, aspects=3)
     interpreted_bytes = allocations(interpreted)
     compiled_bytes = allocations(compiled)
 
@@ -201,8 +206,8 @@ def test_summary_table(benchmark):
         ("fastpath x3 aspects", dict(aspects=3, never_blocks=True)),
         ("locked x2 aspects", dict(aspects=2, never_blocks=False)),
     ):
-        _mi, interp = _proxy(compile_plans=False, **kwargs)
-        _mc, comp = _proxy(compile_plans=True, **kwargs)
+        _mi, interp = _proxy(interpreted=True, **kwargs)
+        _mc, comp = _proxy(interpreted=False, **kwargs)
         loops = 2000
         t_interp = timeit.timeit(interp.service, number=loops) / loops
         t_comp = timeit.timeit(comp.service, number=loops) / loops

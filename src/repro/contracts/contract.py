@@ -239,11 +239,10 @@ class ContractRegistry:
     Mirrors :class:`repro.faults.FaultInjector`'s lifecycle: build,
     :meth:`declare` per method, :meth:`install` on a moderator.
     Installation assigns ``moderator.contracts``, whose property setter
-    bumps the moderator's contract epoch — every compiled plan
+    bumps the moderator's plan version — every compiled plan
     revalidates, so checks appear (or disappear) atomically with
-    respect to the revision-key mechanism. Later :meth:`declare` calls
-    on an installed registry bump the epoch again through
-    :meth:`_touch`.
+    respect to plan recompilation. Later :meth:`declare` calls on an
+    installed registry bump the version again through :meth:`_touch`.
 
     ``node`` labels the evidence records this registry produces, so a
     violation that crosses the wire still names which process observed
@@ -313,7 +312,7 @@ class ContractRegistry:
         self.epoch += 1
         for moderator in self._moderators:
             # Re-assign through the property so the moderator's own
-            # contract epoch moves and compiled plans revalidate.
+            # plan version moves and compiled plans revalidate.
             moderator.contracts = self
 
     # ------------------------------------------------------------------

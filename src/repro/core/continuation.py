@@ -400,10 +400,7 @@ class ContinuationRuntime:
                     concern=joinpoint.context.get("abort_concern"),
                 )
             # ---- invoke segment (outside every moderator lock) ----
-            plan = (
-                moderator.plan_for(method_id)
-                if moderator.compile_plans else None
-            )
+            plan = moderator.plan_for(method_id)
             joinpoint.phase = Phase.INVOCATION
             try:
                 if not joinpoint.invocation_skipped:
@@ -451,24 +448,13 @@ class ContinuationRuntime:
             except ContractViolation as violation:
                 moderator._note_violation(violation, joinpoint)
                 raise
-        if moderator.compile_plans:
-            plan = moderator.plan_for(method_id)
-            if plan.never_blocks:
-                outcome = moderator._run_round(method_id, joinpoint, plan)
-                if outcome is not AspectResult.BLOCK:
-                    if outcome is AspectResult.RESUME:
-                        moderator.stats.bump("fastpaths")
-                    return outcome
-        else:
-            pairs = moderator.ordering(
-                method_id, moderator.bank.aspects_for(method_id)
-            )
-            if all(aspect.never_blocks for _, aspect in pairs):
-                outcome = moderator._run_round(method_id, joinpoint)
-                if outcome is not AspectResult.BLOCK:
-                    if outcome is AspectResult.RESUME:
-                        moderator.stats.bump("fastpaths")
-                    return outcome
+        plan = moderator.plan_for(method_id)
+        if plan.never_blocks:
+            outcome = moderator._run_round(method_id, joinpoint, plan)
+            if outcome is not AspectResult.BLOCK:
+                if outcome is AspectResult.RESUME:
+                    moderator.stats.bump("fastpaths")
+                return outcome
         # Register in the moderator-wide waiter count for the whole
         # blocking attempt — fast-path completions consult it to elide
         # their wake, and a parked continuation must keep it nonzero.
@@ -493,21 +479,14 @@ class ContinuationRuntime:
         moderator = self._moderator
         joinpoint = continuation.joinpoint
         method_id = continuation.method_id
-        compiled = moderator.compile_plans
         while True:
-            if compiled:
-                plan = moderator.plan_for(method_id)
-                queue = plan.queue
-            else:
-                plan = None
-                queue = moderator._queue_for(method_id)
+            queue = moderator.plan_for(method_id).queue
             with queue:
                 if moderator._queue_for(method_id) is not queue:
                     continue  # method changed domains; re-acquire
                 while True:
                     epoch = moderator._wake_epoch
-                    if compiled:
-                        plan = moderator.plan_for(method_id)
+                    plan = moderator.plan_for(method_id)
                     outcome = moderator._run_round(method_id, joinpoint,
                                                    plan)
                     if outcome is not AspectResult.BLOCK:

@@ -87,9 +87,9 @@ class HealthTracker:
         #: Monotonic counter bumped by every change that could alter
         #: what a compiled plan snapshots: a policy (re)declaration, a
         #: cell being dropped, a quarantine flip, a reinstatement.
-        #: Activation plans fold it into their revision key, so
-        #: quarantine transitions invalidate exactly the plans they
-        #: affect. Bare reads are safe (int reads are atomic; a stale
+        #: It is one part of the moderator's ``registration_version``,
+        #: the key every activation plan is cached under, so quarantine
+        #: transitions invalidate compiled plans. Bare reads are safe (int reads are atomic; a stale
         #: read merely revalidates one round late, like ``active``).
         self.epoch = 0
 

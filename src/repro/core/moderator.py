@@ -141,9 +141,9 @@ class ModerationStats:
             STAT_NAMES, prefix="repro_moderation_"
         )
         #: plan-compilation latency histogram (seconds). Recorded on the
-        #: registry, *not* the event bus: compiled and interpreted runs
-        #: must keep byte-identical event streams (the differential
-        #: suite's contract), and only compiled runs compile.
+        #: registry, *not* the event bus: a compile is cache bookkeeping,
+        #: and the event stream must not depend on when plans recompile
+        #: (the differential suites hold streams byte-identical).
         self.compile_seconds = self.registry.histogram(
             "repro_plan_compile_seconds",
             help="Activation-plan compilation latency in seconds",
@@ -174,7 +174,7 @@ class AspectModerator:
 
     Args:
         bank: aspect registry; a fresh :class:`AspectBank` by default.
-        ordering: composition-order policy applied to each activation.
+        ordering: composition-order policy, resolved into every plan.
         events: protocol event bus; a fresh :class:`EventBus` by default.
         default_timeout: optional bound, in seconds, on how long a
             BLOCKed activation may wait before :class:`ActivationTimeout`
@@ -183,14 +183,11 @@ class AspectModerator:
         fault_threshold: default number of aspect faults tolerated per
             (method, concern) cell before its quarantine policy (if any)
             kicks in; overridable per registration or per aspect.
-        compile_plans: when True (the default), activations execute
-            compiled :class:`~repro.core.plan.ActivationPlan` pipelines,
-            cached under a composite revision key and recompiled only
-            when a registration, ordering, lock-domain, quarantine or
-            injector change invalidates them. ``False`` restores the
-            paper's per-call interpreter — observably identical (the
-            differential suite proves it), only slower; kept as the
-            reference implementation.
+
+    Activations execute compiled :class:`~repro.core.plan.ActivationPlan`
+    pipelines, cached under one version int (:attr:`registration_version`)
+    and recompiled only when a registration, ordering, lock-domain,
+    quarantine, injector, contract or profile change moves it.
     """
 
     def __init__(
@@ -201,20 +198,16 @@ class AspectModerator:
         default_timeout: Optional[float] = None,
         notify_scope: str = "all",
         fault_threshold: int = 3,
-        compile_plans: bool = True,
     ) -> None:
         if notify_scope not in ("all", "linked"):
             raise ValueError("notify_scope must be 'all' or 'linked'")
         self.bank = bank if bank is not None else AspectBank()
         self.events = events if events is not None else EventBus()
-        #: epoch components of the composite plan-revision key; bumped
-        #: under ``_lock`` by the property setters / mutators below.
-        #: Bare reads are atomic ints — see :meth:`_composition_key`.
-        self._domain_epoch = 0
-        self._injector_epoch = 0
-        self._ordering_epoch = 0
-        self._contract_epoch = 0
-        self._profile_epoch = 0
+        #: moderator-side part of the plan version: bumped by lock-domain
+        #: moves and by (re)assigning the ordering policy, fault
+        #: injector, contract registry or clause profiler — see
+        #: :attr:`registration_version`
+        self._generation = 0
         #: installed clause profiler (``repro.obs.profile``), or ``None``
         #: — plans compile uninstrumented and the hot path pays nothing
         self._profiler = None
@@ -223,7 +216,6 @@ class AspectModerator:
         #: writes race benignly (equivalent plans, last one wins).
         self._plans: Dict[str, ActivationPlan] = {}
         self._plan_handles: Dict[str, PlanHandle] = {}
-        self.compile_plans = compile_plans
         self.ordering = ordering
         self.default_timeout = default_timeout
         #: wakeup policy after post-activation: ``"all"`` notifies every
@@ -280,7 +272,7 @@ class AspectModerator:
         self._runtime = None
 
     # ------------------------------------------------------------------
-    # revisioned collaborators (plan-key components)
+    # versioned collaborators (assigning one invalidates every plan)
     # ------------------------------------------------------------------
     @property
     def ordering(self) -> OrderingPolicy:
@@ -291,15 +283,17 @@ class AspectModerator:
     def ordering(self, policy: OrderingPolicy) -> None:
         self._ordering = policy
         # Unlocked bump: ordering swaps are control-plane operations; a
-        # racing pair still moves the epoch past every compiled key.
-        self._ordering_epoch += 1
+        # racing pair still moves the version past every compiled key.
+        # Reassigning the same policy is how a policy that must
+        # re-decide its order gets re-applied.
+        self._generation += 1
 
     @property
     def fault_injector(self) -> Optional[Any]:
         """Installed fault injector (``repro.faults``), or ``None``.
 
         Assigning (what :meth:`FaultInjector.install` does) bumps the
-        injector epoch: plans compiled without site hooks must not
+        plan version: plans compiled without site hooks must not
         survive an injector arming, and vice versa.
         """
         return self._fault_injector
@@ -307,7 +301,7 @@ class AspectModerator:
     @fault_injector.setter
     def fault_injector(self, injector: Optional[Any]) -> None:
         self._fault_injector = injector
-        self._injector_epoch += 1
+        self._generation += 1
 
     @property
     def contracts(self) -> Optional[Any]:
@@ -315,7 +309,7 @@ class AspectModerator:
 
         Assigning (what :meth:`ContractRegistry.install` does, and what
         the registry re-does on every :meth:`~ContractRegistry.declare`)
-        bumps the contract epoch: plans compiled without check-point
+        bumps the plan version: plans compiled without check-point
         seams must not survive a contract arming, and vice versa.
         """
         return self._contracts
@@ -323,14 +317,14 @@ class AspectModerator:
     @contracts.setter
     def contracts(self, registry: Optional[Any]) -> None:
         self._contracts = registry
-        self._contract_epoch += 1
+        self._generation += 1
 
     @property
     def profiler(self) -> Optional[Any]:
         """Installed clause profiler (``repro.obs.profile``), or ``None``.
 
         Assigning (what :meth:`ClauseProfiler.install` does) bumps the
-        profile epoch: plans compiled uninstrumented must not survive a
+        plan version: plans compiled uninstrumented must not survive a
         profiler arming, and instrumented/optimized plans must not
         survive its removal.
         """
@@ -339,7 +333,7 @@ class AspectModerator:
     @profiler.setter
     def profiler(self, profiler: Optional[Any]) -> None:
         self._profiler = profiler
-        self._profile_epoch += 1
+        self._generation += 1
 
     def bump_profile_epoch(self) -> None:
         """Invalidate every plan against a refreshed clause profile.
@@ -347,58 +341,34 @@ class AspectModerator:
         Called by :meth:`ClauseProfiler.refresh` after it folds live
         counters into a new decision snapshot — cached plans recompile
         (and re-optimize) on their next activation, through the same
-        revision mechanism every other mutation family uses.
+        version bump every other mutation family uses.
         """
-        self._profile_epoch += 1
+        self._generation += 1
 
     # ------------------------------------------------------------------
-    # plan compilation (interpreter -> compiled pipeline)
+    # plan compilation
     # ------------------------------------------------------------------
-    def _composition_key(self) -> Tuple[int, int, int, int, int, int, int]:
-        """Composite revision key every compiled plan is cached under.
-
-        One component per mutation family — bank registrations/ordering
-        (``register``/``unregister``/``swap``/``set_order``), explicit
-        lock-domain moves, quarantine transitions, injector arming,
-        ordering-policy swaps, contract declarations/arming, and clause-
-        profile refreshes — so each invalidates exactly by bumping its
-        own counter. All seven are monotonic ints read without locks; a
-        stale component only delays revalidation by one call.
-        """
-        return (
-            self.bank.revision,
-            self._domain_epoch,
-            self.health.epoch,
-            self._injector_epoch,
-            self._ordering_epoch,
-            self._contract_epoch,
-            self._profile_epoch,
-        )
-
     def plan_for(self, method_id: str) -> ActivationPlan:
         """The current compiled plan for ``method_id`` (cached).
 
-        Revalidation is a dict probe plus an int-tuple compare; a plan
-        is recompiled only when some component of the composition key
-        moved. Usable regardless of :attr:`compile_plans` — compilation
-        is pure, so introspection (``explain()``, diagrams, lint) works
-        even on an interpreting moderator.
+        Revalidation is a dict probe plus one int compare against
+        :attr:`registration_version`; a plan is recompiled only when
+        the version moved.
         """
-        key = self._composition_key()
+        key = self.registration_version
         plan = self._plans.get(method_id)
         if plan is not None and plan.key == key:
             return plan
         return self._compile_plan(method_id, key)
 
-    def _compile_plan(self, method_id: str,
-                      key: Tuple[int, ...]) -> ActivationPlan:
+    def _compile_plan(self, method_id: str, key: int) -> ActivationPlan:
         """Compile and cache one method's plan under ``key``.
 
         The key is captured *before* the constituents are read: if a
         registration lands mid-compile, the stored plan's key no longer
         matches and the very next :meth:`plan_for` recompiles — a torn
         build can be executed for at most one round, the same staleness
-        window the interpreter's unlocked bank/health reads always had.
+        window unlocked bank/health reads always have.
         """
         started = time.monotonic()
         _revision, raw_pairs = self.bank.snapshot_for(method_id)
@@ -531,7 +501,7 @@ class AspectModerator:
             if domain_name is not None and \
                     method_id not in self._method_domains:
                 self._method_domains[method_id] = domain_name
-                self._domain_epoch += 1
+                self._generation += 1
                 moved_from = self._domains.get(
                     _PRIVATE_DOMAIN_PREFIX + method_id
                 )
@@ -604,7 +574,7 @@ class AspectModerator:
                 old = self._domains.get(old_name)
                 if old is not None:
                     moved.append((old, method_id))
-            self._domain_epoch += 1
+            self._generation += 1
             self._links = None
         for domain, method_id in moved:
             domain.notify_all(method_id)
@@ -623,22 +593,19 @@ class AspectModerator:
 
     @property
     def registration_version(self) -> int:
-        """Monotonic epoch of the aspect composition.
+        """Monotonic version of the aspect composition.
 
-        Proxies key their guarded-wrapper caches on this value. It is
-        the sum of every plan-key component, so anything that
-        invalidates a compiled plan — (un)registration (including
-        direct bank mutation), lock-domain moves, quarantine
-        transitions, injector arming, ordering swaps, contract
-        declarations — also invalidates
-        cached wrappers: a wrapper can never outlive the plan it was
-        built against.
+        Every compiled plan is keyed on this int, and proxies key their
+        guarded-wrapper caches on it. It is ``bank.revision +
+        health.epoch + _generation``: (un)registration (including direct
+        bank mutation), quarantine transitions, lock-domain moves,
+        ordering swaps, injector, contract and profiler changes each
+        bump one part. Every part is monotonic, so the sum moves
+        whenever any part moves — a plan or cached wrapper can never
+        outlive the composition it was built against. Bare reads are
+        atomic ints; a stale part only delays revalidation by one call.
         """
-        return (
-            self.bank.revision + self._domain_epoch + self.health.epoch
-            + self._injector_epoch + self._ordering_epoch
-            + self._contract_epoch + self._profile_epoch
-        )
+        return self.bank.revision + self.health.epoch + self._generation
 
     def participates(self, method_id: str) -> bool:
         """Whether calls to ``method_id`` must go through moderation.
@@ -688,9 +655,7 @@ class AspectModerator:
         ``plan`` lets callers that already hold a validated
         :class:`~repro.core.plan.ActivationPlan` (proxies and woven
         wrappers, via their :class:`~repro.core.plan.PlanHandle`) skip
-        the cache probe; without it — and with :attr:`compile_plans`
-        on — the current plan is fetched here. With ``compile_plans``
-        off the paper's per-call interpreter runs instead.
+        the cache probe; without it the current plan is fetched here.
 
         ``deadline`` is an optional end-to-end budget: an absolute
         monotonic time, or any object exposing ``expires_at`` (e.g.
@@ -729,29 +694,13 @@ class AspectModerator:
                 self._note_violation(violation, joinpoint)
                 raise
 
-        if self.compile_plans:
-            if plan is None:
-                plan = self.plan_for(method_id)
-            if plan.never_blocks:
-                # Lock-free fast path, compiled: the whole chain promised
-                # never to BLOCK at compile time, and the plan is only
-                # valid while that composition stands.
-                outcome = self._run_round(method_id, joinpoint, plan)
-                if outcome is not AspectResult.BLOCK:
-                    if outcome is AspectResult.RESUME:
-                        self.stats.bump("fastpaths")
-                    return outcome
-                # An aspect broke its never_blocks promise; fall through
-                # to the locked path and moderate properly.
-            return self._moderated_preactivation(
-                method_id, joinpoint, deadline, effective_timeout
-            )
-
-        pairs = self.ordering(method_id, self.bank.aspects_for(method_id))
-        if all(aspect.never_blocks for _, aspect in pairs):
-            # Lock-free fast path: the chain has promised never to
-            # BLOCK, so no wait queue — hence no lock — is needed.
-            outcome = self._run_round(method_id, joinpoint)
+        if plan is None:
+            plan = self.plan_for(method_id)
+        if plan.never_blocks:
+            # Lock-free fast path: the whole chain promised never to
+            # BLOCK at compile time, and the plan is only valid while
+            # that composition stands — no wait queue, hence no lock.
+            outcome = self._run_round(method_id, joinpoint, plan)
             if outcome is not AspectResult.BLOCK:
                 if outcome is AspectResult.RESUME:
                     self.stats.bump("fastpaths")
@@ -782,32 +731,21 @@ class AspectModerator:
         with self._waiter_guard:
             self._waiters += 1
         try:
-            compiled = self.compile_plans
             timed_out = False
             while True:
-                if compiled:
-                    plan: Optional[ActivationPlan] = \
-                        self.plan_for(method_id)
-                    queue = plan.queue
-                else:
-                    plan = None
-                    queue = self._queue_for(method_id)
+                queue = self.plan_for(method_id).queue
                 with queue:
-                    # Same object a compiled plan resolves (LockDomain
-                    # caches conditions per key), so one check covers
-                    # both modes.
+                    # LockDomain caches conditions per key, so a plan of
+                    # the current domain resolves this very object.
                     if self._queue_for(method_id) is not queue:
                         continue  # method changed domains; re-acquire
                     while True:
                         # Bare read is safe: a stale value only makes the
                         # pre-park re-check conservatively re-evaluate.
                         epoch = self._wake_epoch
-                        if compiled:
-                            # Revalidate per round, exactly as the
-                            # interpreter re-reads the bank per round: a
-                            # dict probe plus an int-tuple compare when
-                            # nothing changed.
-                            plan = self.plan_for(method_id)
+                        # Revalidate per round: a dict probe plus an int
+                        # compare when nothing changed.
+                        plan = self.plan_for(method_id)
                         outcome = self._run_round(method_id, joinpoint,
                                                   plan)
                         if outcome is not AspectResult.BLOCK:
@@ -873,7 +811,7 @@ class AspectModerator:
                 self._waiters -= 1
 
     def _run_round(self, method_id: str, joinpoint: JoinPoint,
-                   plan: Optional[ActivationPlan] = None) -> AspectResult:
+                   plan: ActivationPlan) -> AspectResult:
         """One evaluation round, including compensation and bookkeeping.
 
         RESUME records the chain on the join point; ABORT and BLOCK
@@ -884,20 +822,13 @@ class AspectModerator:
         and the collected faults raise afterwards (aggregated as
         :class:`CompositionErrors` when there are several).
 
-        With a ``plan``, the round runs the compiled executor
-        (:meth:`_evaluate_plan`); without one it interprets the bank
-        directly (:meth:`_evaluate_chain`). Everything downstream —
-        stash, stats, events, compensation — is shared, which is half of
-        what keeps the two paths observably identical.
+        The round itself is :meth:`_evaluate_plan`; everything
+        downstream — stash, stats, events, compensation — is shared with
+        any executor that overrides it.
         """
-        if plan is not None:
-            outcome, resumed, failed_concern = self._evaluate_plan(
-                plan, joinpoint
-            )
-        else:
-            outcome, resumed, failed_concern = self._evaluate_chain(
-                method_id, joinpoint
-            )
+        outcome, resumed, failed_concern = self._evaluate_plan(
+            plan, joinpoint
+        )
         if outcome is AspectResult.RESUME:
             joinpoint.context[CHAIN_KEY] = resumed
             self.stats.bump("resumes")
@@ -926,10 +857,10 @@ class AspectModerator:
         self._raise_faults(faults)
         return outcome
 
-    def _evaluate_chain(
-        self, method_id: str, joinpoint: JoinPoint
+    def _evaluate_plan(
+        self, plan: ActivationPlan, joinpoint: JoinPoint
     ) -> Tuple[AspectResult, List[Tuple[str, Aspect]], Optional[str]]:
-        """Run one round of precondition evaluation.
+        """Run one round of precondition evaluation over ``plan``.
 
         Returns ``(outcome, resumed_pairs, failed_concern)`` where
         ``resumed_pairs`` are the aspects that voted RESUME before the
@@ -941,67 +872,6 @@ class AspectModerator:
         cells are handled before their aspect runs — ``fail_open`` skips
         the aspect, ``fail_closed`` turns the round into an ABORT
         attributed to the degraded concern.
-        """
-        pairs = self.ordering(method_id, self.bank.aspects_for(method_id))
-        resumed: List[Tuple[str, Aspect]] = []
-        quarantine_active = self.health.active
-        injector = self.fault_injector
-        runner = (
-            joinpoint.context.get(CONTRACT_KEY)
-            if self._contracts is not None else None
-        )
-        if runner is not None:
-            # Contract check points anchor to the round that finally
-            # RESUMEs: parked rounds legitimately observe other
-            # activations mutate shared state, so ``old`` re-captures
-            # here, and per-concern interference is judged within-round.
-            runner.start_round(joinpoint)
-        # Per-aspect timing is measured only when someone is listening —
-        # the same gate that keeps event construction off the hot path.
-        timed = self.events.has_listeners
-        for concern, aspect in pairs:
-            if quarantine_active:
-                policy = self.health.quarantine_policy(method_id, concern)
-                if policy == FAIL_OPEN:
-                    self.stats.bump("degraded_skips")
-                    self.events.emit(
-                        "degraded_skip", method_id, concern,
-                        activation_id=joinpoint.activation_id,
-                    )
-                    continue
-                if policy == FAIL_CLOSED:
-                    return AspectResult.ABORT, resumed, concern
-            began = time.monotonic() if timed else 0.0
-            try:
-                if injector is not None and injector.fire(
-                        "precondition", method_id, concern):
-                    continue  # injected no-op crash: aspect never ran
-                result = aspect.evaluate_precondition(joinpoint)
-            except Exception as exc:  # noqa: BLE001 - contract violation
-                fault = AspectFault(method_id, concern, "precondition", exc)
-                self._note_fault(method_id, concern, "precondition", exc,
-                                 joinpoint)
-                joinpoint.context["__compensation__"] = "fault"
-                comp_faults = self._compensate(resumed, joinpoint)
-                joinpoint.context.pop("__compensation__", None)
-                self._raise_faults([fault, *comp_faults])
-            self.events.emit(
-                "precondition", method_id, concern, detail=result.value,
-                activation_id=joinpoint.activation_id,
-                duration=time.monotonic() - began if timed else 0.0,
-            )
-            if result is AspectResult.RESUME:
-                resumed.append((concern, aspect))
-                if runner is not None:
-                    runner.checkpoint("precondition", concern, joinpoint)
-                continue
-            return result, resumed, concern
-        return AspectResult.RESUME, resumed, None
-
-    def _evaluate_plan(
-        self, plan: ActivationPlan, joinpoint: JoinPoint
-    ) -> Tuple[AspectResult, List[Tuple[str, Aspect]], Optional[str]]:
-        """Compiled counterpart of :meth:`_evaluate_chain`.
 
         Two executors live here. The *fast* one runs when
         ``plan.fast_cells`` holds (no quarantined cell, no injector
@@ -1011,13 +881,14 @@ class AspectModerator:
         compiled unwind. A partial prefix is a slice of ``plan.pairs``,
         not a rebuilt list of freshly looked-up aspects.
 
-        The *generic* one handles degraded cells and armed injectors by
-        mirroring the interpreter decision-for-decision — live
-        quarantine reads, per-site injector visits (pre-bound as
-        ``cell.fire_pre``, still visit-counted every call so chaos-test
-        occurrence coordinates are untouched), skipped aspects excluded
-        from the RESUMEd chain. The differential suite drives both
-        executors against the interpreter across the whole fault space.
+        The *generic* one handles degraded cells, armed injectors and
+        contracts by mirroring the paper's per-call interpreter decision
+        for decision — live quarantine reads, per-site injector visits
+        (pre-bound as ``cell.fire_pre``, still visit-counted every call
+        so chaos-test occurrence coordinates are untouched), skipped
+        aspects excluded from the RESUMEd chain. The differential suites
+        drive both executors against that interpreter, kept as a test
+        oracle, across the whole fault space.
         """
         method_id = plan.method_id
         emit = self.events.emit
@@ -1062,17 +933,17 @@ class AspectModerator:
             if self._contracts is not None else None
         )
         if runner is not None:
-            # Same round anchor as the interpreter above — placement is
-            # decision-for-decision identical, which is what keeps
-            # contract verdicts equal compiled-vs-interpreted (the
-            # differential suite holds them so).
+            # Contract check points anchor to the round that finally
+            # RESUMEs: parked rounds legitimately observe other
+            # activations mutate shared state, so ``old`` re-captures
+            # here, and per-concern interference is judged within-round.
             runner.start_round(joinpoint)
         for cell in plan.cells:
             concern = cell.concern
             if quarantine_active:
                 # Live read, not the compiled ``cell.degraded`` snapshot:
                 # a flip mid-round must act on later cells of this very
-                # round, exactly as the interpreter's would.
+                # round.
                 policy = self.health.quarantine_policy(method_id, concern)
                 if policy == FAIL_OPEN:
                     self.stats.bump("degraded_skips")
@@ -1242,121 +1113,69 @@ class AspectModerator:
             runner.post_body(joinpoint)
 
         chain = joinpoint.context.pop(CHAIN_KEY, None)
-        if self.compile_plans:
-            if plan is None or plan.key != self._composition_key():
-                # No plan handed in, or the composition changed while the
-                # method body ran: fetch the current plan. A recorded
-                # chain from the superseded plan then fails the identity
-                # check below and unwinds through the interpreted path,
-                # which reads injector and health state live — exactly
-                # what the interpreter would do with that chain.
-                plan = self.plan_for(method_id)
-            if chain is None:
-                # No recorded chain: unwind what the current composition
-                # says, which is exactly what re-reading the bank would
-                # yield (the plan was just validated against it).
-                chain = plan.pairs
-            if chain is plan.pairs and plan.fast_cells:
-                # The pre-activation fast executor stashed the plan's own
-                # pairs tuple — a full-chain RESUME under a composition
-                # that has not changed since (identity implies the plan,
-                # hence the key, is the same one). Unwind through the
-                # pre-bound cells; no injector is armed, no cell is
-                # degraded, or fast_cells would be off.
-                self._compiled_postactivation(plan, joinpoint)
-                return
-            # Partial chain (stale stash, degraded cells, armed
-            # injector): interpret the recorded chain exactly as the
-            # reference path below does.
-        elif chain is None:
-            # Post-activation without a recorded chain: fall back to the
-            # current bank contents (the paper's behaviour, which always
-            # re-reads the array).
-            chain = self.ordering(method_id, self.bank.aspects_for(method_id))
-        chain = list(chain)
-
-        if all(aspect.never_blocks for _, aspect in chain):
-            self.stats.bump("postactivations")
-            try:
-                faults = self._run_postactions(method_id, chain, joinpoint)
-            finally:
-                if self._waiters:
-                    # Someone is parked somewhere: wake conservatively, a
-                    # spurious wakeup only costs a re-evaluation.
-                    self._wake(method_id, joinpoint)
-                else:
-                    # Wake elided (nothing parked) — but the protocol's
-                    # notify arrow still concluded this activation, so
-                    # surface it to observers (span recorders close the
-                    # activation on it). Observer-only: no stats bump,
-                    # counters must not depend on who is subscribed, and
-                    # with no listeners emit() is a single attribute
-                    # check so the fast path stays allocation-free.
-                    self.events.emit(
-                        "notify", method_id, detail="elided",
-                        activation_id=joinpoint.activation_id,
-                    )
-            self._raise_faults(faults)
-            if runner is not None:
-                self._finish_contract(runner, joinpoint)
-            return
-
-        queue = self._queue_for(method_id)
+        if plan is None or plan.key != self.registration_version:
+            # No plan handed in, or the composition changed while the
+            # method body ran: fetch the current plan. A recorded chain
+            # from the superseded plan then fails the identity check
+            # below and takes the generic unwind, which reads injector
+            # and health state live.
+            plan = self.plan_for(method_id)
+        if chain is None:
+            # No recorded chain: unwind what the current composition
+            # says (the plan was just validated against it).
+            chain = plan.pairs
+        # The pre-activation fast executor stashes the plan's own pairs
+        # tuple on a full-chain RESUME; identity implies the plan, hence
+        # the key, is unchanged, so the unwind can dispatch through the
+        # pre-bound cells (no injector armed, no cell degraded, or
+        # fast_cells would be off). Anything else — a partial chain, a
+        # stale stash, degraded cells, an armed injector — unwinds the
+        # recorded chain generically.
+        compiled = chain is plan.pairs and plan.fast_cells
+        never_blocks = plan.never_blocks if compiled else all(
+            aspect.never_blocks for _, aspect in chain
+        )
         try:
-            with queue:
+            if never_blocks:
                 self.stats.bump("postactivations")
-                faults = self._run_postactions(method_id, chain, joinpoint)
+                faults = (
+                    self._run_plan_postactions(plan, joinpoint) if compiled
+                    else self._run_postactions(method_id, chain, joinpoint)
+                )
+            else:
+                with plan.queue:
+                    self.stats.bump("postactivations")
+                    faults = (
+                        self._run_plan_postactions(plan, joinpoint)
+                        if compiled
+                        else self._run_postactions(method_id, chain,
+                                                   joinpoint)
+                    )
         finally:
-            # Phase two: wake target queues without holding the method's
-            # domain lock, so cross-domain notification cannot deadlock.
-            # Runs unconditionally — even if containment itself failed —
-            # so a faulty aspect can never strand a parked waiter.
-            self._wake(method_id, joinpoint)
+            if never_blocks and not self._waiters:
+                # Wake elided (nothing parked) — but the protocol's
+                # notify arrow still concluded this activation, so
+                # surface it to observers (span recorders close the
+                # activation on it). Observer-only: no stats bump,
+                # counters must not depend on who is subscribed, and
+                # with no listeners emit() is a single attribute check
+                # so the fast path stays allocation-free.
+                self.events.emit(
+                    "notify", method_id, detail="elided",
+                    activation_id=joinpoint.activation_id,
+                )
+            else:
+                # Phase two: wake target queues without holding the
+                # method's domain lock, so cross-domain notification
+                # cannot deadlock. A locked chain always wakes, a
+                # never_blocks one only when someone is parked (a
+                # spurious wakeup only costs a re-evaluation). Runs even
+                # if containment itself failed, so a faulty aspect can
+                # never strand a parked waiter.
+                self._wake(method_id, joinpoint)
         self._raise_faults(faults)
         if runner is not None:
             self._finish_contract(runner, joinpoint)
-
-    def _compiled_postactivation(self, plan: ActivationPlan,
-                                 joinpoint: JoinPoint) -> None:
-        """Unwind a full-chain RESUME through its compiled plan.
-
-        Same structure as the interpreted body of :meth:`postactivation`
-        — never_blocks chains skip the lock and elide the wake when
-        nothing is parked; locked chains wake unconditionally in phase
-        two — but the unwind itself dispatches through the pre-bound
-        ``cell.postaction`` callables.
-        """
-        method_id = plan.method_id
-        if plan.never_blocks:
-            self.stats.bump("postactivations")
-            try:
-                faults = self._run_plan_postactions(plan, joinpoint)
-            finally:
-                if self._waiters:
-                    # Someone is parked somewhere: wake conservatively, a
-                    # spurious wakeup only costs a re-evaluation.
-                    self._wake(method_id, joinpoint)
-                else:
-                    # Elided wake: observer-only notify arrow, exactly
-                    # as the interpreted never_blocks unwind emits it —
-                    # the differential suite holds the two streams equal.
-                    self.events.emit(
-                        "notify", method_id, detail="elided",
-                        activation_id=joinpoint.activation_id,
-                    )
-            self._raise_faults(faults)
-            return
-
-        queue = plan.queue
-        try:
-            with queue:
-                self.stats.bump("postactivations")
-                faults = self._run_plan_postactions(plan, joinpoint)
-        finally:
-            # Phase two: wake without holding the domain lock — see
-            # :meth:`postactivation`; runs even if containment failed.
-            self._wake(method_id, joinpoint)
-        self._raise_faults(faults)
 
     def _run_plan_postactions(self, plan: ActivationPlan,
                               joinpoint: JoinPoint) -> List[AspectFault]:

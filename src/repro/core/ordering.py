@@ -8,24 +8,24 @@ pre-activation — is the framework invariant; *which* order the concerns
 stack in is a policy.
 
 Policies are callables mapping ``(method_id, pairs)`` to a reordered list
-of ``(concern, aspect)`` pairs. The moderator applies the policy on every
-activation, so swapping the policy at runtime re-composes the system
-without touching components or aspects.
+of ``(concern, aspect)`` pairs. Swapping the policy at runtime
+re-composes the system without touching components or aspects.
 
 Compile-time resolution
 -----------------------
 
-A compiled-pipeline moderator (``compile_plans=True``) does *not* call
-the policy per activation: it resolves the order once per plan compile
-and the compiled plan replays it until some revision-key component moves
-(assigning ``moderator.ordering`` is itself such a component). A policy
-that is a pure function of ``(method_id, pairs)`` — everything in this
-module — needs nothing extra. A policy whose answer depends on anything
-else (time of day, a feature flag, internal mutable state) must expose a
-``compile(method_id, pairs)`` hook returning the order to *freeze into
-the plan*; the moderator prefers the hook when present. A policy that
-genuinely must re-order per call has no compile-time meaning — run the
-moderator with ``compile_plans=False`` instead.
+The moderator does *not* call the policy per activation: it resolves the
+order once per plan compile, and the compiled plan replays it until the
+moderator's plan version moves (assigning ``moderator.ordering`` is
+itself such a move). A policy that is a pure function of ``(method_id,
+pairs)`` — everything in this module — needs nothing extra. A policy
+whose answer depends on anything else (time of day, a feature flag,
+internal mutable state) may expose a ``compile(method_id, pairs)`` hook
+returning the order to *freeze into the plan*; the moderator prefers the
+hook when present. A policy that must re-order when its outside state
+changes gets re-applied by reassigning it —
+``moderator.ordering = moderator.ordering`` — which recompiles every
+plan against its new answer.
 """
 
 from __future__ import annotations

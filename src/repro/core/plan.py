@@ -11,22 +11,23 @@ emergent property of dispatch (Lorenz & Skotiniotis, *Extending Design
 by Contract for AOP*; both in PAPERS.md).
 
 An :class:`ActivationPlan` is compiled once per participating method and
-cached under a composite *revision key*; every runtime mutation that
-could change what a round observes bumps exactly one component of the
-key, so plans invalidate precisely:
+cached under one version int, the moderator's ``registration_version``
+(``bank.revision + health.epoch + generation``). Every runtime mutation
+that could change what a round observes bumps the version, so any
+mutation invalidates every plan, and nothing else does:
 
 =============================  =======================================
-mutation                        key component bumped
+mutation                        effect on the plan key
 =============================  =======================================
-``register/unregister/swap``    bank revision
-``set_order``                   bank revision
-``assign_lock_domain``          moderator domain epoch
-quarantine flip / reinstate     health epoch
-``set_policy`` / ``drop``       health epoch
-injector install / uninstall    moderator injector epoch
-ordering-policy swap            moderator ordering epoch
-contract declare / install      moderator contract epoch
-profiler install / refresh      moderator profile epoch
+``register/unregister/swap``    bumps the version
+``set_order``                   bumps the version
+``assign_lock_domain``          bumps the version
+quarantine flip / reinstate     bumps the version
+``set_policy`` / ``drop``       bumps the version
+injector install / uninstall    bumps the version
+ordering-policy swap            bumps the version
+contract declare / install      bumps the version
+profiler install / refresh      bumps the version
 =============================  =======================================
 
 A plan holds, per cell: the pre-bound ``evaluate_precondition`` /
@@ -160,7 +161,7 @@ class ActivationPlan:
     )
 
     def __init__(self, method_id: str, cells: Tuple[PlanCell, ...],
-                 key: Tuple[int, ...], domain: Any,
+                 key: int, domain: Any,
                  ordering_name: str, contract: Optional[Any] = None,
                  profile: Optional[Dict[str, Any]] = None) -> None:
         self.method_id = method_id
@@ -191,6 +192,7 @@ class ActivationPlan:
         #: contract check points to capture
         self.fast_cells = (not self.has_degraded and not self.injector_armed
                            and contract is None)
+        #: the moderator's ``registration_version`` at compile time
         self.key = key
         self.domain = domain
         #: resolved lazily — a never_blocks chain must not materialize a
@@ -204,8 +206,8 @@ class ActivationPlan:
         self.ordering_name = ordering_name
         #: seconds the compile took; stamped by the moderator right
         #: after construction (0.0 for hand-built plans). Observability
-        #: metadata only — never on the event bus, so compiled and
-        #: interpreted runs keep byte-identical event streams.
+        #: metadata only — never on the event bus, so event streams do
+        #: not depend on when plans recompile.
         self.compile_seconds = 0.0
 
     @property
@@ -259,8 +261,6 @@ class ActivationPlan:
         report is a plain dict so it can be serialized, diffed and
         asserted in tests without importing framework types.
         """
-        (bank, domains, health, injector, ordering, contracts,
-         profile_epoch) = self.key
         return {
             "method_id": self.method_id,
             "never_blocks": self.never_blocks,
@@ -273,15 +273,7 @@ class ActivationPlan:
                 self.contract.clause_labels()
                 if self.contract is not None else None
             ),
-            "revision_key": {
-                "bank": bank,
-                "domains": domains,
-                "health": health,
-                "injector": injector,
-                "ordering": ordering,
-                "contracts": contracts,
-                "profile": profile_epoch,
-            },
+            "revision": self.key,
             "profile": self.profile,
             "cells": [
                 {
@@ -315,15 +307,11 @@ class ActivationPlan:
     def format(self) -> str:
         """Human-readable rendering of :meth:`explain` (one plan)."""
         report = self.explain()
-        key = report["revision_key"]
         lines = [
             f"ActivationPlan({self.method_id}) "
             f"[{'fast-path' if self.never_blocks else 'locked'}; "
             f"domain {self.domain_name!r}; "
-            f"key bank={key['bank']} domains={key['domains']} "
-            f"health={key['health']} injector={key['injector']} "
-            f"ordering={key['ordering']} contracts={key['contracts']} "
-            f"profile={key['profile']}]",
+            f"revision={self.key}]",
         ]
         if self.profile is not None:
             profile = self.profile
@@ -368,9 +356,8 @@ class PlanHandle:
 
     Proxies and woven wrappers hold a handle instead of a bare wrapper
     closure: :meth:`current` revalidates the cached plan against the
-    moderator's composite revision key (a few integer compares) and
-    recompiles through the moderator only when some revision component
-    moved. Handles are shared — one per (moderator, method) — so every
+    moderator's ``registration_version`` (one int compare) and
+    recompiles through the moderator only when the version moved. Handles are shared — one per (moderator, method) — so every
     wrapper of a method converges on the same compiled plan.
     """
 
@@ -382,9 +369,10 @@ class PlanHandle:
         self._plan: Optional[ActivationPlan] = None
 
     def current(self) -> ActivationPlan:
-        """The currently valid plan, recompiled on revision change."""
+        """The currently valid plan, recompiled on version change."""
         plan = self._plan
-        if plan is not None and plan.key == self.moderator._composition_key():
+        if plan is not None and \
+                plan.key == self.moderator.registration_version:
             return plan
         plan = self.moderator.plan_for(self.method_id)
         self._plan = plan
@@ -397,7 +385,7 @@ class PlanHandle:
 def compile_plan(
     method_id: str,
     pairs: List[Tuple[str, Aspect]],
-    key: Tuple[int, ...],
+    key: int,
     domain: Any,
     health: Any,
     injector: Optional[Any],

@@ -132,24 +132,21 @@ class ComponentProxy:
                target: Callable[..., Any]) -> Callable[..., Any]:
         """Wrap ``target`` in the pre-/post-activation bracket (Figure 10).
 
-        Compiled-pipeline moderators hand out a stable
+        The moderator hands out a stable
         :class:`~repro.core.plan.PlanHandle` per method; the wrapper
         captures the handle (never a plan) and revalidates per call —
-        a few integer compares — so a cached wrapper sees a swapped or
+        one int compare — so a cached wrapper sees a swapped or
         quarantined aspect on its very next invocation.
         """
         moderator = self._moderator
         component = self._component
         caller = self._caller
         timeout = self._timeout
-        handle = (
-            moderator.plan_handle(method_id)
-            if moderator.compile_plans else None
-        )
+        handle = moderator.plan_handle(method_id)
 
         @functools.wraps(target)
         def guarded(*args: Any, **kwargs: Any) -> Any:
-            plan = handle.current() if handle is not None else None
+            plan = handle.current()
             joinpoint = JoinPoint(
                 method_id=method_id, component=component,
                 args=args, kwargs=kwargs, caller=caller,
@@ -204,10 +201,7 @@ class ComponentProxy:
             caller=caller if caller is not None else self._caller,
         )
         effective_timeout = timeout if timeout is not None else self._timeout
-        plan = (
-            self._moderator.plan_handle(method_id).current()
-            if self._moderator.compile_plans else None
-        )
+        plan = self._moderator.plan_handle(method_id).current()
         result = self._moderator.preactivation(
             method_id, joinpoint, timeout=effective_timeout, plan=plan,
             deadline=deadline,
@@ -267,13 +261,10 @@ class GuardedMethod:
             return self  # type: ignore[return-value]
         moderator: AspectModerator = getattr(instance, self.moderator_attr)
         target = getattr(super(self._owner, instance), self.method_id)
-        handle = (
-            moderator.plan_handle(self.method_id)
-            if moderator.compile_plans else None
-        )
+        handle = moderator.plan_handle(self.method_id)
 
         def guarded(*args: Any, **kwargs: Any) -> Any:
-            plan = handle.current() if handle is not None else None
+            plan = handle.current()
             joinpoint = JoinPoint(
                 method_id=self.method_id, component=instance,
                 args=args, kwargs=kwargs,

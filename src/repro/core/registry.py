@@ -31,9 +31,8 @@ class Cluster:
             instantiate at initialization (paper Figure 5's constructor).
         ordering: concern composition-order policy for the moderator.
         default_timeout: optional BLOCK wait bound for the moderator.
-        compile_plans: forwarded to the moderator — ``True`` (default)
-            executes compiled activation plans, ``False`` the per-call
-            interpreter.
+        notify_scope: wakeup policy forwarded to the moderator
+            (``"all"`` or ``"linked"``).
 
     Example::
 
@@ -53,7 +52,6 @@ class Cluster:
         ordering: OrderingPolicy = registration_order,
         default_timeout: Optional[float] = None,
         notify_scope: str = "all",
-        compile_plans: bool = True,
     ) -> None:
         self.component = component
         self.events = EventBus()
@@ -64,7 +62,6 @@ class Cluster:
             events=self.events,
             default_timeout=default_timeout,
             notify_scope=notify_scope,
-            compile_plans=compile_plans,
         )
         self.factory = CompositeFactory()
         if factory is not None:
@@ -136,11 +133,8 @@ class Cluster:
         return tracer, unsubscribe
 
     def plans(self) -> Dict[str, Any]:
-        """Current compiled :class:`ActivationPlan` per bound method.
-
-        Compilation is pure, so this works (and is useful — lint,
-        diagrams) even when the cluster runs with ``compile_plans=False``.
-        """
+        """Current compiled :class:`ActivationPlan` per bound method
+        (the input to lint and plan diagrams)."""
         return {
             method_id: self.moderator.plan_for(method_id)
             for method_id in self.bank.methods()

@@ -90,10 +90,7 @@ def _guarded(method_id: str, func: Callable[..., Any],
         if moderator is None:
             # Not yet wired to a moderator: behave as a plain method.
             return func(self, *args, **kwargs)
-        plan = (
-            moderator.plan_handle(method_id).current()
-            if moderator.compile_plans else None
-        )
+        plan = moderator.plan_handle(method_id).current()
         joinpoint = JoinPoint(
             method_id=method_id, component=self, args=args, kwargs=kwargs,
             caller=getattr(self, "__caller__", None),

@@ -300,16 +300,20 @@ class IdempotencyCache:
         return seeded
 
     def _evict_excess(self) -> None:
-        # under self._lock; evict oldest *completed* entries only
-        if len(self._entries) <= self.capacity:
+        # under self._lock; evict the oldest *completed* entries only,
+        # walking from the LRU end no further than the excess requires
+        excess = len(self._entries) - self.capacity
+        if excess <= 0:
             return
-        for key in list(self._entries):
-            if len(self._entries) <= self.capacity:
-                break
-            entry = self._entries[key]
+        victims = []
+        for key, entry in self._entries.items():
             if entry.done:
-                del self._entries[key]
-                self.evictions += 1
+                victims.append(key)
+                if len(victims) == excess:
+                    break
+        for key in victims:
+            del self._entries[key]
+        self.evictions += len(victims)
 
     def __len__(self) -> int:
         with self._lock:

@@ -14,10 +14,10 @@ closes the loop: a :class:`ClauseProfiler` installed on a moderator
    full-recording tax of an enabled span recorder;
 
 2. **feeds back** — :meth:`refresh` folds those counters into a
-   per-cell profile and bumps the moderator's ``_profile_epoch`` (a
-   component of the composite plan-revision key), so every plan
-   recompiles through the standard revision mechanism and the compile
-   hook applies three optimizations:
+   per-cell profile and bumps the moderator's plan version
+   (``registration_version``), so every plan recompiles through the
+   standard revision mechanism and the compile hook applies three
+   optimizations:
 
    * **reordering** — maximal runs of adjacent cells that *mutually*
      declare commutativity (``Aspect.commutes_with``) are sorted
@@ -388,7 +388,7 @@ class ClauseProfiler:
         Uses the moderator's own stats registry unless one was passed
         explicitly, so the clause families export alongside the
         protocol counters. Assigning ``moderator.profiler`` bumps the
-        profile epoch — every cached plan recompiles instrumented.
+        plan version — every cached plan recompiles instrumented.
         """
         if self._registry is None:
             self._bind_families(moderator.stats.registry)
@@ -443,7 +443,7 @@ class ClauseProfiler:
 
         The snapshot — not the live registry — is what the compile hook
         orders by, so every plan compiled between two refreshes sees
-        one consistent profile. Bumps the moderator's profile epoch, so
+        one consistent profile. Bumps the moderator's plan version, so
         cached plans recompile on their next activation.
         """
         with self._lock:

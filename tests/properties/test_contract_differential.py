@@ -3,13 +3,16 @@
 Two equivalences, both run across the fault-chaos suite's full schedule
 space (imported, not re-derived — the suites can never drift apart):
 
-* **compiled vs interpreted**: with a contract declared on ``push`` and
-  a deterministic interfering aspect in the chain, the verdict stream —
-  which calls violate, the blame, the clause, the checkpoint evidence
-  shape — and every other observation must be identical whether the
-  moderator runs compiled activation plans or the paper's per-call
-  interpreter. Contract methods force the generic executor, so this is
-  the proof that the seam placement matches in both pipelines.
+* **compiled vs interpreter oracle**: with a contract declared on
+  ``push`` and a deterministic interfering aspect in the chain, the
+  verdict stream — which calls violate, the blame, the clause, the
+  checkpoint evidence shape — and every other observation must be
+  identical whether the moderator runs compiled activation plans or the
+  paper's per-call interpreter (:class:`tests.oracle
+  .InterpretingModerator`, which also counts its rounds: nonzero and
+  equal to the compiled run's). Contract methods force the generic
+  executor, so this is the proof that the seam placement matches in
+  both pipelines.
 * **recording on vs off**: subscribing a span recorder must not change
   a single verdict, outcome or counter — observation is passive even
   when the observed run is busy convicting aspects.
@@ -40,6 +43,7 @@ from repro.aspects.synchronization import MutexAspect, SemaphoreAspect
 from repro.faults import FaultInjector, FaultPlan
 from repro.obs.spans import SpanRecorder
 
+from tests.oracle import InterpretingModerator, count_rounds
 from tests.properties.test_fault_chaos import (
     CALLS,
     DOUBLE_PLANS,
@@ -80,10 +84,9 @@ class TamperAspect(NullAspect):
         return super().evaluate_precondition(joinpoint)
 
 
-def _build(compile_plans):
-    moderator = AspectModerator(
+def _build(interpreted):
+    moderator = (InterpretingModerator if interpreted else AspectModerator)(
         default_timeout=10.0, fault_threshold=2,
-        compile_plans=compile_plans,
     )
     audit = AuditAspect()
     mutex = MutexAspect()
@@ -161,8 +164,9 @@ def _slice_signature(export, violation):
     )
 
 
-def _observe(compile_plans, plan, recording=True):
-    moderator, aspects, sink, proxy = _build(compile_plans)
+def _observe(interpreted, plan, recording=True):
+    moderator, aspects, sink, proxy = _build(interpreted)
+    rounds = None if interpreted else count_rounds(moderator)
     injector = FaultInjector(plan)
     injector.install(moderator)
     tracer = Tracer()
@@ -195,6 +199,8 @@ def _observe(compile_plans, plan, recording=True):
     stats = moderator.stats.as_dict()
     stats.pop("plan_compiles")
     observation = {
+        "rounds": (moderator.interpreted_rounds if interpreted
+                   else rounds[0]),
         "outcomes": outcomes,
         "events": _normalize_events(tracer.events),
         "stats": stats,
@@ -219,8 +225,10 @@ def _observe(compile_plans, plan, recording=True):
 
 
 def _assert_identical(plan):
-    interpreted = _observe(False, plan)
-    compiled = _observe(True, plan)
+    interpreted = _observe(True, plan)
+    compiled = _observe(False, plan)
+    # the oracle interpreted every round the compiled run evaluated
+    assert interpreted["rounds"] >= 1
     for key in interpreted:
         assert compiled[key] == interpreted[key], (
             f"{key} diverged under plan {plan.describe()}:\n"
@@ -228,7 +236,7 @@ def _assert_identical(plan):
             f"  compiled:    {compiled[key]!r}"
         )
     # Recording off must not change a single semantic observation.
-    dark = _observe(True, plan, recording=False)
+    dark = _observe(False, plan, recording=False)
     for key in dark:
         assert dark[key] == compiled[key], (
             f"{key} diverged when recording was disabled under plan "
@@ -257,7 +265,7 @@ def test_fault_free_run_identical():
 
 
 def test_fault_free_run_convicts_every_tampered_call():
-    observation = _observe(True, FaultPlan())
+    observation = _observe(False, FaultPlan())
     convicted = [entry for entry in observation["outcomes"]
                  if entry[0] == "contract"]
     assert len(convicted) == len(_TAMPERED)
@@ -282,7 +290,7 @@ class TestContractsOffIsLegacy:
     def _legacy_observe(self, mutate):
         """Run the plan-differential composition; ``mutate`` may touch
         the moderator's contract wiring before the calls."""
-        moderator = AspectModerator(compile_plans=True)
+        moderator = AspectModerator()
         probe_context = []
 
         class Probe(NullAspect):

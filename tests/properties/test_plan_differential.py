@@ -1,20 +1,22 @@
 """Differential proof: compiled plans are observably identical to the
-interpreter.
+interpreter oracle.
 
-The compiled pipeline (``compile_plans=True``) is only a valid refactor
-if no observer can tell it from the paper's per-call interpreter. This
-suite runs the fault-chaos composition (audit, mutex, semaphore(2),
-fail-open probe — the same chain ``test_fault_chaos`` storms) twice per
-fault schedule — once interpreted, once compiled — through an identical
-*sequential* call script, and requires byte-equal observations:
+The compiled pipeline is only a valid refactor of the paper's moderator
+if no observer can tell it from the paper's per-call interpreter, kept
+as :class:`tests.oracle.InterpretingModerator`. This suite runs the
+fault-chaos composition (audit, mutex, semaphore(2), fail-open probe —
+the same chain ``test_fault_chaos`` storms) twice per fault schedule —
+once on the oracle, once on the production moderator — through an
+identical *sequential* call script, and requires byte-equal
+observations:
 
 * per-call outcomes (result / abort / fault type, concern, phase);
 * the full protocol event stream — kind, method, concern, detail, and
   activation id (normalized to appearance order: ids are drawn from a
   process-global counter, so their absolute values differ between the
   two runs by construction);
-* every moderation counter except ``plan_compiles`` (the one counter
-  that *must* differ: it is the refactor's own bookkeeping);
+* every moderation counter except ``plan_compiles`` (cache
+  bookkeeping, not protocol);
 * the component's accepted values, the injector's fired schedule and
   at-rest sync-aspect state (no leaked admissions in either mode);
 * fault accounting and quarantine state in the health tracker.
@@ -23,7 +25,10 @@ The schedule space is the chaos suite's own: every single-fault plan
 and every double-fault plan (228 schedules), imported rather than
 re-derived so the two suites can never drift apart. Sequential driving
 makes both runs deterministic — any divergence is a real semantic
-difference, not an interleaving artifact.
+difference, not an interleaving artifact. The oracle counts the rounds
+it interpreted; that count must be nonzero and equal the production
+run's round count, so the reference side can never silently fall back
+to the compiled executors.
 """
 
 import pytest
@@ -42,6 +47,7 @@ from repro.aspects.synchronization import MutexAspect, SemaphoreAspect
 from repro.faults import FaultInjector
 from repro.obs.spans import SpanRecorder
 
+from tests.oracle import InterpretingModerator, count_rounds
 from tests.properties.test_fault_chaos import (
     CALLS,
     DOUBLE_PLANS,
@@ -52,10 +58,9 @@ from tests.properties.test_fault_chaos import (
 pytestmark = pytest.mark.differential
 
 
-def _build(compile_plans):
-    moderator = AspectModerator(
+def _build(interpreted):
+    moderator = (InterpretingModerator if interpreted else AspectModerator)(
         default_timeout=10.0, fault_threshold=2,
-        compile_plans=compile_plans,
     )
     audit = AuditAspect()
     mutex = MutexAspect()
@@ -113,11 +118,16 @@ def _span_shape(span):
     )
 
 
-def _observe(compile_plans, plan):
+def _observe(interpreted, plan):
     """One sequential run; everything an observer could compare."""
-    moderator, aspects, sink, proxy = _build(compile_plans)
-    injector = FaultInjector(plan)
-    injector.install(moderator)
+    moderator, aspects, sink, proxy = _build(interpreted)
+    rounds = None if interpreted else count_rounds(moderator)
+    # plan=None installs no injector at all: only then do the compiled
+    # fast executors (fast_cells) run, so that run holds them to the
+    # oracle too
+    injector = FaultInjector(plan) if plan is not None else None
+    if injector is not None:
+        injector.install(moderator)
     tracer = Tracer()
     recorder = SpanRecorder()
     unsubscribe = moderator.events.subscribe(tracer)
@@ -139,13 +149,10 @@ def _observe(compile_plans, plan):
     unsubscribe_spans()
 
     stats = moderator.stats.as_dict()
-    compiles = stats.pop("plan_compiles")
-    if compile_plans:
-        # the compiled run must actually have exercised the executor
-        assert compiles >= 1
-    else:
-        assert compiles == 0
+    stats.pop("plan_compiles")
     return {
+        "rounds": (moderator.interpreted_rounds if interpreted
+                   else rounds[0]),
         "outcomes": outcomes,
         "events": _normalize_events(tracer.events),
         # span recording on: the tree *shapes* (names, concerns,
@@ -160,7 +167,7 @@ def _observe(compile_plans, plan):
         ],
         "stats": stats,
         "accepted": list(sink.accepted),
-        "fired": injector.fired_summary(),
+        "fired": injector.fired_summary() if injector is not None else None,
         "mutex_holder": aspects["mutex"].holder,
         "semaphore_in_use": aspects["semaphore"].in_use,
         "quarantined": moderator.health.quarantined_cells(),
@@ -172,11 +179,14 @@ def _observe(compile_plans, plan):
 
 
 def _assert_identical(plan):
-    interpreted = _observe(False, plan)
-    compiled = _observe(True, plan)
+    interpreted = _observe(True, plan)
+    compiled = _observe(False, plan)
+    # the oracle interpreted every round the production run evaluated
+    assert interpreted["rounds"] >= 1
     for key in interpreted:
         assert compiled[key] == interpreted[key], (
-            f"{key} diverged under plan {plan.describe()}:\n"
+            f"{key} diverged under plan "
+            f"{plan.describe() if plan is not None else None}:\n"
             f"  interpreted: {interpreted[key]!r}\n"
             f"  compiled:    {compiled[key]!r}"
         )
@@ -201,6 +211,12 @@ def test_fault_free_run_identical():
     from repro.faults import FaultPlan
 
     _assert_identical(FaultPlan())
+
+
+def test_uninjected_run_identical():
+    """No injector installed: the fast prefix executor and the compiled
+    unwind run, and must match the oracle too."""
+    _assert_identical(None)
 
 
 def test_plan_space_is_the_chaos_suites():

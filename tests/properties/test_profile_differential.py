@@ -88,7 +88,7 @@ def _expensive_check(joinpoint):
 
 def _build(profiled):
     moderator = AspectModerator(
-        default_timeout=10.0, fault_threshold=2, compile_plans=True,
+        default_timeout=10.0, fault_threshold=2,
     )
     moderator.register_aspect("push", "chk_a", FunctionAspect(
         concern="chk_a", precondition=_expensive_check,
@@ -325,7 +325,7 @@ def test_single_toggle_fault_free_equivalent(toggles):
 # vetoing commutative stack: outcome equivalence under short-circuit
 # ----------------------------------------------------------------------
 def _vetoing_rig(profiled):
-    moderator = AspectModerator(compile_plans=True)
+    moderator = AspectModerator()
     calls = {"expensive": 0}
 
     def expensive(joinpoint):

@@ -321,7 +321,7 @@ class TestEpochsAndPlans:
         assert report["contract"] == {
             "require": ["positive"], "ensure": ["grows"], "invariant": [],
         }
-        assert "contracts" in report["revision_key"]
+        assert report["revision"] == moderator.registration_version
         formatted = moderator.plan_for("deposit").format()
         assert "contract:" in formatted
 

@@ -6,9 +6,9 @@ equivalence; this file proves the *compile-time* promises):
 
 * compilation correctness — cell order, pre-bound callables, the
   ``never_blocks`` / ``fast_cells`` routing flags;
-* the invalidation matrix — every composition mutator bumps exactly its
-  own component of the composite revision key and forces exactly one
-  recompile, and nothing else does;
+* the invalidation matrix — every composition mutator, across all nine
+  mutation families, moves ``registration_version`` (the plan key) and
+  forces exactly one recompile, and nothing else does;
 * ``explain()`` — the composed contract as data;
 * :class:`PlanHandle` stability across recompiles;
 * the ``plan_compiles`` counter and its ``as_dict`` snapshot;
@@ -20,6 +20,7 @@ equivalence; this file proves the *compile-time* promises):
 import pytest
 
 from repro.analysis import plan_to_dot, plan_table
+from repro.contracts import ContractRegistry
 from repro.core import (
     AspectModerator,
     FunctionAspect,
@@ -28,11 +29,12 @@ from repro.core import (
     Tracer,
 )
 from repro.faults import FaultInjector, FaultPlan
+from repro.obs import ClauseProfiler
 from repro.verify import lint_chain, lint_plan
 
 
 def _moderator(aspects=2, never_blocks=True, **kwargs):
-    moderator = AspectModerator(compile_plans=True, **kwargs)
+    moderator = AspectModerator(**kwargs)
     for index in range(aspects):
         moderator.register_aspect(
             "m", f"c{index}",
@@ -116,10 +118,7 @@ class TestExplain:
         assert report["never_blocks"] is True
         assert report["fast_executor"] is True
         assert report["injector_armed"] is False
-        assert set(report["revision_key"]) == {
-            "bank", "domains", "health", "injector", "ordering",
-            "contracts", "profile",
-        }
+        assert report["revision"] == moderator.registration_version
         assert report["preactivation_order"] == ["c0", "c1"]
         assert report["postactivation_order"] == ["c1", "c0"]
         for position, cell in enumerate(report["cells"]):
@@ -137,113 +136,134 @@ class TestExplain:
         assert single["method_id"] == "m"
 
     def test_format_mentions_mode_and_chain(self):
-        text = _moderator().plan_for("m").format()
+        moderator = _moderator()
+        text = moderator.plan_for("m").format()
         assert "ActivationPlan(m)" in text
         assert "fast-path" in text
+        assert f"revision={moderator.registration_version}" in text
         assert "postactivation: c1 -> c0" in text
 
 
 # ----------------------------------------------------------------------
 # the invalidation matrix
 # ----------------------------------------------------------------------
-def _component_moved(moderator, mutate):
-    """Run ``mutate`` and report (recompiles, changed key components)."""
-    before_plan = moderator.plan_for("m")
-    before_compiles = moderator.stats.plan_compiles
-    assert moderator.plan_for("m") is before_plan  # cache is stable
-    assert moderator.stats.plan_compiles == before_compiles
+def _quarantine_c0(moderator):
+    moderator.health.set_policy("m", "c0", "fail_open", threshold=1)
+    moderator.health.record_fault("m", "c0", "precondition",
+                                  RuntimeError("boom"))
 
-    mutate(moderator)
 
-    after_plan = moderator.plan_for("m")
-    assert after_plan is not before_plan, "mutation did not invalidate"
-    assert moderator.stats.plan_compiles == before_compiles + 1
-    assert moderator.plan_for("m") is after_plan  # exactly one recompile
+def _install_profiler(moderator):
+    ClauseProfiler().install(moderator)
 
-    before_key = before_plan.explain()["revision_key"]
-    after_key = after_plan.explain()["revision_key"]
-    return sorted(
-        component for component in before_key
-        if before_key[component] != after_key[component]
-    )
+
+def _install_contracts(moderator):
+    ContractRegistry().install(moderator)
+
+
+#: (family, setup, mutation, check on the recompiled plan) — every row
+#: of the mutation table in ``repro.core.plan``, each mutator at least
+#: once
+MUTATIONS = [
+    ("register/unregister/swap", None,
+     lambda m: m.register_aspect(
+         "m", "extra", FunctionAspect(concern="extra", never_blocks=True)),
+     lambda plan: [c.concern for c in plan.cells] == ["c0", "c1", "extra"]),
+    ("register/unregister/swap", None,
+     lambda m: m.unregister_aspect("m", "c1"),
+     lambda plan: [c.concern for c in plan.cells] == ["c0"]),
+    ("register/unregister/swap", None,
+     lambda m: m.bank.swap(
+         "m", "c0", FunctionAspect(concern="c0", never_blocks=True)),
+     None),
+    ("set_order", None,
+     lambda m: m.bank.set_order("m", ["c1", "c0"]),
+     lambda plan: [c.concern for c in plan.cells] == ["c1", "c0"]),
+    ("assign_lock_domain", None,
+     lambda m: m.assign_lock_domain("shared", "m"),
+     lambda plan: plan.domain_name == "shared"),
+    ("quarantine flip / reinstate",
+     lambda m: m.health.set_policy("m", "c0", "fail_open", threshold=1),
+     lambda m: m.health.record_fault(
+         "m", "c0", "precondition", RuntimeError("boom")),
+     lambda plan: plan.has_degraded),
+    ("quarantine flip / reinstate", _quarantine_c0,
+     lambda m: m.reinstate_aspect("m", "c0"),
+     lambda plan: not plan.has_degraded),
+    ("set_policy / drop", None,
+     lambda m: m.health.set_policy("m", "c0", "fail_closed", threshold=4),
+     lambda plan: plan.cells[0].policy == "fail_closed"),
+    ("set_policy / drop",
+     lambda m: m.health.set_policy("m", "c0", "fail_closed", threshold=4),
+     lambda m: m.health.drop("m", "c0"),
+     lambda plan: plan.cells[0].policy is None),
+    ("injector install / uninstall", None,
+     lambda m: FaultInjector(FaultPlan()).install(m),
+     lambda plan: plan.injector_armed),
+    ("injector install / uninstall",
+     lambda m: FaultInjector(FaultPlan()).install(m),
+     lambda m: FaultInjector.uninstall(m),
+     lambda plan: not plan.injector_armed),
+    ("ordering-policy swap", None,
+     lambda m: setattr(m, "ordering", m.ordering),
+     None),
+    ("contract declare / install", None,
+     _install_contracts,
+     lambda plan: plan.contract is None),
+    ("contract declare / install", _install_contracts,
+     lambda m: m.contracts.declare("m", observables=("value",)),
+     lambda plan: plan.contract is not None and not plan.fast_cells),
+    ("profiler install / refresh", None,
+     _install_profiler,
+     lambda plan: plan.profile is not None),
+    ("profiler install / refresh", _install_profiler,
+     lambda m: m.profiler.refresh(),
+     lambda plan: plan.profile is not None),
+]
 
 
 class TestInvalidation:
-    def test_register_bumps_bank_and_health(self):
-        moved = _component_moved(
-            _moderator(),
-            lambda m: m.register_aspect(
-                "m", "extra", FunctionAspect(concern="extra",
-                                             never_blocks=True)),
-        )
-        # registration also (re)declares the cell's fault policy, which
-        # resets its health history — so health legitimately moves too
-        assert moved == ["bank", "health"]
-
-    def test_unregister_bumps_bank_and_health(self):
-        moved = _component_moved(
-            _moderator(), lambda m: m.unregister_aspect("m", "c1"))
-        assert moved == ["bank", "health"]  # drop() forgets health too
-
-    def test_swap_bumps_bank_only(self):
-        moved = _component_moved(
-            _moderator(),
-            lambda m: m.bank.swap(
-                "m", "c0", FunctionAspect(concern="c0", never_blocks=True)),
-        )
-        assert moved == ["bank"]
-
-    def test_set_order_bumps_bank_only(self):
-        moved = _component_moved(
-            _moderator(), lambda m: m.bank.set_order("m", ["c1", "c0"]))
-        assert moved == ["bank"]
-
-    def test_assign_lock_domain_bumps_domains_only(self):
-        moved = _component_moved(
-            _moderator(), lambda m: m.assign_lock_domain("shared", "m"))
-        assert moved == ["domains"]
-
-    def test_quarantine_flip_bumps_health_only(self):
-        def quarantine(moderator):
-            moderator.health.set_policy("m", "c0", "fail_open", threshold=1)
-            moderator.health.record_fault(
-                "m", "c0", "precondition", RuntimeError("boom"))
-
-        # set_policy and the flip each bump the epoch; both are "health"
+    @pytest.mark.parametrize(
+        "family, setup, mutate, check", MUTATIONS,
+        ids=[f"{row[0]}-{index}" for index, row in enumerate(MUTATIONS)],
+    )
+    def test_mutation_recompiles_once_under_a_larger_version(
+            self, family, setup, mutate, check):
         moderator = _moderator()
-        moderator.plan_for("m")
-        before = moderator.plan_for("m").explain()["revision_key"]
-        quarantine(moderator)
-        after = moderator.plan_for("m").explain()["revision_key"]
-        changed = [c for c in before if before[c] != after[c]]
-        assert changed == ["health"]
-        assert moderator.plan_for("m").has_degraded
+        if setup is not None:
+            setup(moderator)
+        handle = moderator.plan_handle("m")
+        before_plan = handle.current()
+        before_version = moderator.registration_version
+        before_compiles = moderator.stats.plan_compiles
+        assert before_plan.key == before_version
+        assert moderator.plan_for("m") is before_plan  # cache is stable
 
-    def test_reinstate_bumps_health_only(self):
-        moderator = _moderator()
-        moderator.health.set_policy("m", "c0", "fail_open", threshold=1)
-        moderator.health.record_fault("m", "c0", "precondition",
-                                      RuntimeError("boom"))
-        moved = _component_moved(
-            moderator, lambda m: m.reinstate_aspect("m", "c0"))
-        assert moved == ["health"]
-        assert not moderator.plan_for("m").has_degraded
+        mutate(moderator)
 
-    def test_injector_install_and_uninstall_bump_injector_only(self):
-        injector = FaultInjector(FaultPlan())
-        moved = _component_moved(
-            _moderator(), lambda m: injector.install(m))
-        assert moved == ["injector"]
-        moderator = _moderator()
-        injector.install(moderator)
-        moved = _component_moved(
-            moderator, lambda m: FaultInjector.uninstall(m))
-        assert moved == ["injector"]
+        assert moderator.registration_version > before_version
+        after_plan = moderator.plan_for("m")
+        assert after_plan is not before_plan, "mutation did not invalidate"
+        assert after_plan.key == moderator.registration_version
+        # the cached handle picks the new plan up, without compiling again
+        assert handle.current() is after_plan
+        assert moderator.plan_for("m") is after_plan
+        assert moderator.stats.plan_compiles == before_compiles + 1
+        if check is not None:
+            assert check(after_plan)
 
-    def test_ordering_swap_bumps_ordering_only(self):
-        moved = _component_moved(
-            _moderator(), lambda m: setattr(m, "ordering", m.ordering))
-        assert moved == ["ordering"]
+    def test_matrix_covers_every_family_in_the_plan_table(self):
+        import repro.core.plan as plan_module
+
+        table = [
+            line.rsplit("bumps the version", 1)[0].strip()
+            for line in plan_module.__doc__.splitlines()
+            if line.rstrip().endswith("bumps the version")
+        ]
+        assert len(table) == 9
+        assert {row[0] for row in MUTATIONS} == {
+            row.replace("``", "") for row in table
+        }
 
     def test_no_mutation_no_recompile(self):
         moderator = _moderator()

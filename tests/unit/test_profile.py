@@ -11,7 +11,7 @@ the profiler's own contracts in isolation:
   policies;
 * feedback — reordering only over *mutually* declared commutative runs
   with enough samples, elision only of declared pure observers, all
-  recompiled through the ``_profile_epoch`` revision component;
+  recompiled through a bump of the moderator's plan version;
 * stale-profile hygiene — baselines reset on aspect swap and on
   ``reinstate_aspect``;
 * surfacing — ``explain()`` / ``format()`` / ``plan_table`` report
@@ -429,7 +429,7 @@ class TestRevision:
         moderator.register_aspect("tick", "a", _aspect("a"))
         before = moderator.registration_version
         report = moderator.explain("tick")
-        assert "profile" in report["revision_key"]
+        assert report["revision"] == before
         ClauseProfiler().install(moderator)
         assert moderator.registration_version == before + 1
 
@@ -540,7 +540,7 @@ class TestSurfacing:
         text = moderator.plan_for("tick").format()
         assert "reordered by profile" in text
         assert "elided: obs" in text
-        assert "profile=" in text
+        assert f"revision={moderator.registration_version}" in text
 
     def test_plan_table_flags(self):
         moderator, _profiler = self._optimized()

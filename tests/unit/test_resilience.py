@@ -158,6 +158,26 @@ class TestIdempotencyCache:
         state, _ = cache.begin("pending1")
         assert state == "pending"
 
+    def test_seed_overflow_evicts_oldest_completed_in_order(self):
+        cache = IdempotencyCache(3)
+        cache.begin("inflight")  # the LRU head, never evicted
+        for key in ("old1", "old2"):
+            cache.begin(key)
+            cache.finish(key, "reply", {"key": key})
+        # five more completed entries overflow capacity by four
+        seeded = cache.seed({
+            key: {"kind": "reply", "payload": {"key": key}}
+            for key in ("new1", "new2", "new3", "new4", "new5")
+        })
+        assert seeded == 5
+        assert cache.evictions == 5
+        assert len(cache) == 3
+        # the in-flight head survived; the oldest completed entries went,
+        # in order, and the newest completed ones remain in LRU order
+        assert list(cache._entries) == ["inflight", "new4", "new5"]
+        state, _ = cache.begin("inflight")
+        assert state == "pending"
+
     def test_inflight_entries_survive_overflow(self):
         cache = IdempotencyCache(2)
         for key in ("p1", "p2", "p3", "p4"):
