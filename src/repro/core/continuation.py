@@ -16,32 +16,21 @@ process hold ~10^6 parked activations (``benchmarks/bench_parked_scale``).
 Equivalence contract
 --------------------
 
-The threaded runtime stays the reference implementation. This runtime
-re-enters the *same* moderation machinery — :meth:`AspectModerator
-._run_round` for every evaluation round, :meth:`~AspectModerator
-.postactivation` for the unwind — so aspect semantics, compensation,
-quarantine, fault injection and contract check points are shared code,
-not a reimplementation. What this module owns is only the *suspension
-mechanism*: where the threaded runtime calls ``Condition.wait``, the
-reactor registers the continuation in a parked table and returns the
-worker to the pool. The differential suite
-(``tests/properties/test_continuation_differential.py``) holds the two
-runtimes observably identical — outcomes, event streams, span shapes,
-counters, contract verdicts — across all 228 fault-chaos schedules.
-
-Park/wake race-freedom mirrors the threaded design point for point:
-
-* the continuation registers in the moderator-wide ``_waiters`` count
-  for its whole blocking attempt, so lock-free fast-path completions
-  cannot elide the wake while a continuation could be parked;
-* each evaluation round runs under the method's domain lock, and the
-  continuation registers in the parked table *while still holding that
-  lock* — so a notify (which must acquire the lock) is always ordered
-  after the park, exactly like a ``Condition`` park;
-* elided-lock completions are covered by the moderator's wake epoch:
-  the continuation re-checks the epoch under ``_waiter_guard`` before
-  parking and re-evaluates instead of parking when a completion raced
-  its round (the same protocol the threaded blocker runs).
+Both runtimes run one moderation loop, written once in the moderator:
+the entry step (:meth:`AspectModerator._enter`), Figure 11's round loop
+(:meth:`AspectModerator._rounds`) and the bracket's invoke tail
+(:meth:`AspectModerator._bracket`). The loop has a single park seam: the
+threaded seam waits on the domain ``Condition`` and loops; this runtime
+(:meth:`~ContinuationRuntime.register_park` /
+:meth:`~ContinuationRuntime.park`) files the continuation in its parked
+table under the domain lock, arms the expiry timer and releases the
+worker. So deadlines, domain moves, the wake-epoch re-check, the
+``_waiters`` slot, park accounting and every aspect/contract seam are
+shared code; this module owns only suspension, wake and timer routing,
+and futures. ``tests/properties/test_continuation_differential.py``
+holds both runtimes observably identical to the threaded-loop oracle
+(``tests/oracle.py::ThreadedReferenceModerator``) across all 228
+fault-chaos schedules and scripted parking scenarios.
 
 Contract ``old``-state re-anchoring across suspensions is inherited,
 not re-implemented: the contract runner lives in ``joinpoint.context``
@@ -73,18 +62,14 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.concurrency.primitives import WaitQueue
 
-from .errors import ActivationTimeout, ContractViolation, MethodAborted
 from .joinpoint import JoinPoint
-from .results import AspectResult, Phase
+from .moderator import Activation
 
 __all__ = ["ActivationContinuation", "CallFuture", "ContinuationRuntime"]
 
-#: continuation lifecycle states (an explicit resumable state machine:
-#: READY -> RUNNING -> {PARKED -> READY -> RUNNING ...} -> DONE)
-READY = "ready"
-RUNNING = "running"
-PARKED = "parked"
-DONE = "done"
+
+def _no_body(*args: Any, **kwargs: Any) -> None:
+    """Body of an activation submitted without one: moderation only."""
 
 
 class CallFuture:
@@ -175,30 +160,27 @@ class CallFuture:
             callback(self)
 
 
-class ActivationContinuation:
+class ActivationContinuation(Activation):
     """The heap-allocated suspension of one moderated activation.
 
-    Everything a wake needs to re-run the suffix: the join point (whose
-    ``context`` carries the RESUMEd-chain stash and the contract
-    runner), the body callable, and the resolved deadline. The threaded
-    runtime keeps all of this in stack frames pinned by
-    ``Condition.wait``; here it is this object, and the worker's stack
-    unwinds completely while parked.
+    The moderator's :class:`~repro.core.moderator.Activation` state plus
+    the body, its arguments and the future: what the threaded runtime
+    keeps in stack frames pinned by ``Condition.wait``. The worker's
+    stack unwinds completely while parked.
     """
 
     __slots__ = (
-        "method_id", "joinpoint", "func", "args", "kwargs", "wrap",
-        "future", "state", "started", "waiter_registered",
-        "effective_timeout", "expires_at", "timed_out", "woken",
-        "parked_since",
+        "func", "args", "kwargs", "wrap", "future",
+        "timeout", "deadline", "submitted_at",
     )
 
     def __init__(self, method_id: str, joinpoint: JoinPoint,
-                 func: Optional[Callable[..., Any]],
+                 func: Callable[..., Any],
                  args: Tuple[Any, ...], kwargs: Dict[str, Any],
-                 wrap: Optional[Callable[[], Any]]) -> None:
-        self.method_id = method_id
-        self.joinpoint = joinpoint
+                 wrap: Optional[Callable[[], Any]],
+                 timeout: Optional[float], deadline: Any,
+                 submitted_at: float) -> None:
+        super().__init__(method_id, joinpoint)
         self.func = func
         self.args = args
         self.kwargs = kwargs
@@ -207,19 +189,11 @@ class ActivationContinuation:
         #: the serving context on whichever worker resumes the suffix)
         self.wrap = wrap
         self.future = CallFuture()
-        self.state = READY
-        #: entry segment (events, contract begin, deadline resolution)
-        #: has run; resumptions re-enter at the evaluation-round segment
-        self.started = False
-        #: holding a slot in the moderator-wide ``_waiters`` count
-        self.waiter_registered = False
-        self.effective_timeout: Optional[float] = None
-        self.expires_at: Optional[float] = None
-        self.timed_out = False
-        #: a wake (vs. a deadline expiry) re-enqueued this continuation;
-        #: drives the ``wakeups`` counter and the ``unblocked`` event
-        self.woken = False
-        self.parked_since = 0.0
+        #: the submitted bounds and clock reading; the entry step
+        #: resolves them once the activation leaves the fast path
+        self.timeout = timeout
+        self.deadline = deadline
+        self.submitted_at = submitted_at
 
 
 class ContinuationRuntime:
@@ -271,14 +245,9 @@ class ContinuationRuntime:
         moderator.attach_runtime(self)
 
     # ------------------------------------------------------------------
-    # clock / dispatch plumbing (threaded vs. engine-bridged)
+    # dispatch plumbing (threaded vs. engine-bridged)
     # ------------------------------------------------------------------
-    def _now(self) -> float:
-        engine = self._engine
-        return engine.now if engine is not None else time.monotonic()
-
     def _dispatch(self, continuation: ActivationContinuation) -> None:
-        continuation.state = READY
         if self._engine is not None:
             self._engine.call_after(
                 0.0, lambda: self._run(continuation),
@@ -327,23 +296,9 @@ class ContinuationRuntime:
             args=args, kwargs=kwargs, caller=caller,
         )
         continuation = ActivationContinuation(
-            method_id, joinpoint, func, args, kwargs, wrap,
+            method_id, joinpoint, func if func is not None else _no_body,
+            args, kwargs, wrap, timeout, deadline, self.now(),
         )
-        now = self._now()
-        moderator = self._moderator
-        effective_timeout = (
-            timeout if timeout is not None else moderator.default_timeout
-        )
-        expires_at = (
-            now + effective_timeout if effective_timeout is not None
-            else None
-        )
-        budget = getattr(deadline, "expires_at", deadline)
-        if budget is not None and (expires_at is None or budget < expires_at):
-            expires_at = budget
-            effective_timeout = max(0.0, budget - now)
-        continuation.effective_timeout = effective_timeout
-        continuation.expires_at = expires_at
         self.submitted += 1
         self._dispatch(continuation)
         return continuation.future
@@ -352,214 +307,77 @@ class ContinuationRuntime:
     # the state machine: one call per runnable segment
     # ------------------------------------------------------------------
     def _run(self, continuation: ActivationContinuation) -> None:
-        continuation.state = RUNNING
-        wrap = continuation.wrap
-        context = wrap() if wrap is not None else nullcontext()
-        with context:
-            self._advance(continuation)
-
-    def _advance(self, continuation: ActivationContinuation) -> None:
         """Advance a continuation until it parks or completes.
 
-        Structured exactly like the threaded bracket — entry segment,
-        Figure-11 evaluation loop, invoke, post-activation — except that
-        where the threaded loop would ``Condition.wait`` this method
-        registers the continuation as parked and *returns*, releasing
-        the worker. A wake or deadline expiry re-enters here and the
-        loop resumes at the next evaluation round (the parked "suffix":
-        compensation already rolled the RESUMEd prefix back, so a fresh
-        round re-runs the whole chain, exactly as a woken thread does).
+        A fresh continuation runs the moderator's entry step; one a wake
+        or the deadline re-enqueued (``woken`` / ``timed_out`` set)
+        re-enters the round loop. ``None`` means this runtime's seam
+        parked it; otherwise the bracket's tail runs the body.
         """
         moderator = self._moderator
         joinpoint = continuation.joinpoint
         method_id = continuation.method_id
-        try:
-            if continuation.woken:
-                # Resumed by a wake: mirror the threaded post-wait
-                # bookkeeping (a deadline expiry, like a timed-out
-                # ``Condition.wait``, bumps and emits neither).
-                continuation.woken = False
-                moderator.stats.bump("wakeups")
-                moderator.events.emit(
-                    "unblocked", method_id,
-                    activation_id=joinpoint.activation_id,
-                    duration=self._now() - continuation.parked_since,
-                )
-            if not continuation.started:
-                outcome = self._entry_segment(continuation)
-                if outcome is None:
-                    return  # parked during the first blocking attempt
-            else:
-                outcome = self._round_segments(continuation)
-                if outcome is None:
-                    return  # parked again
-            self._release_waiter(continuation)
-            if outcome is AspectResult.ABORT:
-                raise MethodAborted(
-                    method_id,
-                    concern=joinpoint.context.get("abort_concern"),
-                )
-            # ---- invoke segment (outside every moderator lock) ----
-            plan = moderator.plan_for(method_id)
-            joinpoint.phase = Phase.INVOCATION
+        wrap = continuation.wrap
+        with wrap() if wrap is not None else nullcontext():
             try:
-                if not joinpoint.invocation_skipped:
-                    moderator.events.emit(
-                        "invoke", method_id,
-                        activation_id=joinpoint.activation_id,
+                if continuation.woken or continuation.timed_out:
+                    outcome = moderator._rounds(continuation, self)
+                else:
+                    outcome = moderator._enter(
+                        method_id, joinpoint, None, continuation.timeout,
+                        continuation.deadline, self,
+                        continuation.submitted_at, continuation,
                     )
-                    if continuation.func is not None:
-                        joinpoint.result = continuation.func(
-                            *continuation.args, **continuation.kwargs
-                        )
-            except BaseException as exc:
-                joinpoint.exception = exc
-                raise
-            finally:
-                moderator.postactivation(method_id, joinpoint, plan=plan)
-        except BaseException as exc:  # noqa: BLE001 - routed to future
-            self._finish(continuation, None, exc)
-            return
-        self._finish(continuation, joinpoint.result, None)
+                if outcome is None:
+                    return  # parked; a wake or the deadline re-enqueues
+                result = moderator._bracket(
+                    method_id, joinpoint, None, None, None,
+                    continuation.func, continuation.args,
+                    continuation.kwargs, outcome,
+                )
+            except BaseException as exc:  # noqa: BLE001 - to the future
+                self._finish(continuation, None, exc)
+                return
+            self._finish(continuation, result, None)
 
-    def _entry_segment(
-        self, continuation: ActivationContinuation
-    ) -> Optional[AspectResult]:
-        """The pre-activation entry: run-once events, contract, fast path.
+    # ------------------------------------------------------------------
+    # the park seam (see AspectModerator._rounds)
+    # ------------------------------------------------------------------
+    def now(self) -> float:
+        """The runtime clock: virtual time in engine mode."""
+        engine = self._engine
+        return engine.now if engine is not None else time.monotonic()
 
-        Mirrors :meth:`AspectModerator.preactivation` decision for
-        decision (the differential suite holds the streams equal).
-        Returns the pre-activation outcome, or ``None`` if the
-        continuation parked.
+    def register_park(self, continuation: ActivationContinuation) -> None:
+        """File a BLOCKed continuation (under its domain lock)."""
+        with self._lock:
+            self._parked[continuation.joinpoint.activation_id] = continuation
+            if len(self._parked) > self.parked_peak:
+                self.parked_peak = len(self._parked)
+
+    def park(self, continuation: ActivationContinuation,
+             queue: Any) -> bool:
+        """Arm the expiry and release the worker (``False``).
+
+        An already-expired deadline re-claims the continuation for its
+        final round (``True``) unless a wake popped it first.
         """
-        moderator = self._moderator
-        joinpoint = continuation.joinpoint
-        method_id = continuation.method_id
-        continuation.started = True
-        joinpoint.phase = Phase.PRE_ACTIVATION
-        moderator.events.emit(
-            "preactivation", method_id,
-            activation_id=joinpoint.activation_id,
-        )
-        moderator.stats.bump("preactivations")
-        if moderator._contracts is not None:
-            try:
-                moderator._contracts.begin(method_id, joinpoint)
-            except ContractViolation as violation:
-                moderator._note_violation(violation, joinpoint)
-                raise
-        plan = moderator.plan_for(method_id)
-        if plan.never_blocks:
-            outcome = moderator._run_round(method_id, joinpoint, plan)
-            if outcome is not AspectResult.BLOCK:
-                if outcome is AspectResult.RESUME:
-                    moderator.stats.bump("fastpaths")
-                return outcome
-        # Register in the moderator-wide waiter count for the whole
-        # blocking attempt — fast-path completions consult it to elide
-        # their wake, and a parked continuation must keep it nonzero.
-        with moderator._waiter_guard:
-            moderator._waiters += 1
-        continuation.waiter_registered = True
-        return self._round_segments(continuation)
-
-    def _round_segments(
-        self, continuation: ActivationContinuation
-    ) -> Optional[AspectResult]:
-        """Figure 11's evaluation loop with parks instead of waits.
-
-        One call runs as many evaluation rounds as stay runnable (raced
-        epochs, domain moves, expired deadlines) and returns the final
-        outcome — or registers the continuation parked and returns
-        ``None``, releasing the worker. The round itself is
-        :meth:`AspectModerator._run_round`, under the method's domain
-        lock: aspect state stays atomic w.r.t. threaded activations of
-        the same method.
-        """
-        moderator = self._moderator
-        joinpoint = continuation.joinpoint
-        method_id = continuation.method_id
-        while True:
-            queue = moderator.plan_for(method_id).queue
-            with queue:
-                if moderator._queue_for(method_id) is not queue:
-                    continue  # method changed domains; re-acquire
-                while True:
-                    epoch = moderator._wake_epoch
-                    plan = moderator.plan_for(method_id)
-                    outcome = moderator._run_round(method_id, joinpoint,
-                                                   plan)
-                    if outcome is not AspectResult.BLOCK:
-                        return outcome
-                    if continuation.timed_out:
-                        moderator.events.emit(
-                            "timeout", method_id,
-                            detail=f"{continuation.effective_timeout}s",
-                            activation_id=joinpoint.activation_id,
-                        )
-                        raise ActivationTimeout(
-                            method_id, continuation.effective_timeout
-                        )
-                    with moderator._waiter_guard:
-                        raced = moderator._wake_epoch != epoch
-                        if not raced:
-                            # Park: registered under the domain lock, so
-                            # any notify (which must take this lock) is
-                            # ordered after the registration — a
-                            # continuation cannot miss its wake, exactly
-                            # like a ``Condition`` park.
-                            with self._lock:
-                                continuation.state = PARKED
-                                continuation.parked_since = self._now()
-                                self._parked[
-                                    joinpoint.activation_id
-                                ] = continuation
-                                if len(self._parked) > self.parked_peak:
-                                    self.parked_peak = len(self._parked)
-                    if raced:
-                        # A completion landed while this round was
-                        # evaluating: re-evaluate against the
-                        # post-postaction state instead of parking on a
-                        # notification already sent.
-                        continue
-                    moderator.stats.bump("waits")
-                    break
-            # Parked (domain lock released). Deadline bookkeeping mirrors
-            # the threaded ``remaining <= 0 or not queue.wait(remaining)``:
-            # an already-expired budget re-claims the continuation for
-            # one final round; a live one arms a timer and the worker is
-            # released with no stack frame left behind.
-            expires_at = continuation.expires_at
-            if expires_at is not None:
-                remaining = expires_at - self._now()
-                if remaining <= 0:
-                    if self._reclaim(continuation):
-                        continuation.timed_out = True
-                        continue
-                    return None  # a wake got there first; it owns the run
-                self._schedule_expiry(continuation)
-            return None
-
-    def _reclaim(self, continuation: ActivationContinuation) -> bool:
-        """Atomically take a just-parked continuation back, if still ours."""
+        expires_at = continuation.expires_at
+        if expires_at is None:
+            return False
+        if expires_at > self.now():
+            self._schedule_expiry(continuation)
+            return False
         with self._lock:
             if self._parked.pop(
                 continuation.joinpoint.activation_id, None
             ) is None:
                 return False
-            continuation.state = RUNNING
-            return True
-
-    def _release_waiter(self, continuation: ActivationContinuation) -> None:
-        if continuation.waiter_registered:
-            continuation.waiter_registered = False
-            with self._moderator._waiter_guard:
-                self._moderator._waiters -= 1
+        continuation.timed_out = True
+        return True
 
     def _finish(self, continuation: ActivationContinuation,
                 value: Any, exc: Optional[BaseException]) -> None:
-        self._release_waiter(continuation)
-        continuation.state = DONE
         self.completed += 1
         if exc is not None:
             continuation.future.set_exception(exc)
@@ -672,11 +490,26 @@ class ContinuationRuntime:
         return len(self._parked)
 
     def close(self) -> None:
-        """Stop workers and the timer; parked continuations are dropped."""
+        """Stop workers and the timer; parked continuations fail.
+
+        Each continuation still parked completes its future with
+        ``RuntimeError("runtime closed")`` and gives back its slot in
+        the moderator's waiter count, so later fast-path completions on
+        the moderator elide their wake again.
+        """
         with self._lock:
             if self._closed:
                 return
             self._closed = True
+            dropped = list(self._parked.values())
+            self._parked.clear()
+        if dropped:
+            moderator = self._moderator
+            with moderator._waiter_guard:
+                moderator._waiters -= len(dropped)
+            for continuation in dropped:
+                self._finish(continuation, None,
+                             RuntimeError("runtime closed"))
         with self._timer_cond:
             self._timer_cond.notify_all()
         if self._ready is not None:

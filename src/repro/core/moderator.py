@@ -71,7 +71,7 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.concurrency.primitives import LockDomain
 from repro.obs.metrics import MetricsRegistry
@@ -163,6 +163,70 @@ class ModerationStats:
     def as_dict(self) -> Dict[str, int]:
         """Consistent snapshot of every counter (all stripes, one cut)."""
         return self._block.as_dict()
+
+
+class Activation:
+    """One activation's state across Figure 11's rounds (slow path only).
+
+    The continuation runtime's ``ActivationContinuation`` is one, so the
+    state outlives the worker's stack while parked.
+    """
+
+    __slots__ = ("method_id", "joinpoint", "effective_timeout",
+                 "expires_at", "timed_out", "woken", "parked_since")
+
+    def __init__(self, method_id: str, joinpoint: JoinPoint) -> None:
+        self.method_id = method_id
+        self.joinpoint = joinpoint
+        self.effective_timeout: Optional[float] = None
+        #: absolute end of every park, on the seam's clock
+        self.expires_at: Optional[float] = None
+        #: the deadline passed while parked: one final round, then
+        #: :class:`ActivationTimeout`
+        self.timed_out = False
+        #: a wake (not the deadline) ended the last park
+        self.woken = False
+        self.parked_since = 0.0
+
+
+class ConditionSeam:
+    """The threaded park seam: the thread waits on the domain Condition."""
+
+    __slots__ = ("_moderator",)
+    now = staticmethod(time.monotonic)
+
+    def __init__(self, moderator: "AspectModerator") -> None:
+        self._moderator = moderator
+
+    def register_park(self, activation: Activation) -> None:
+        moderator = self._moderator
+        moderator._parked += 1
+        moderator._parked_info[activation.joinpoint.activation_id] = (
+            activation.method_id, activation.parked_since,
+        )
+
+    def park(self, activation: Activation,
+             queue: threading.Condition) -> bool:
+        moderator = self._moderator
+        try:
+            if activation.expires_at is None:
+                queue.wait()
+                activation.woken = True
+            else:
+                remaining = activation.expires_at - time.monotonic()
+                # A timed-out park still runs one final round: a notify
+                # may have raced the deadline.
+                if remaining > 0 and queue.wait(remaining):
+                    activation.woken = True
+                else:
+                    activation.timed_out = True
+        finally:
+            with moderator._waiter_guard:
+                moderator._parked -= 1
+                moderator._parked_info.pop(
+                    activation.joinpoint.activation_id, None
+                )
+        return True
 
 
 class AspectModerator:
@@ -270,6 +334,8 @@ class AspectModerator:
         #: thread-parked ones would. One attribute read on wake paths;
         #: the moderation hot path itself never consults it.
         self._runtime = None
+        #: where threaded activations park (see :meth:`_rounds`)
+        self._condition_seam = ConditionSeam(self)
 
     # ------------------------------------------------------------------
     # versioned collaborators (assigning one invalidates every plan)
@@ -426,7 +492,7 @@ class AspectModerator:
         }
 
     # ------------------------------------------------------------------
-    # runtime selection (threaded reference vs. continuation reactor)
+    # runtime selection (threaded vs. continuation park seam)
     # ------------------------------------------------------------------
     def attach_runtime(self, runtime: Any) -> None:
         """Attach a continuation runtime; its parks join this moderator's.
@@ -664,20 +730,25 @@ class AspectModerator:
         instead — a remote caller that has already given up never keeps
         an activation parked here.
         """
-        joinpoint = joinpoint or JoinPoint(method_id=method_id)
+        return self._enter(
+            method_id, joinpoint or JoinPoint(method_id=method_id), plan,
+            timeout, deadline, self._condition_seam,
+        )
+
+    def _enter(self, method_id: str, joinpoint: JoinPoint,
+               plan: Optional[ActivationPlan], timeout: Optional[float],
+               deadline: Any, seam: Any, now: Optional[float] = None,
+               activation: Optional[Activation] = None,
+               ) -> Optional[AspectResult]:
+        """Figure 11's entry step, shared by both runtimes.
+
+        Events, contract entry check and the ``never_blocks`` fast path;
+        only an activation leaving the fast path resolves its bounds
+        against ``now`` (default: ``seam.now()``), takes a waiter slot
+        and enters :meth:`_rounds` — the fast path allocates nothing.
+        ``activation`` is the continuation runtime's state object.
+        """
         joinpoint.phase = Phase.PRE_ACTIVATION
-        effective_timeout = (
-            timeout if timeout is not None else self.default_timeout
-        )
-        expires_at = (
-            time.monotonic() + effective_timeout
-            if effective_timeout is not None else None
-        )
-        budget = getattr(deadline, "expires_at", deadline)
-        if budget is not None and (expires_at is None or budget < expires_at):
-            expires_at = budget
-            effective_timeout = max(0.0, budget - time.monotonic())
-        deadline = expires_at
         self.events.emit("preactivation", method_id,
                          activation_id=joinpoint.activation_id)
         self.stats.bump("preactivations")
@@ -707,31 +778,51 @@ class AspectModerator:
                 return outcome
             # An aspect broke its never_blocks promise; fall through to
             # the locked path and moderate properly.
-        return self._moderated_preactivation(
-            method_id, joinpoint, deadline, effective_timeout
+
+        if activation is None:
+            activation = Activation(method_id, joinpoint)
+        effective_timeout = (
+            timeout if timeout is not None else self.default_timeout
         )
-
-    def _moderated_preactivation(
-        self,
-        method_id: str,
-        joinpoint: JoinPoint,
-        deadline: Optional[float],
-        effective_timeout: Optional[float],
-    ) -> AspectResult:
-        """Figure 11's blocking evaluation loop, under the method's domain.
-
-        Registers in the moderator-wide waiter count for the whole
-        attempt (before the first evaluation round), which is what lets
-        fast-path completions skip the wake when nothing can be parked:
-        any waiter that could miss their state change is registered
-        before it evaluates, so the completion either happens before the
-        evaluation (and is seen) or after registration (and triggers the
-        wake).
-        """
+        budget = getattr(deadline, "expires_at", deadline)
+        if effective_timeout is not None or budget is not None:
+            if now is None:
+                now = seam.now()
+            expires_at = (
+                now + effective_timeout
+                if effective_timeout is not None else None
+            )
+            if budget is not None and (
+                    expires_at is None or budget < expires_at):
+                expires_at = budget
+                effective_timeout = max(0.0, budget - now)
+            activation.expires_at = expires_at
+        activation.effective_timeout = effective_timeout
+        # Hold a waiter slot for the whole blocking attempt (released by
+        # :meth:`_rounds`): a fast-path completion either precedes the
+        # first round (and is seen) or sees the slot (and wakes).
         with self._waiter_guard:
             self._waiters += 1
+        return self._rounds(activation, seam)
+
+    def _rounds(self, activation: Activation,
+                seam: Any) -> Optional[AspectResult]:
+        """Figure 11's ``while (result == BLOCKED) wait()``, written once.
+
+        Both runtimes differ only at ``seam``. Under the domain lock and
+        the waiter guard, after the wake-epoch re-check, the loop calls
+        ``seam.register_park(activation)``; then ``seam.park(activation,
+        queue)`` sets ``woken`` or ``timed_out`` and returns ``True`` to
+        run the next round, or ``False`` once it suspended the
+        activation. :class:`ConditionSeam` waits on the ``Condition``;
+        the continuation runtime parks the continuation, releases the
+        worker, and re-enters here on a wake or the expiry. Returns the
+        outcome, or ``None`` when suspended (the waiter slot is kept).
+        """
+        method_id = activation.method_id
+        joinpoint = activation.joinpoint
+        suspended = False
         try:
-            timed_out = False
             while True:
                 queue = self.plan_for(method_id).queue
                 with queue:
@@ -740,6 +831,20 @@ class AspectModerator:
                     if self._queue_for(method_id) is not queue:
                         continue  # method changed domains; re-acquire
                     while True:
+                        if activation.woken:
+                            activation.woken = False
+                            self.stats.bump("wakeups")
+                            self.events.emit(
+                                "unblocked", method_id,
+                                activation_id=joinpoint.activation_id,
+                                # park duration, for blocked-span
+                                # accounting
+                                duration=(
+                                    seam.now() - activation.parked_since
+                                ),
+                            )
+                            if self._queue_for(method_id) is not queue:
+                                break  # re-park under the new domain
                         # Bare read is safe: a stale value only makes the
                         # pre-park re-check conservatively re-evaluate.
                         epoch = self._wake_epoch
@@ -750,65 +855,34 @@ class AspectModerator:
                                                   plan)
                         if outcome is not AspectResult.BLOCK:
                             return outcome
-                        if timed_out:
+                        if activation.timed_out:
                             self.events.emit(
                                 "timeout", method_id,
-                                detail=f"{effective_timeout}s",
+                                detail=f"{activation.effective_timeout}s",
                                 activation_id=joinpoint.activation_id,
                             )
                             raise ActivationTimeout(
-                                method_id, effective_timeout
+                                method_id, activation.effective_timeout
                             )
                         with self._waiter_guard:
-                            raced = self._wake_epoch != epoch
-                            if not raced:
-                                self._parked += 1
-                                self._parked_info[
-                                    joinpoint.activation_id
-                                ] = (method_id, time.monotonic())
-                        if raced:
-                            # A completion landed while this round was
-                            # evaluating (its wake may have skipped the
-                            # not-yet-parked queue): re-evaluate against
-                            # the post-postaction state instead of
-                            # parking on a notification already sent.
-                            continue
+                            if self._wake_epoch != epoch:
+                                # A completion landed while this round
+                                # was evaluating (its wake may have
+                                # skipped the not-yet-parked activation):
+                                # re-evaluate against the post-postaction
+                                # state instead of parking on a
+                                # notification already sent.
+                                continue
+                            activation.parked_since = seam.now()
+                            seam.register_park(activation)
                         self.stats.bump("waits")
-                        try:
-                            if deadline is None:
-                                queue.wait()
-                            else:
-                                remaining = deadline - time.monotonic()
-                                if remaining <= 0 or not queue.wait(
-                                    remaining
-                                ):
-                                    # Deadline passed while parked; loop
-                                    # for one final round before giving
-                                    # up — a notify may have raced the
-                                    # timeout.
-                                    timed_out = True
-                                    continue
-                        finally:
-                            with self._waiter_guard:
-                                self._parked -= 1
-                                parked_info = self._parked_info.pop(
-                                    joinpoint.activation_id, None
-                                )
-                        self.stats.bump("wakeups")
-                        self.events.emit(
-                            "unblocked", method_id,
-                            activation_id=joinpoint.activation_id,
-                            # park duration, for blocked-span accounting
-                            duration=(
-                                time.monotonic() - parked_info[1]
-                                if parked_info is not None else 0.0
-                            ),
-                        )
-                        if self._queue_for(method_id) is not queue:
-                            break  # re-park under the new domain
+                        if not seam.park(activation, queue):
+                            suspended = True
+                            return None
         finally:
-            with self._waiter_guard:
-                self._waiters -= 1
+            if not suspended:
+                with self._waiter_guard:
+                    self._waiters -= 1
 
     def _run_round(self, method_id: str, joinpoint: JoinPoint,
                    plan: ActivationPlan) -> AspectResult:
@@ -1289,11 +1363,41 @@ class AspectModerator:
             method_id=method_id, component=component,
             args=args, kwargs=kwargs, caller=caller,
         )
-        with self.activation(method_id, joinpoint, timeout=timeout):
+        return self._bracket(method_id, joinpoint, None, timeout, None,
+                             func, args, kwargs)
+
+    def _bracket(self, method_id: str, joinpoint: JoinPoint,
+                 plan: Optional[ActivationPlan], timeout: Optional[float],
+                 deadline: Any, func: Callable[..., Any],
+                 args: Tuple[Any, ...], kwargs: Dict[str, Any],
+                 outcome: Optional[AspectResult] = None) -> Any:
+        """Figure 10's guarded method, behind every func-taking entry point.
+
+        Pre-activation runs through the ``preactivation`` attribute (so
+        a wrapper installed on it sees every call) unless ``outcome``
+        is given — the continuation runtime's invoke segment reuses the
+        tail. ABORT raises :class:`MethodAborted`; otherwise the body
+        runs in the INVOCATION phase unless an aspect skipped it, a
+        raising body is recorded, and post-activation always runs.
+        """
+        if outcome is None:
+            outcome = self.preactivation(method_id, joinpoint, timeout,
+                                         plan, deadline)
+        if outcome is not AspectResult.RESUME:
+            raise MethodAborted(
+                method_id, concern=joinpoint.context.get("abort_concern")
+            )
+        joinpoint.phase = Phase.INVOCATION
+        try:
             if not joinpoint.invocation_skipped:
                 self.events.emit("invoke", method_id,
                                  activation_id=joinpoint.activation_id)
                 joinpoint.result = func(*args, **kwargs)
+        except BaseException as exc:
+            joinpoint.exception = exc
+            raise
+        finally:
+            self.postactivation(method_id, joinpoint, plan=plan)
         return joinpoint.result
 
     # ------------------------------------------------------------------
@@ -1349,8 +1453,8 @@ class AspectModerator:
         if runtime is not None:
             # Continuation-parked activations take the same wake, under
             # the same scope policy. Ordered against continuation parks
-            # by the epoch bump above (a continuation re-checks the
-            # epoch before parking, exactly like a threaded blocker).
+            # by the epoch bump above (both park seams sit behind the
+            # same pre-park epoch re-check in :meth:`_rounds`).
             runtime.wake(targets)
         if not parked:
             self.stats.bump("notifications")

@@ -21,10 +21,8 @@ from __future__ import annotations
 import functools
 from typing import Any, Callable, Iterable, Optional, Set
 
-from .errors import MethodAborted
 from .joinpoint import JoinPoint
 from .moderator import AspectModerator
-from .results import AspectResult, Phase
 
 
 class ComponentProxy:
@@ -130,7 +128,7 @@ class ComponentProxy:
 
     def _guard(self, method_id: str,
                target: Callable[..., Any]) -> Callable[..., Any]:
-        """Wrap ``target`` in the pre-/post-activation bracket (Figure 10).
+        """Wrap ``target`` in the moderator's bracket (Figure 10).
 
         The moderator hands out a stable
         :class:`~repro.core.plan.PlanHandle` per method; the wrapper
@@ -146,33 +144,12 @@ class ComponentProxy:
 
         @functools.wraps(target)
         def guarded(*args: Any, **kwargs: Any) -> Any:
-            plan = handle.current()
-            joinpoint = JoinPoint(
-                method_id=method_id, component=component,
-                args=args, kwargs=kwargs, caller=caller,
+            return moderator._bracket(
+                method_id,
+                JoinPoint(method_id=method_id, component=component,
+                          args=args, kwargs=kwargs, caller=caller),
+                handle.current(), timeout, None, target, args, kwargs,
             )
-            result = moderator.preactivation(
-                method_id, joinpoint, timeout=timeout, plan=plan
-            )
-            if result is not AspectResult.RESUME:
-                raise MethodAborted(
-                    method_id,
-                    concern=joinpoint.context.get("abort_concern"),
-                )
-            joinpoint.phase = Phase.INVOCATION
-            try:
-                if not joinpoint.invocation_skipped:
-                    moderator.events.emit(
-                        "invoke", method_id,
-                        activation_id=joinpoint.activation_id,
-                    )
-                    joinpoint.result = target(*args, **kwargs)
-            except BaseException as exc:
-                joinpoint.exception = exc
-                raise
-            finally:
-                moderator.postactivation(method_id, joinpoint, plan=plan)
-            return joinpoint.result
 
         return guarded
 
@@ -195,34 +172,17 @@ class ComponentProxy:
         if not self.is_participating(method_id):
             # pass-through: no join point (or activation id) is allocated
             return target(*args, **kwargs)
+        moderator = self._moderator
         joinpoint = JoinPoint(
             method_id=method_id, component=self._component,
             args=args, kwargs=kwargs,
             caller=caller if caller is not None else self._caller,
         )
-        effective_timeout = timeout if timeout is not None else self._timeout
-        plan = self._moderator.plan_handle(method_id).current()
-        result = self._moderator.preactivation(
-            method_id, joinpoint, timeout=effective_timeout, plan=plan,
-            deadline=deadline,
+        return moderator._bracket(
+            method_id, joinpoint, moderator.plan_handle(method_id).current(),
+            timeout if timeout is not None else self._timeout, deadline,
+            target, args, kwargs,
         )
-        if result is not AspectResult.RESUME:
-            raise MethodAborted(
-                method_id, concern=joinpoint.context.get("abort_concern")
-            )
-        try:
-            if not joinpoint.invocation_skipped:
-                self._moderator.events.emit(
-                    "invoke", method_id,
-                    activation_id=joinpoint.activation_id,
-                )
-                joinpoint.result = target(*args, **kwargs)
-        except BaseException as exc:
-            joinpoint.exception = exc
-            raise
-        finally:
-            self._moderator.postactivation(method_id, joinpoint, plan=plan)
-        return joinpoint.result
 
     def __repr__(self) -> str:
         return (
@@ -260,32 +220,18 @@ class GuardedMethod:
         if instance is None:
             return self  # type: ignore[return-value]
         moderator: AspectModerator = getattr(instance, self.moderator_attr)
-        target = getattr(super(self._owner, instance), self.method_id)
-        handle = moderator.plan_handle(self.method_id)
+        method_id = self.method_id
+        target = getattr(super(self._owner, instance), method_id)
+        handle = moderator.plan_handle(method_id)
 
         def guarded(*args: Any, **kwargs: Any) -> Any:
-            plan = handle.current()
-            joinpoint = JoinPoint(
-                method_id=self.method_id, component=instance,
-                args=args, kwargs=kwargs,
-                caller=getattr(instance, "__caller__", None),
+            return moderator._bracket(
+                method_id,
+                JoinPoint(method_id=method_id, component=instance,
+                          args=args, kwargs=kwargs,
+                          caller=getattr(instance, "__caller__", None)),
+                handle.current(), None, None, target, args, kwargs,
             )
-            result = moderator.preactivation(self.method_id, joinpoint,
-                                             plan=plan)
-            if result is not AspectResult.RESUME:
-                raise MethodAborted(
-                    self.method_id,
-                    concern=joinpoint.context.get("abort_concern"),
-                )
-            try:
-                joinpoint.result = target(*args, **kwargs)
-            except BaseException as exc:
-                joinpoint.exception = exc
-                raise
-            finally:
-                moderator.postactivation(self.method_id, joinpoint,
-                                         plan=plan)
-            return joinpoint.result
 
         functools.update_wrapper(guarded, target)
         return guarded

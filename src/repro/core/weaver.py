@@ -25,13 +25,12 @@ from __future__ import annotations
 import functools
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
-from .errors import MethodAborted, WeavingError
+from .errors import WeavingError
 from .factory import AspectFactory
 from .joinpoint import JoinPoint
 from .moderator import AspectModerator
 from .pointcut import Pointcut
 from .proxy import ComponentProxy
-from .results import AspectResult, Phase
 
 #: Attribute set by @participating on the function object.
 PARTICIPATING_ATTR = "__participating_concerns__"
@@ -90,30 +89,14 @@ def _guarded(method_id: str, func: Callable[..., Any],
         if moderator is None:
             # Not yet wired to a moderator: behave as a plain method.
             return func(self, *args, **kwargs)
-        plan = moderator.plan_handle(method_id).current()
-        joinpoint = JoinPoint(
-            method_id=method_id, component=self, args=args, kwargs=kwargs,
-            caller=getattr(self, "__caller__", None),
+        return moderator._bracket(
+            method_id,
+            JoinPoint(method_id=method_id, component=self, args=args,
+                      kwargs=kwargs,
+                      caller=getattr(self, "__caller__", None)),
+            moderator.plan_handle(method_id).current(), None, None,
+            func, (self, *args), kwargs,
         )
-        result = moderator.preactivation(method_id, joinpoint, plan=plan)
-        if result is not AspectResult.RESUME:
-            raise MethodAborted(
-                method_id, concern=joinpoint.context.get("abort_concern")
-            )
-        joinpoint.phase = Phase.INVOCATION
-        try:
-            if not joinpoint.invocation_skipped:
-                moderator.events.emit(
-                    "invoke", method_id,
-                    activation_id=joinpoint.activation_id,
-                )
-                joinpoint.result = func(self, *args, **kwargs)
-        except BaseException as exc:
-            joinpoint.exception = exc
-            raise
-        finally:
-            moderator.postactivation(method_id, joinpoint, plan=plan)
-        return joinpoint.result
 
     setattr(guarded, "__woven__", True)
     setattr(guarded, PARTICIPATING_ATTR,

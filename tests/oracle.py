@@ -20,6 +20,10 @@ compiled full-chain RESUME and unwinds through the generic
 The oracle counts its own rounds in :attr:`interpreted_rounds`;
 :func:`count_rounds` counts a production moderator's, so a suite can
 prove every round of the reference run was interpreted.
+
+:class:`ThreadedReferenceModerator` is the second oracle: Figure 11's
+loop as the threaded runtime wrote it before both runtimes came to share
+one loop (``AspectModerator._rounds``). It overrides only that loop.
 """
 
 from __future__ import annotations
@@ -29,10 +33,10 @@ from typing import Any, List, Optional, Tuple
 
 from repro.core import AspectModerator
 from repro.core.aspect import Aspect
-from repro.core.errors import AspectFault
+from repro.core.errors import ActivationTimeout, AspectFault
 from repro.core.health import FAIL_CLOSED, FAIL_OPEN
 from repro.core.joinpoint import JoinPoint
-from repro.core.moderator import CONTRACT_KEY
+from repro.core.moderator import CONTRACT_KEY, Activation
 from repro.core.plan import ActivationPlan
 from repro.core.results import AspectResult
 
@@ -99,6 +103,101 @@ class InterpretingModerator(AspectModerator):
                 continue
             return result, resumed, concern
         return AspectResult.RESUME, resumed, None
+
+
+class ThreadedReferenceModerator(AspectModerator):
+    """An :class:`AspectModerator` running the pre-merge threaded loop."""
+
+    def _rounds(self, activation: Activation, seam: Any) -> AspectResult:
+        """Figure 11's blocking evaluation loop, under the method's domain.
+
+        The shared entry step resolved the bounds and took the waiter
+        slot; this loop gives it back. ``seam`` is ignored: the loop
+        waits on the domain ``Condition`` itself.
+        """
+        method_id = activation.method_id
+        joinpoint = activation.joinpoint
+        deadline = activation.expires_at
+        effective_timeout = activation.effective_timeout
+        try:
+            timed_out = False
+            while True:
+                queue = self.plan_for(method_id).queue
+                with queue:
+                    # LockDomain caches conditions per key, so a plan of
+                    # the current domain resolves this very object.
+                    if self._queue_for(method_id) is not queue:
+                        continue  # method changed domains; re-acquire
+                    while True:
+                        # Bare read is safe: a stale value only makes the
+                        # pre-park re-check conservatively re-evaluate.
+                        epoch = self._wake_epoch
+                        # Revalidate per round: a dict probe plus an int
+                        # compare when nothing changed.
+                        plan = self.plan_for(method_id)
+                        outcome = self._run_round(method_id, joinpoint,
+                                                  plan)
+                        if outcome is not AspectResult.BLOCK:
+                            return outcome
+                        if timed_out:
+                            self.events.emit(
+                                "timeout", method_id,
+                                detail=f"{effective_timeout}s",
+                                activation_id=joinpoint.activation_id,
+                            )
+                            raise ActivationTimeout(
+                                method_id, effective_timeout
+                            )
+                        with self._waiter_guard:
+                            raced = self._wake_epoch != epoch
+                            if not raced:
+                                self._parked += 1
+                                self._parked_info[
+                                    joinpoint.activation_id
+                                ] = (method_id, time.monotonic())
+                        if raced:
+                            # A completion landed while this round was
+                            # evaluating (its wake may have skipped the
+                            # not-yet-parked queue): re-evaluate against
+                            # the post-postaction state instead of
+                            # parking on a notification already sent.
+                            continue
+                        self.stats.bump("waits")
+                        try:
+                            if deadline is None:
+                                queue.wait()
+                            else:
+                                remaining = deadline - time.monotonic()
+                                if remaining <= 0 or not queue.wait(
+                                    remaining
+                                ):
+                                    # Deadline passed while parked; loop
+                                    # for one final round before giving
+                                    # up — a notify may have raced the
+                                    # timeout.
+                                    timed_out = True
+                                    continue
+                        finally:
+                            with self._waiter_guard:
+                                self._parked -= 1
+                                parked_info = self._parked_info.pop(
+                                    joinpoint.activation_id, None
+                                )
+                        self.stats.bump("wakeups")
+                        self.events.emit(
+                            "unblocked", method_id,
+                            activation_id=joinpoint.activation_id,
+                            # park duration, for blocked-span accounting
+                            duration=(
+                                time.monotonic() - parked_info[1]
+                                if parked_info is not None else 0.0
+                            ),
+                        )
+                        if self._queue_for(method_id) is not queue:
+                            break  # re-park under the new domain
+        finally:
+            with self._waiter_guard:
+                self._waiters -= 1
 
 
 def count_rounds(moderator: AspectModerator) -> List[int]:

@@ -1,12 +1,15 @@
-"""Differential proof: the continuation runtime ≡ the threaded runtime.
+"""Differential proof: threaded runtime ≡ continuation runtime ≡ oracle.
 
-The reactor (``repro.core.continuation``) is only a valid second runtime
-if no observer can tell a moderated call it executed from one the
-threaded reference bracket executed. This suite runs the fault-chaos
-composition (audit, mutex, semaphore(2), fail-open probe, a
-deterministic contract-interfering tamper aspect, and a declared
-contract on ``push``) twice per fault schedule — once through
-``ComponentProxy`` on the calling thread, once submitted to a
+Both runtimes run Figure 11's loop through one moderator stepper that
+differs only at its park seam (``Condition.wait`` vs. a parked-table
+entry). The reference both are held to is
+:class:`tests.oracle.ThreadedReferenceModerator`: the threaded loop as
+it was written before the merge, kept as a test oracle. This suite runs
+the fault-chaos composition (audit, mutex, semaphore(2), fail-open
+probe, a deterministic contract-interfering tamper aspect, and a
+declared contract on ``push``) three times per fault schedule — through
+``ComponentProxy`` on the calling thread over the oracle and over the
+production moderator, and submitted to a
 :class:`~repro.core.continuation.ContinuationRuntime` — through an
 identical sequential call script, and requires equal observations:
 
@@ -23,15 +26,25 @@ identical sequential call script, and requires equal observations:
 
 The schedule space is the chaos suite's own (imported, not re-derived):
 every single-fault and every double-fault plan, 228 schedules.
-Sequential driving (one reactor worker, one call in flight) makes both
-runs deterministic — a divergence is a semantic difference, not an
+Sequential driving (one reactor worker, one call in flight) makes every
+run deterministic — a divergence is a semantic difference, not an
 interleaving artifact.
+
+Sequential chaos calls never park, so scripted parking scenarios cover
+the park seam itself: park → wake → admit, park → deadline → final-round
+admit, park → deadline → timeout, and park → lock-domain move → re-park
+→ admit. The blocked call runs on a helper thread (or the reactor), and
+the script steps only once ``parked_snapshot()`` shows the park.
 """
+
+import threading
+import time
 
 import pytest
 
 from repro.contracts import ContractRegistry, ContractViolation
 from repro.core import (
+    ActivationTimeout,
     AspectFault,
     AspectModerator,
     ComponentProxy,
@@ -42,10 +55,13 @@ from repro.core import (
     Tracer,
 )
 from repro.core.aspect import FunctionAspect
+from repro.core.results import BLOCK, RESUME
 from repro.aspects.audit import AuditAspect
 from repro.aspects.synchronization import MutexAspect, SemaphoreAspect
 from repro.faults import FaultInjector, FaultPlan
 from repro.obs.spans import SpanRecorder
+
+from tests.oracle import ThreadedReferenceModerator
 
 from tests.properties.test_fault_chaos import (
     CALLS,
@@ -55,6 +71,10 @@ from tests.properties.test_fault_chaos import (
 )
 
 pytestmark = pytest.mark.differential
+
+#: the three sides every observation is compared across; the first is
+#: the reference
+SIDES = ("oracle", "threaded", "continuation")
 
 #: values whose activation the tamper aspect interferes with — every
 #: schedule sees both clean calls and contract-convicted calls
@@ -87,8 +107,15 @@ class TamperAspect(NullAspect):
         return super().evaluate_precondition(joinpoint)
 
 
-def _build():
-    moderator = AspectModerator(default_timeout=10.0, fault_threshold=2)
+def _moderator_for(side, **kwargs):
+    if side == "oracle":
+        return ThreadedReferenceModerator(**kwargs)
+    return AspectModerator(**kwargs)
+
+
+def _build(side):
+    moderator = _moderator_for(side, default_timeout=10.0,
+                               fault_threshold=2)
     audit = AuditAspect()
     mutex = MutexAspect()
     semaphore = SemaphoreAspect(2)
@@ -161,8 +188,9 @@ def _span_shape(span):
     )
 
 
-def _observe(continuation, plan):
-    moderator, aspects, sink, proxy = _build()
+def _observe(side, plan):
+    continuation = side == "continuation"
+    moderator, aspects, sink, proxy = _build(side)
     injector = FaultInjector(plan)
     injector.install(moderator)
     tracer = Tracer()
@@ -241,18 +269,24 @@ def _observe(continuation, plan):
     }
 
 
+def _assert_sides_identical(observations, label):
+    reference = observations["oracle"]
+    for side in SIDES[1:]:
+        observed = observations[side]
+        for key in reference:
+            assert observed[key] == reference[key], (
+                f"{key} diverged ({side} vs oracle) under {label}:\n"
+                f"  oracle: {reference[key]!r}\n"
+                f"  {side}: {observed[key]!r}"
+            )
+
+
 def _assert_identical(plan):
-    threaded = _observe(False, plan)
-    continuation = _observe(True, plan)
-    for key in threaded:
-        assert continuation[key] == threaded[key], (
-            f"{key} diverged under plan {plan.describe()}:\n"
-            f"  threaded:     {threaded[key]!r}\n"
-            f"  continuation: {continuation[key]!r}"
-        )
-    # both runtimes fully unwound — nothing wedged, nothing leaked
-    assert threaded["mutex_holder"] is None
-    assert threaded["semaphore_in_use"] == 0
+    observations = {side: _observe(side, plan) for side in SIDES}
+    _assert_sides_identical(observations, f"plan {plan.describe()}")
+    # every side fully unwound — nothing wedged, nothing leaked
+    assert observations["oracle"]["mutex_holder"] is None
+    assert observations["oracle"]["semaphore_in_use"] == 0
 
 
 @pytest.mark.parametrize(
@@ -276,3 +310,202 @@ def test_plan_space_is_the_chaos_suites():
     enumeration (24 single-fault + 204 double-fault plans)."""
     assert len(SINGLE_PLANS) == 24
     assert len(DOUBLE_PLANS) == 204
+
+
+# ----------------------------------------------------------------------
+# scripted parking scenarios: the park seam itself
+# ----------------------------------------------------------------------
+class Gate(NullAspect):
+    """Guarded suspension: BLOCKs until :attr:`open` flips."""
+
+    concern = "gate"
+    never_blocks = False
+
+    def __init__(self):
+        self.open = False
+
+    def evaluate_precondition(self, joinpoint):
+        return RESUME if self.open else BLOCK
+
+
+class HoldUnblocked:
+    """Bus listener that holds a woken activation's ``unblocked`` emit.
+
+    The step that wakes a parked activation may emit events of its own
+    after the wake (``assign_lock_domain`` emits ``lock_domain``). While
+    the hold is armed, the woken side waits inside its ``unblocked``
+    emit until the script releases it, so the script's events always
+    land first and the stream stays deterministic.
+    """
+
+    def __init__(self):
+        self._released = threading.Event()
+        self._released.set()
+
+    def __call__(self, event):
+        if event.kind == "unblocked":
+            assert self._released.wait(10.0), "hold never released"
+
+    def __enter__(self):
+        self._released.clear()
+
+    def __exit__(self, *exc_info):
+        self._released.set()
+
+
+class ParkingRun:
+    """One side of a parking scenario: a single ``push`` that parks."""
+
+    def __init__(self, side):
+        self.side = side
+        self.moderator = _moderator_for(side)
+        self.gate = Gate()
+        self.semaphore = SemaphoreAspect(1)
+        self.moderator.register_aspect("push", "audit", AuditAspect())
+        self.moderator.register_aspect("push", "semaphore", self.semaphore)
+        self.moderator.register_aspect("push", "gate", self.gate)
+        self.sink = Sink()
+        self.proxy = ComponentProxy(self.sink, self.moderator)
+        self.hold = HoldUnblocked()
+        self.tracer = Tracer()
+        self.recorder = SpanRecorder(node="diff")
+        # the hold first: a held emit reaches no recorder until released
+        self._unsubscribe = [
+            self.moderator.events.subscribe(listener)
+            for listener in (self.hold, self.tracer, self.recorder)
+        ]
+        self.runtime = (
+            ContinuationRuntime(self.moderator, workers=1)
+            if side == "continuation" else None
+        )
+        self._future = None
+        self._thread = None
+        self._outcome = None
+
+    def start(self, value, timeout):
+        if self.runtime is not None:
+            self._future = self.runtime.submit(
+                "push", self.sink.push, value, component=self.sink,
+                timeout=timeout,
+            )
+            return
+
+        def call():
+            try:
+                self._outcome = (
+                    "ok", self.proxy.call("push", value, timeout=timeout)
+                )
+            except ActivationTimeout as exc:
+                self._outcome = ("timeout", exc.method_id, exc.timeout)
+
+        self._thread = threading.Thread(target=call, daemon=True)
+        self._thread.start()
+
+    def await_parks(self, count):
+        """Step until the ``count``-th park is registered and visible."""
+        deadline = time.monotonic() + 10.0
+        while not (self.moderator.stats.waits >= count
+                   and self.moderator.parked_snapshot()):
+            assert time.monotonic() < deadline, f"park {count} never seen"
+            time.sleep(0.001)
+
+    def outcome(self):
+        if self.runtime is None:
+            self._thread.join(10.0)
+            assert not self._thread.is_alive(), "blocked call wedged"
+            return self._outcome
+        try:
+            return ("ok", self._future.result(timeout=10.0))
+        except ActivationTimeout as exc:
+            return ("timeout", exc.method_id, exc.timeout)
+
+    def observe(self, outcome):
+        for unsubscribe in self._unsubscribe:
+            unsubscribe()
+        if self.runtime is not None:
+            self.runtime.close()
+        stats = self.moderator.stats.as_dict()
+        stats.pop("plan_compiles")
+        return {
+            "outcomes": [outcome],
+            "events": _normalize_events(self.tracer.events),
+            "span_shapes": [
+                (root.method_id,) + _span_shape(root)
+                for root in self.recorder.all_roots()
+            ],
+            "span_orphans": [
+                (event.kind, event.concern, event.detail)
+                for event in self.recorder.orphans
+            ],
+            "stats": stats,
+            "accepted": list(self.sink.accepted),
+            "semaphore_in_use": self.semaphore.in_use,
+            "lock_domain": self.moderator.lock_domain_of("push"),
+            "parked": self.moderator.parked_snapshot(),
+        }
+
+
+def _park_wake_admit(run):
+    run.start(7, timeout=None)
+    run.await_parks(1)
+    run.gate.open = True
+    with run.hold:
+        run.moderator.notify("push")
+    return run.outcome()
+
+
+def _park_deadline_admit(run):
+    run.start(7, timeout=0.5)
+    run.await_parks(1)
+    # No notify: only the final round after the deadline sees the gate.
+    run.gate.open = True
+    return run.outcome()
+
+
+def _park_deadline_timeout(run):
+    run.start(7, timeout=0.05)
+    run.await_parks(1)
+    return run.outcome()
+
+
+def _park_move_repark_admit(run):
+    run.start(7, timeout=None)
+    run.await_parks(1)
+    with run.hold:
+        run.moderator.assign_lock_domain("moved", "push")
+    run.await_parks(2)
+    run.gate.open = True
+    with run.hold:
+        run.moderator.notify("push")
+    return run.outcome()
+
+
+PARKING_SCENARIOS = {
+    "park-wake-admit": (_park_wake_admit, ("ok", 7), 1),
+    "park-deadline-admit": (_park_deadline_admit, ("ok", 7), 0),
+    "park-deadline-timeout": (
+        _park_deadline_timeout, ("timeout", "push", 0.05), 0,
+    ),
+    "park-move-repark-admit": (_park_move_repark_admit, ("ok", 7), 2),
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(PARKING_SCENARIOS))
+def test_parking_scenarios_identical(scenario):
+    script, expected, wakeups = PARKING_SCENARIOS[scenario]
+    observations = {}
+    for side in SIDES:
+        run = ParkingRun(side)
+        observations[side] = run.observe(script(run))
+    _assert_sides_identical(observations, f"scenario {scenario}")
+    reference = observations["oracle"]
+    assert reference["outcomes"] == [expected]
+    # every scenario reaches the park seam — the suite cannot go
+    # park-free again
+    assert reference["stats"]["waits"] >= 1
+    assert reference["stats"]["wakeups"] == wakeups
+    assert reference["parked"] == {}
+    assert reference["semaphore_in_use"] == 0
+    assert reference["lock_domain"] == (
+        "moved" if scenario == "park-move-repark-admit" else "~method:push"
+    )

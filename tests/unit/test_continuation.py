@@ -9,11 +9,14 @@ thread parks), contract re-anchoring across a suspension, and the
 deterministic engine bridge.
 """
 
+import collections
+import sys
 import threading
 import time
 
 import pytest
 
+from repro.aspects.synchronization import BoundedBufferSync
 from repro.contracts import ContractRegistry
 from repro.core import (
     ActivationTimeout,
@@ -187,6 +190,34 @@ class TestRuntimeAttachment:
         runtime.close()
         runtime.close()  # second close is a no-op
 
+    def test_close_fails_parked_futures_and_releases_their_slots(self):
+        gate = Gate()
+        moderator, sink = build(("gate", gate))
+        moderator.register_aspect("fast", "a", NullAspect())
+        runtime = ContinuationRuntime(moderator, workers=1)
+        future = runtime.submit("push", sink.push, 1, component=sink,
+                                timeout=30.0)
+        deadline = time.monotonic() + 5.0
+        while runtime.parked_count == 0:
+            assert time.monotonic() < deadline, "never parked"
+            time.sleep(0.005)
+        runtime.close()
+        assert future.done
+        with pytest.raises(RuntimeError, match="runtime closed"):
+            future.result(timeout=0)
+        assert runtime.parked_count == 0
+        assert runtime.completed == runtime.submitted == 1
+        assert moderator._waiters == 0
+        assert moderator.parked_snapshot() == {}
+        # with no slot left behind, fast-path completions elide the wake
+        tracer = Tracer()
+        moderator.events.subscribe(tracer)
+        moderator.moderate_call("fast", sink.push, 2)
+        notifies = [e for e in tracer.events if e.kind == "notify"]
+        assert [e.detail for e in notifies] == ["elided"]
+        assert moderator.stats.notifications == 0
+        assert sink.values == [2]
+
 
 class TestParkWakeTimeout:
     def test_fast_path_never_parks(self):
@@ -274,6 +305,65 @@ class TestParkWakeTimeout:
             assert results == list(range(50))
             assert runtime.parked_count == 0
         assert sorted(sink.values) == list(range(50))
+
+
+class TestMixedRuntimes:
+    def test_threads_and_continuations_park_on_one_buffer(self):
+        """Both park seams on one moderator: nothing lost, nothing left."""
+
+        class Buffer:
+            capacity = 2
+
+            def __init__(self):
+                self.items = collections.deque()
+
+            def put(self, value):
+                self.items.append(value)
+                return value
+
+            def take(self):
+                return self.items.popleft()
+
+        buffer = Buffer()
+        moderator = AspectModerator()
+        sync = BoundedBufferSync(buffer, producer="put", consumer="take")
+        moderator.register_aspect("put", "sync", sync)
+        moderator.register_aspect("take", "sync", sync)
+        proxy = ComponentProxy(buffer, moderator, timeout=10.0)
+        values = list(range(120))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ContinuationRuntime(moderator, workers=2) as runtime:
+                takes = [
+                    runtime.submit("take", buffer.take, component=buffer,
+                                   timeout=10.0)
+                    for _ in values
+                ]
+                producers = [
+                    threading.Thread(
+                        target=lambda chunk=values[i::4]: [
+                            proxy.put(value) for value in chunk
+                        ],
+                        daemon=True,
+                    )
+                    for i in range(4)
+                ]
+                for thread in producers:
+                    thread.start()
+                for thread in producers:
+                    thread.join(10.0)
+                    assert not thread.is_alive(), "producer wedged"
+                taken = [future.result(timeout=10.0) for future in takes]
+                assert runtime.parked_count == 0
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(taken) == values
+        assert not buffer.items
+        assert moderator._waiters == 0
+        assert moderator.parked_snapshot() == {}
+        assert (sync.items, sync.active_producers,
+                sync.active_consumers) == (0, 0, 0)
 
 
 class TestObservabilityMerge:
