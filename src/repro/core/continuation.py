@@ -387,18 +387,19 @@ class ContinuationRuntime:
     # ------------------------------------------------------------------
     # wake routing (called by the moderator's notify sites)
     # ------------------------------------------------------------------
-    def wake(self, targets: Optional[Set[str]] = None) -> None:
+    def wake(self, targets: Optional[Set[str]] = None) -> bool:
         """Re-enqueue parked continuations (all, or of target methods).
 
         The reactor counterpart of ``LockDomain.notify_all``: the
         moderator calls it from every site that notifies domain queues
         (two-phase post-activation wake, explicit ``notify``, domain
         moves). Spurious wakes are safe — a re-enqueued continuation
-        just re-evaluates its round and re-parks.
+        just re-evaluates its round and re-parks. Returns whether any
+        continuation was woken.
         """
         with self._lock:
             if not self._parked:
-                return
+                return False
             if targets is None:
                 woken = list(self._parked.values())
                 self._parked.clear()
@@ -414,6 +415,7 @@ class ContinuationRuntime:
                 continuation.woken = True
         for continuation in woken:
             self._dispatch(continuation)
+        return bool(woken)
 
     # ------------------------------------------------------------------
     # deadline expiry

@@ -36,17 +36,32 @@ kind                 meaning
 ``timeout``          a parked activation exhausted its timeout and is
                      about to raise ``ActivationTimeout``
 ==================  ====================================================
+
+Delivery is decided at the head. A listener may declare a
+``sample_rate`` N; the bus samples 1-in-M activations, M being the
+smallest rate any subscribed listener declares (a listener declaring
+none counts as 1, so a :class:`Tracer` still sees every arrow). The moderator asks
+:meth:`EventBus.sample` once, at preactivation, stores the answer on the
+join point and passes it to every emit of that activation. An unsampled
+activation's events build no :class:`TraceEvent` and reach no listener;
+only the bus's *folds* see them — exact-accounting callables invoked
+for every event with positional fields, which is how metrics and the
+span recorder's counters stay exact under sampling.
 """
 
 from __future__ import annotations
 
+import itertools
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 EventListener = Callable[["TraceEvent"], None]
+#: exact-accounting hook: ``fold(kind, method_id, concern, detail,
+#: duration)``, called for every event, sampled or not
+EventFold = Callable[[str, str, str, str, float], None]
 
 
 @dataclass(frozen=True)
@@ -80,23 +95,47 @@ class TraceEvent:
 class EventBus:
     """Synchronous fan-out of protocol events to registered listeners.
 
-    Emission with zero listeners is a few attribute lookups — the
-    framework keeps the bus on the hot path without measurable cost when
-    tracing is off (verified by ``benchmarks/bench_fig03_invocation.py``).
+    Emission with zero subscribers is one attribute load and a return —
+    the framework keeps the bus on the hot path without measurable cost
+    when tracing is off (verified by
+    ``benchmarks/bench_fig03_invocation.py``).
 
-    The listener list is a **copy-on-write tuple**: ``emit`` reads it
-    with one attribute load (no lock, no copy — rebinding a tuple is
-    atomic under the GIL) and mutations build a fresh tuple under the
-    subscription lock. A raising listener is **isolated**: its exception
-    is swallowed (counted in :attr:`listener_errors`) instead of
-    propagating into the moderation protocol and starving later
-    listeners — observers must never be able to abort an activation.
+    Two kinds of subscriber share the bus:
+
+    * **listeners** get a :class:`TraceEvent` for every event of a
+      *sampled* activation, for every event outside an activation, and
+      for the few arrows an emitter delivers whatever its activation's
+      decision (``sampled=True``);
+    * **folds** get the positional fields of *every* event and build
+      nothing. :meth:`subscribe` registers a listener's ``fold``
+      attribute, if it has one, beside it; :meth:`subscribe_fold`
+      registers a bare fold.
+
+    Subscriber tuples are **copy-on-write**: ``emit`` reads them without
+    a lock or a copy (rebinding a tuple is atomic under the GIL) and
+    mutations build fresh tuples under the subscription lock. A raising
+    subscriber is **isolated**: its exception is swallowed (counted in
+    :attr:`listener_errors`) instead of propagating into the moderation
+    protocol and starving later subscribers — observers must never be
+    able to abort an activation.
     """
 
     def __init__(self) -> None:
         self._listeners: Tuple[EventListener, ...] = ()
+        self._folds: Tuple[EventFold, ...] = ()
+        #: (listener or None, fold or None, sample rate) per subscription
+        self._subscriptions: Tuple[
+            Tuple[Optional[EventListener], Optional[EventFold], int], ...
+        ] = ()
         self._lock = threading.Lock()
-        #: exceptions swallowed from raising listeners so far
+        #: someone is subscribed: the gate of ``emit`` and of the
+        #: moderator's clock reads
+        self.has_listeners = False
+        #: 1-in-N activations are sampled; N is the smallest rate a
+        #: subscribed listener declares
+        self.sample_rate = 1
+        self._ticks = itertools.count()
+        #: exceptions swallowed from raising subscribers so far
         self.listener_errors = 0
         #: wall-clock anchor: (``time.time()``, ``time.monotonic()``)
         #: captured together once, so exporters can translate the
@@ -105,22 +144,68 @@ class EventBus:
         self.anchor: Tuple[float, float] = (time.time(), time.monotonic())
 
     def subscribe(self, listener: EventListener) -> Callable[[], None]:
-        """Add ``listener``; returns an unsubscribe callable."""
+        """Add ``listener``; returns an unsubscribe callable.
+
+        An integer ``sample_rate`` attribute on the listener asks for
+        1-in-N activations (default: every one); a ``fold`` attribute is
+        subscribed with it and sees every event.
+        """
+        rate = getattr(listener, "sample_rate", 1)
+        if not isinstance(rate, int) or rate < 1:
+            rate = 1
+        return self._add((listener, getattr(listener, "fold", None), rate))
+
+    def subscribe_fold(self, fold: EventFold) -> Callable[[], None]:
+        """Add a bare fold: every event's fields, no sampling say."""
+        return self._add((None, fold, 0))
+
+    def _add(self, subscription: Tuple[Any, Any, int]
+             ) -> Callable[[], None]:
         with self._lock:
-            self._listeners = self._listeners + (listener,)
+            self._install(self._subscriptions + (subscription,))
 
         def unsubscribe() -> None:
             with self._lock:
-                listeners = list(self._listeners)
-                if listener in listeners:
-                    listeners.remove(listener)
-                    self._listeners = tuple(listeners)
+                subscriptions = list(self._subscriptions)
+                if subscription in subscriptions:
+                    subscriptions.remove(subscription)
+                    self._install(tuple(subscriptions))
 
         return unsubscribe
 
-    @property
-    def has_listeners(self) -> bool:
-        return bool(self._listeners)
+    def _install(self, subscriptions: Tuple[Any, ...]) -> None:
+        """Rebuild the fan-out tuples (under ``_lock``).
+
+        A changed sampling rate restarts the tick, so the first
+        activation after the change is sampled. A bus left without
+        listeners keeps its rate and tick: re-subscribing the same
+        listeners resumes the sequence instead of restarting it.
+        """
+        listeners = tuple(
+            listener for listener, _fold, _rate in subscriptions
+            if listener is not None
+        )
+        if listeners:
+            rate = min(rate for listener, _fold, rate in subscriptions
+                       if listener is not None)
+            if rate != self.sample_rate:
+                self.sample_rate = rate
+                self._ticks = itertools.count()
+        self._subscriptions = subscriptions
+        self._listeners = listeners
+        self._folds = tuple(
+            fold for _listener, fold, _rate in subscriptions
+            if fold is not None
+        )
+        self.has_listeners = bool(subscriptions)
+
+    def sample(self) -> bool:
+        """The head decision for one activation: build its events?
+
+        The first activation after a rate change is sampled, then every
+        ``sample_rate``-th, counting every activation on the bus.
+        """
+        return next(self._ticks) % self.sample_rate == 0
 
     def to_wall(self, timestamp: float) -> float:
         """A monotonic event timestamp as a wall-clock instant."""
@@ -129,7 +214,22 @@ class EventBus:
 
     def emit(self, kind: str, method_id: str = "", concern: str = "",
              detail: str = "", activation_id: int = 0,
-             duration: float = 0.0) -> None:
+             duration: float = 0.0, sampled: bool = True) -> None:
+        """Fold the event, then deliver it if ``sampled``.
+
+        Activation-scoped emits pass their join point's head decision;
+        events outside an activation keep the default and reach every
+        listener.
+        """
+        if not self.has_listeners:
+            return
+        for fold in self._folds:
+            try:
+                fold(kind, method_id, concern, detail, duration)
+            except Exception:
+                self._count_error()
+        if not sampled:
+            return
         listeners = self._listeners
         if not listeners:
             return
@@ -145,8 +245,11 @@ class EventBus:
             try:
                 listener(event)
             except Exception:
-                with self._lock:
-                    self.listener_errors += 1
+                self._count_error()
+
+    def _count_error(self) -> None:
+        with self._lock:
+            self.listener_errors += 1
 
 
 class Tracer:

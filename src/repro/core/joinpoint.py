@@ -61,6 +61,10 @@ class JoinPoint:
         context: Free-form per-activation scratch space; aspects may stash
             state here between precondition and postaction (e.g. a timing
             aspect stores its start timestamp).
+        sampled: The observability head decision, taken once at
+            preactivation (:meth:`~repro.core.events.EventBus.sample`)
+            and passed on by every event of the activation: an
+            unsampled activation builds no trace events, only folds.
     """
 
     method_id: str
@@ -75,6 +79,7 @@ class JoinPoint:
         default_factory=lambda: threading.current_thread().name
     )
     created_at: float = field(default_factory=time.monotonic)
+    sampled: bool = True
 
     _result: Any = field(default=_UNSET, repr=False)
     _exception: Optional[BaseException] = field(default=None, repr=False)

@@ -742,15 +742,22 @@ class AspectModerator:
                ) -> Optional[AspectResult]:
         """Figure 11's entry step, shared by both runtimes.
 
-        Events, contract entry check and the ``never_blocks`` fast path;
-        only an activation leaving the fast path resolves its bounds
-        against ``now`` (default: ``seam.now()``), takes a waiter slot
-        and enters :meth:`_rounds` — the fast path allocates nothing.
-        ``activation`` is the continuation runtime's state object.
+        The observability head decision, contract entry check and the
+        ``never_blocks`` fast path; only an activation leaving the fast
+        path resolves its bounds against ``now`` (default:
+        ``seam.now()``), takes a waiter slot and enters :meth:`_rounds`
+        — the fast path allocates nothing. ``activation`` is the
+        continuation runtime's state object.
         """
         joinpoint.phase = Phase.PRE_ACTIVATION
-        self.events.emit("preactivation", method_id,
-                         activation_id=joinpoint.activation_id)
+        events = self.events
+        if events.has_listeners:
+            # Decided once, here: every later emit of this activation
+            # passes the bit on, and an unsampled one builds no events.
+            sampled = joinpoint.sampled = events.sample()
+            events.emit("preactivation", method_id,
+                        activation_id=joinpoint.activation_id,
+                        sampled=sampled)
         self.stats.bump("preactivations")
 
         if self._contracts is not None:
@@ -842,6 +849,7 @@ class AspectModerator:
                                 duration=(
                                     seam.now() - activation.parked_since
                                 ),
+                                sampled=joinpoint.sampled,
                             )
                             if self._queue_for(method_id) is not queue:
                                 break  # re-park under the new domain
@@ -860,6 +868,7 @@ class AspectModerator:
                                 "timeout", method_id,
                                 detail=f"{activation.effective_timeout}s",
                                 activation_id=joinpoint.activation_id,
+                                sampled=joinpoint.sampled,
                             )
                             raise ActivationTimeout(
                                 method_id, activation.effective_timeout
@@ -919,6 +928,7 @@ class AspectModerator:
             self.events.emit(
                 "abort", method_id, failed_concern or "",
                 activation_id=joinpoint.activation_id,
+                sampled=joinpoint.sampled,
             )
             self._raise_faults(faults)
             return outcome
@@ -927,6 +937,7 @@ class AspectModerator:
         self.events.emit(
             "blocked", method_id, failed_concern or "",
             activation_id=joinpoint.activation_id,
+            sampled=joinpoint.sampled,
         )
         self._raise_faults(faults)
         return outcome
@@ -967,6 +978,7 @@ class AspectModerator:
         method_id = plan.method_id
         emit = self.events.emit
         activation_id = joinpoint.activation_id
+        sampled = joinpoint.sampled
         # Timing gates on listeners, exactly like event construction:
         # with nobody subscribed the fast executor below stays a bare
         # walk over pre-bound callables — no clock reads, no floats.
@@ -993,6 +1005,7 @@ class AspectModerator:
                     "precondition", method_id, cell.concern,
                     detail=result.value, activation_id=activation_id,
                     duration=time.monotonic() - began if timed else 0.0,
+                    sampled=sampled,
                 )
                 if result is AspectResult.RESUME:
                     index += 1
@@ -1023,7 +1036,7 @@ class AspectModerator:
                     self.stats.bump("degraded_skips")
                     emit(
                         "degraded_skip", method_id, concern,
-                        activation_id=activation_id,
+                        activation_id=activation_id, sampled=sampled,
                     )
                     continue
                 if policy == FAIL_CLOSED:
@@ -1045,6 +1058,7 @@ class AspectModerator:
                 "precondition", method_id, concern, detail=result.value,
                 activation_id=activation_id,
                 duration=time.monotonic() - began if timed else 0.0,
+                sampled=sampled,
             )
             if result is AspectResult.RESUME:
                 resumed.append(cell.pair)
@@ -1081,6 +1095,7 @@ class AspectModerator:
             self.events.emit(
                 "compensate", joinpoint.method_id, concern,
                 activation_id=joinpoint.activation_id,
+                sampled=joinpoint.sampled,
             )
         return faults
 
@@ -1093,6 +1108,7 @@ class AspectModerator:
             "aspect_fault", method_id, concern,
             detail=f"{phase}: {type(exc).__name__}",
             activation_id=joinpoint.activation_id,
+            sampled=joinpoint.sampled,
         )
         if self.health.record_fault(method_id, concern, phase, exc,
                                     activation_id=joinpoint.activation_id,
@@ -1117,6 +1133,9 @@ class AspectModerator:
         """
         self.stats.bump("contract_violations")
         concern = violation.blamed_concern
+        # Delivered whatever the head decision: a verdict is rare, and
+        # one of an unsampled activation still reaches the recorder (as
+        # an orphan) for the slicer.
         self.events.emit(
             "contract_violation", violation.method_id, concern or "",
             detail=f"{violation.kind}:{violation.clause}:{violation.blame}",
@@ -1172,7 +1191,8 @@ class AspectModerator:
         joinpoint = joinpoint or JoinPoint(method_id=method_id)
         joinpoint.phase = Phase.POST_ACTIVATION
         self.events.emit("postactivation", method_id,
-                         activation_id=joinpoint.activation_id)
+                         activation_id=joinpoint.activation_id,
+                         sampled=joinpoint.sampled)
 
         runner = (
             joinpoint.context.get(CONTRACT_KEY)
@@ -1237,6 +1257,7 @@ class AspectModerator:
                 self.events.emit(
                     "notify", method_id, detail="elided",
                     activation_id=joinpoint.activation_id,
+                    sampled=joinpoint.sampled,
                 )
             else:
                 # Phase two: wake target queues without holding the
@@ -1263,6 +1284,7 @@ class AspectModerator:
         method_id = plan.method_id
         emit = self.events.emit
         activation_id = joinpoint.activation_id
+        sampled = joinpoint.sampled
         timed = self.events.has_listeners
         for cell in reversed(plan.cells):
             began = time.monotonic() if timed else 0.0
@@ -1279,6 +1301,7 @@ class AspectModerator:
                 "postaction", method_id, cell.concern,
                 activation_id=activation_id,
                 duration=time.monotonic() - began if timed else 0.0,
+                sampled=sampled,
             )
         return faults
 
@@ -1311,6 +1334,7 @@ class AspectModerator:
                 "postaction", method_id, concern,
                 activation_id=joinpoint.activation_id,
                 duration=time.monotonic() - began if timed else 0.0,
+                sampled=joinpoint.sampled,
             )
             if runner is not None:
                 # Re-verify the clauses that held at post-body: one that
@@ -1391,7 +1415,8 @@ class AspectModerator:
         try:
             if not joinpoint.invocation_skipped:
                 self.events.emit("invoke", method_id,
-                                 activation_id=joinpoint.activation_id)
+                                 activation_id=joinpoint.activation_id,
+                                 sampled=joinpoint.sampled)
                 joinpoint.result = func(*args, **kwargs)
         except BaseException as exc:
             joinpoint.exception = exc
@@ -1450,17 +1475,22 @@ class AspectModerator:
         targets: Optional[set] = None
         if self.notify_scope == "linked" and (parked or runtime is not None):
             targets = self._linked_methods(method_id)
+        woke = False
         if runtime is not None:
             # Continuation-parked activations take the same wake, under
             # the same scope policy. Ordered against continuation parks
             # by the epoch bump above (both park seams sit behind the
             # same pre-park epoch re-check in :meth:`_rounds`).
-            runtime.wake(targets)
+            woke = runtime.wake(targets)
         if not parked:
             self.stats.bump("notifications")
+            # A notify that woke a parked activation is delivered
+            # whatever its own head decision: wake edges keep their
+            # notifier.
             self.events.emit(
                 "notify", method_id,
                 activation_id=joinpoint.activation_id if joinpoint else 0,
+                sampled=woke or joinpoint is None or joinpoint.sampled,
             )
             return
         if self.notify_scope == "linked":
@@ -1478,6 +1508,8 @@ class AspectModerator:
             for domain in self._all_domains():
                 domain.notify_all()
         self.stats.bump("notifications")
+        # Something was parked, so this notify may have woken it:
+        # delivered whatever the head decision.
         self.events.emit(
             "notify", method_id,
             activation_id=joinpoint.activation_id if joinpoint else 0,

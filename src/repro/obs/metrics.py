@@ -104,6 +104,15 @@ class Counter:
             counters = stripe.counters
             counters[self._key] = counters.get(self._key, 0) + amount
 
+    def cell(self) -> Tuple[Dict[Any, float], Tuple[str, Tuple[str, ...]]]:
+        """``(counters, key)``: this thread's cell, seeded once.
+
+        The cell is inserted under the stripe lock; from then on
+        ``counters[key] += amount`` on the calling thread is a lock-free
+        single-writer increment (see :class:`CounterBlock`).
+        """
+        return self._registry._counter_cell(self._key)
+
     @property
     def value(self) -> float:
         return self._registry._cell_value(self._key)
@@ -134,14 +143,31 @@ class Histogram:
         stripe = self._registry._stripe()
         index = bisect.bisect_left(self._buckets, value)
         with stripe.lock:
-            entry = stripe.histograms.get(self._key)
-            if entry is None:
-                entry = stripe.histograms[self._key] = [
-                    0.0, 0, [0] * (len(self._buckets) + 1)
-                ]
+            entry = self._entry(stripe)
             entry[0] += value
             entry[1] += 1
             entry[2][index] += 1
+
+    def cell(self) -> Tuple[Any, List[Any], Tuple[float, ...]]:
+        """``(stripe lock, [sum, count, bucket counts], buckets)``.
+
+        This thread's entry, inserted once; an update of the triplet
+        must hold the returned lock, so a snapshot never sees it torn.
+        """
+        stripe = self._registry._stripe()
+        with stripe.lock:
+            entry = self._entry(stripe)
+        return stripe.lock, entry, self._buckets
+
+    def _entry(self, stripe: _Stripe) -> List[Any]:
+        """The stripe's ``[sum, count, bucket counts]`` (caller holds
+        the stripe lock)."""
+        entry = stripe.histograms.get(self._key)
+        if entry is None:
+            entry = stripe.histograms[self._key] = [
+                0.0, 0, [0] * (len(self._buckets) + 1)
+            ]
+        return entry
 
     @property
     def value(self) -> "HistogramValue":
@@ -270,11 +296,7 @@ class CounterBlock:
 
     def _seed_cell(self, name: str) -> Tuple[Dict[Any, float], Any]:
         """Insert this thread's cell under the stripe lock, once."""
-        stripe = self._registry._stripe()
-        key = self._keys[name]
-        with stripe.lock:
-            stripe.counters.setdefault(key, 0.0)
-        return stripe.counters, key
+        return self._registry._counter_cell(self._keys[name])
 
     def value(self, name: str) -> float:
         return self._registry._cell_value(self._keys[name])
@@ -333,6 +355,15 @@ class MetricsRegistry:
                 self._stripes.append(stripe)
             self._local.stripe = stripe
         return stripe
+
+    def _counter_cell(
+        self, key: Tuple[str, Tuple[str, ...]]
+    ) -> Tuple[Dict[Any, float], Tuple[str, Tuple[str, ...]]]:
+        """This thread's counter cell, inserted under its stripe lock."""
+        stripe = self._stripe()
+        with stripe.lock:
+            stripe.counters.setdefault(key, 0.0)
+        return stripe.counters, key
 
     @property
     def stripe_count(self) -> int:

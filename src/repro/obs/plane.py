@@ -4,11 +4,12 @@
 one moderator:
 
 * a :class:`~repro.obs.spans.SpanRecorder` building activation span
-  trees (and wake edges) from the protocol event stream;
-* a :class:`MetricsListener` folding the same stream into the
-  moderator's striped :class:`~repro.obs.metrics.MetricsRegistry` —
-  per-(method, concern, phase) latency histograms, outcome counters,
-  park-time histograms, fault/quarantine/stall counters;
+  trees (and wake edges) from the events of sampled activations, and
+  keeping exact per-method counters for all of them;
+* a :class:`MetricsListener` folding every event into the moderator's
+  striped :class:`~repro.obs.metrics.MetricsRegistry` — per-(method,
+  concern, phase) latency histograms, outcome counters, park-time
+  histograms, fault/quarantine/stall counters;
 * sampled gauges (wait-queue depth per method, parked activations)
   refreshed on demand from the moderator's own snapshots;
 * the exporters (:func:`~repro.obs.export.to_prometheus`,
@@ -23,11 +24,18 @@ subscribes the listeners, the bus has no subscribers, so the moderator
 neither constructs events nor reads clocks (both gate on
 ``has_listeners``). ``bench_obs_overhead.py`` holds this to ≤ 2% on the
 Figure-3 fast path.
+
+Enabled at ``sample_rate=N``, the bus decides at the head: the
+moderator samples 1-in-N activations at preactivation, and only those
+build events for the recorder. Every activation still pays its clock
+reads and the two folds (metrics, recorder counters), which keep every
+count exact.
 """
 
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from . import export
@@ -44,12 +52,24 @@ PARK_BUCKETS: Tuple[float, ...] = (
 )
 
 
-class MetricsListener:
-    """EventBus listener that feeds the striped metrics registry.
+#: event kinds whose ``detail`` is a metric label; the rest fold as ""
+#: (a stall's or a timeout's detail is free text)
+_DETAIL_LABELS = frozenset(("precondition", "aspect_fault", "quarantine"))
 
-    Handle objects are cached per label tuple, so steady-state handling
-    of one event is a couple of dict probes plus one striped write — no
-    per-event family lookups or handle construction.
+
+class MetricsListener:
+    """Bus fold feeding the striped metrics registry.
+
+    Subscribed with :meth:`~repro.core.events.EventBus.subscribe_fold`,
+    :meth:`fold` sees every event — sampled or not — as positional
+    fields, so the metrics stay exact under any ``sample_rate`` and no
+    :class:`~repro.core.events.TraceEvent` is built for them. Each
+    (kind, method, concern, detail) resolves once per thread to its
+    cells on that thread's registry stripe; from then on a counter is a
+    lock-free single-writer increment (the :meth:`CounterBlock.inc
+    <repro.obs.metrics.CounterBlock.inc>` path) and a latency updates
+    its histogram's sum/count/bucket triplet under the stripe's own,
+    uncontended lock.
     """
 
     def __init__(self, registry: MetricsRegistry) -> None:
@@ -92,47 +112,64 @@ class MetricsListener:
             labelnames=("method",),
             buckets=PARK_BUCKETS,
         )
-        self._listener_cache: Dict[Tuple[str, ...], Any] = {}
+        #: per thread: (kind, method, concern, detail) -> resolved cells
+        self._local = threading.local()
 
-    def _cached(self, family: Any, *labels: str) -> Any:
-        key = (id(family),) + labels
-        handle = self._listener_cache.get(key)
-        if handle is None:
-            handle = self._listener_cache[key] = family.labels(*labels)
-        return handle
+    def fold(self, kind: str, method_id: str, concern: str, detail: str,
+             duration: float) -> None:
+        cells = getattr(self._local, "cells", None)
+        if cells is None:
+            cells = self._local.cells = {}
+        key = (kind, method_id, concern,
+               detail if kind in _DETAIL_LABELS else "")
+        resolved = cells.get(key)
+        if resolved is None:
+            resolved = cells[key] = self._resolve(*key)
+        counters, first, second, histogram = resolved
+        counters[first] += 1
+        if second is not None:
+            counters[second] += 1
+        if histogram is not None:
+            lock, entry, buckets = histogram
+            index = bisect_left(buckets, duration)
+            lock.acquire()  # cheaper than ``with`` on this path
+            try:
+                entry[0] += duration
+                entry[1] += 1
+                entry[2][index] += 1
+            finally:
+                lock.release()
 
-    def __call__(self, event: Any) -> None:
-        kind = event.kind
-        method = event.method_id
-        self._cached(self._events, method, kind).inc()
+    def _resolve(self, kind: str, method_id: str, concern: str,
+                 detail: str) -> Tuple[Any, ...]:
+        """This thread's cells for one event shape: (stripe counters,
+        the events counter key, a second counter key or None, a
+        histogram cell or None)."""
+        counters, first = self._events.labels(method_id, kind).cell()
+        second = histogram = None
         if kind == "precondition":
-            self._cached(
-                self._phase_seconds, method, event.concern, "precondition"
-            ).observe(event.duration)
-            self._cached(
-                self._outcomes, method, event.concern, event.detail
-            ).inc()
+            second = self._outcomes.labels(
+                method_id, concern, detail
+            ).cell()[1]
+            histogram = self._phase_seconds.labels(
+                method_id, concern, "precondition"
+            ).cell()
         elif kind == "postaction":
-            self._cached(
-                self._phase_seconds, method, event.concern, "postaction"
-            ).observe(event.duration)
+            histogram = self._phase_seconds.labels(
+                method_id, concern, "postaction"
+            ).cell()
         elif kind == "unblocked":
-            self._cached(self._park_seconds, method).observe(
-                event.duration
-            )
+            histogram = self._park_seconds.labels(method_id).cell()
         elif kind == "aspect_fault":
-            phase = event.detail.split(":", 1)[0]
-            self._cached(
-                self._faults, method, event.concern, phase
-            ).inc()
+            phase = detail.split(":", 1)[0]
+            second = self._faults.labels(method_id, concern, phase).cell()[1]
         elif kind == "quarantine":
-            self._cached(
-                self._quarantines, method, event.concern, event.detail
-            ).inc()
+            second = self._quarantines.labels(
+                method_id, concern, detail
+            ).cell()[1]
         elif kind == "watchdog_stall":
-            self._cached(self._stall_seconds, method).observe(
-                event.duration
-            )
+            histogram = self._stall_seconds.labels(method_id).cell()
+        return counters, first, second, histogram
 
 
 class ObservabilityPlane:
@@ -150,11 +187,14 @@ class ObservabilityPlane:
     protocol counters (``repro_moderation_*``) export alongside the
     span-derived families.
 
-    ``sample_rate`` passes through to the :class:`SpanRecorder`: span
-    trees are built for 1-in-N activations while the recorder's exact
-    counters and every metrics family keep full accuracy — the middle
-    ground between disabled and full-fidelity recording (measured as
-    ``enabled_sampled`` in ``bench_obs_overhead.py``).
+    ``sample_rate`` passes through to the :class:`SpanRecorder`, which
+    declares it to the bus: 1-in-N activations are sampled at the head
+    and build span trees, while the recorder's exact counters and every
+    metrics family keep full accuracy — the middle ground between
+    disabled and full-fidelity recording (measured as
+    ``enabled_sampled`` in ``bench_obs_overhead.py``). Another listener
+    asking for more (a :class:`~repro.core.events.Tracer` asks for
+    every activation) lowers the bus's rate for everyone.
     """
 
     def __init__(self, moderator: Any, node: str = "local",
@@ -191,11 +231,11 @@ class ObservabilityPlane:
         return bool(self._unsubscribes)
 
     def enable(self) -> "ObservabilityPlane":
-        """Subscribe the recorder and metrics listener to the bus."""
+        """Subscribe the metrics fold and the recorder to the bus."""
         if not self._unsubscribes:
             bus = self.moderator.events
             self._unsubscribes = [
-                bus.subscribe(self.metrics),
+                bus.subscribe_fold(self.metrics.fold),
                 bus.subscribe(self.recorder),
             ]
         return self
@@ -280,11 +320,10 @@ class ObservabilityPlane:
             "methods": per_method,
             #: exact per-method event counts — unlike ``methods`` (span
             #: derived, so 1-in-N under a sampled recorder) these are
-            #: maintained for every activation
-            "counts": {
-                method: dict(entry)
-                for method, entry in self.recorder.counts.items()
-            },
+            #: maintained for every activation; ``counts`` is a copy
+            #: merged under the recorder lock, safe against first calls
+            #: of new methods inserting concurrently
+            "counts": self.recorder.counts,
             "sample_rate": self.recorder.sample_rate,
             "active": len(self.recorder.active()),
             "wake_edges": len(self.recorder.wake_edges),

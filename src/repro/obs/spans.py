@@ -37,6 +37,12 @@ are retained (a ring, like the :class:`~repro.core.events.Tracer`), and
 activations that terminate without a closing event (a precondition
 fault, a timeout) are finalized by the terminal ``aspect_fault`` /
 ``timeout`` event so nothing leaks.
+
+Sampling is the bus's decision, made at the head: the recorder declares
+``sample_rate`` and receives events only for sampled activations (plus
+a ``notify`` that woke a parked activation, and events outside any
+activation). Its exact per-method :attr:`SpanRecorder.counts` come from
+its :meth:`SpanRecorder.fold`, which the bus calls for every event.
 """
 
 from __future__ import annotations
@@ -50,8 +56,20 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 from repro.core.events import EventBus, TraceEvent
 
 from . import propagation
+from .metrics import MetricsRegistry
 
 __all__ = ["Span", "SpanRecorder", "WakeEdge", "stitch_traces"]
+
+#: the exact per-method counters
+_COUNT_NAMES = ("activations", "aborted", "timeouts", "faults")
+#: event kind -> the exact counter it bumps (sampled or not)
+_COUNTED: Dict[str, str] = {
+    "preactivation": "activations",
+    "abort": "aborted",
+    "timeout": "timeouts",
+    "aspect_fault": "faults",
+}
+_COUNTS_FAMILY = "span_recorder_counts"
 
 
 @dataclass
@@ -176,15 +194,17 @@ class SpanRecorder:
         node: label stamped on every span (host/process identity).
         max_finished: ring bound on retained completed activations.
         sample_rate: build span trees for 1-in-N activations (1 = every
-            activation, the default). The exact per-method counters in
-            :attr:`counts` are maintained for *every* activation
-            regardless — sampling drops fidelity (which activations get
-            trees), never accuracy (how many ran, aborted, timed out,
-            faulted). Events of unsampled activations are swallowed, not
-            orphaned; their ``notify`` still participates in wake-edge
-            attribution. The one blind spot: a post-phase contract
-            verdict of an unsampled activation arrives after its
-            terminal event and lands in :attr:`orphans`.
+            activation, the default). The rate is declared to the bus,
+            which samples at preactivation; an unsampled activation
+            builds no events at all. The exact per-method counters in
+            :attr:`counts` are folded for *every* activation regardless
+            — sampling drops fidelity (which activations get trees),
+            never accuracy (how many ran, aborted, timed out, faulted).
+            A ``notify`` that woke a parked activation is delivered
+            whatever its own decision, so wake edges keep their
+            notifier. Contract verdicts and watchdog stalls of an
+            unsampled activation are delivered too, and land in
+            :attr:`orphans`.
     """
 
     def __init__(self, node: str = "local",
@@ -192,14 +212,7 @@ class SpanRecorder:
                  sample_rate: int = 1) -> None:
         self.node = node
         self.sample_rate = max(1, int(sample_rate))
-        self._sample_tick = self.sample_rate - 1  # sample the first
-        #: activation_id -> method_id for in-flight unsampled
-        #: activations (no span tree is built for them)
-        self._unsampled: Dict[int, str] = {}
-        #: exact per-method counters, kept for every activation whether
-        #: sampled or not: method_id -> {activations, aborted,
-        #: timeouts, faults}
-        self.counts: Dict[str, Dict[str, int]] = {}
+        self._fresh_counts()
         self._lock = threading.Lock()
         self._active: Dict[int, _Active] = {}
         self._finished: Deque[Span] = deque(maxlen=max_finished)
@@ -215,69 +228,60 @@ class SpanRecorder:
         self.anchor: Tuple[float, float] = (time.time(), time.monotonic())
 
     # ------------------------------------------------------------------
-    # event consumption
+    # exact counters (every event, sampled or not)
     # ------------------------------------------------------------------
-    #: event kind -> exact counter it bumps (sampled or not)
-    _COUNTED: Dict[str, str] = {
-        "preactivation": "activations",
-        "abort": "aborted",
-        "timeout": "timeouts",
-        "aspect_fault": "faults",
-    }
+    def _fresh_counts(self) -> None:
+        """Exact counters on a private striped registry: bumped without
+        a lock by their writer thread, read as one consistent snapshot
+        (see :meth:`fold`, :attr:`counts`)."""
+        self._registry = MetricsRegistry()
+        self._counters = self._registry.counter(
+            _COUNTS_FAMILY, labelnames=("method", "counter"),
+        )
+        #: per thread: (counter, method) -> its stripe cell
+        self._local = threading.local()
 
-    def _count(self, event: TraceEvent) -> None:
-        name = self._COUNTED.get(event.kind)
+    def fold(self, kind: str, method_id: str, concern: str, detail: str,
+             duration: float) -> None:
+        """Bump the exact counter ``kind`` maps to; no lock taken.
+
+        The bus calls this for every event. Each (counter, method)
+        resolves once per thread to its cell on the thread's registry
+        stripe; a bump is then a single-writer increment.
+        """
+        name = _COUNTED.get(kind)
         if name is None:
             return
-        per_method = self.counts.get(event.method_id)
-        if per_method is None:
-            per_method = self.counts[event.method_id] = {
-                "activations": 0, "aborted": 0,
-                "timeouts": 0, "faults": 0,
-            }
-        per_method[name] += 1
+        cells = getattr(self._local, "cells", None)
+        if cells is None:
+            cells = self._local.cells = {}
+        cell = cells.get((name, method_id))
+        if cell is None:
+            cell = cells[(name, method_id)] = \
+                self._counters.labels(method_id, name).cell()
+        counters, key = cell
+        counters[key] += 1
 
-    def _swallow_unsampled(self, event: TraceEvent) -> bool:
-        """Absorb an event of an activation no tree is being built for.
-
-        Terminal kinds retire the activation from the unsampled table;
-        a notify still records itself for wake-edge attribution (an
-        unsampled completion can wake a *sampled* parked activation, and
-        that edge must not be credited to an older notifier).
-        """
-        if event.kind == "preactivation":
-            return False
-        if event.activation_id not in self._unsampled:
-            return False
-        kind = event.kind
-        if kind == "notify":
-            del self._unsampled[event.activation_id]
-            self._last_notify = (
-                event.activation_id, "", event.timestamp
+    @property
+    def counts(self) -> Dict[str, Dict[str, int]]:
+        """Exact per-method counters, kept for every activation whether
+        sampled or not: method_id -> {activations, aborted, timeouts,
+        faults}. A fresh copy from a consistent registry snapshot."""
+        counts: Dict[str, Dict[str, int]] = {}
+        samples = self._registry.snapshot().get(_COUNTS_FAMILY, {})
+        for (method_id, name), value in samples.items():
+            per_method = counts.setdefault(
+                method_id, dict.fromkeys(_COUNT_NAMES, 0)
             )
-        elif kind in ("abort", "timeout"):
-            del self._unsampled[event.activation_id]
-        elif (kind == "aspect_fault"
-              and event.detail.startswith("precondition")) or \
-                kind == "contract_violation":
-            del self._unsampled[event.activation_id]
-        return True
+            per_method[name] = int(value)
+        return counts
 
+    # ------------------------------------------------------------------
+    # event consumption (sampled activations)
+    # ------------------------------------------------------------------
     def __call__(self, event: TraceEvent) -> None:
         handler = self._HANDLERS.get(event.kind)
         with self._lock:
-            self._count(event)
-            if self.sample_rate > 1:
-                if event.kind == "preactivation":
-                    self._sample_tick += 1
-                    if self._sample_tick >= self.sample_rate:
-                        self._sample_tick = 0
-                    else:
-                        self._unsampled[event.activation_id] = \
-                            event.method_id
-                        return
-                elif self._swallow_unsampled(event):
-                    return
             if handler is not None:
                 handler(self, event)
             elif event.kind == "watchdog_stall" and \
@@ -398,8 +402,9 @@ class SpanRecorder:
     def _on_notify(self, event: TraceEvent) -> None:
         record = self._active.get(event.activation_id)
         if record is None:
-            # explicit moderator.notify() or a registration wake: there
-            # is no activation span; remember it for wake attribution
+            # a registration wake, or the notify of an unsampled
+            # activation that woke a parked one: there is no activation
+            # span; remember it for wake attribution
             self._last_notify = (
                 event.activation_id, "", event.timestamp
             )
@@ -583,12 +588,10 @@ class SpanRecorder:
         with self._lock:
             self._finished.clear()
             self._active.clear()
-            self._unsampled.clear()
-            self.counts.clear()
+            self._fresh_counts()
             self._wake_edges.clear()
             self.orphans.clear()
             self._last_notify = None
-            self._sample_tick = self.sample_rate - 1
             self.dropped = 0
 
     def export(self) -> List[Dict[str, Any]]:

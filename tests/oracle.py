@@ -73,6 +73,7 @@ class InterpretingModerator(AspectModerator):
                     self.events.emit(
                         "degraded_skip", method_id, concern,
                         activation_id=joinpoint.activation_id,
+                        sampled=joinpoint.sampled,
                     )
                     continue
                 if policy == FAIL_CLOSED:
@@ -95,6 +96,7 @@ class InterpretingModerator(AspectModerator):
                 "precondition", method_id, concern, detail=result.value,
                 activation_id=joinpoint.activation_id,
                 duration=time.monotonic() - began if timed else 0.0,
+                sampled=joinpoint.sampled,
             )
             if result is AspectResult.RESUME:
                 resumed.append((concern, aspect))
@@ -144,6 +146,7 @@ class ThreadedReferenceModerator(AspectModerator):
                                 "timeout", method_id,
                                 detail=f"{effective_timeout}s",
                                 activation_id=joinpoint.activation_id,
+                                sampled=joinpoint.sampled,
                             )
                             raise ActivationTimeout(
                                 method_id, effective_timeout
@@ -192,6 +195,7 @@ class ThreadedReferenceModerator(AspectModerator):
                                 time.monotonic() - parked_info[1]
                                 if parked_info is not None else 0.0
                             ),
+                            sampled=joinpoint.sampled,
                         )
                         if self._queue_for(method_id) is not queue:
                             break  # re-park under the new domain

@@ -3,7 +3,17 @@
 import threading
 import time
 
+import pytest
+
+from repro.core import (
+    AspectModerator,
+    ContinuationRuntime,
+    FunctionAspect,
+    NullAspect,
+)
 from repro.core.events import EventBus, TraceEvent, Tracer
+from repro.obs import ObservabilityPlane
+from repro.obs.spans import SpanRecorder
 
 
 class TestEventBus:
@@ -192,3 +202,125 @@ class TestTracer:
         assert "invoke open" in tracer.render()
         tracer.clear()
         assert tracer.events == []
+
+
+class _SeenRecorder(SpanRecorder):
+    """A span recorder noting every event its ``__call__`` is given."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.seen = []
+
+    def __call__(self, event):
+        self.seen.append((event.kind, event.activation_id))
+        super().__call__(event)
+
+
+def _never_blocking():
+    moderator = AspectModerator()
+    moderator.register_aspect("service", "null", NullAspect())
+    return moderator
+
+
+def _serve(moderator, calls):
+    for _ in range(calls):
+        moderator.moderate_call("service", lambda: None)
+
+
+class TestHeadSampling:
+    """The sampling decision is made once, at preactivation: an
+    unsampled activation's events reach folds, never listeners."""
+
+    def test_rate_16_recorder_is_called_for_one_activation_in_16(self):
+        moderator = _never_blocking()
+        recorder = _SeenRecorder(sample_rate=16)
+        moderator.events.subscribe(recorder)
+        _serve(moderator, 160)
+        seen = {activation_id for _kind, activation_id in recorder.seen}
+        assert len(seen) == 10
+        assert len(recorder.finished) == 10
+        # the fold still counted every activation
+        assert recorder.counts["service"]["activations"] == 160
+
+    def test_tracer_beside_a_sampled_plane_sees_every_event(self):
+        moderator = _never_blocking()
+        plane = ObservabilityPlane(moderator, sample_rate=16).enable()
+        tracer = Tracer()
+        moderator.events.subscribe(tracer)
+        _serve(moderator, 32)
+        assert tracer.summary() == {
+            kind: 32 for kind in (
+                "preactivation", "precondition", "invoke",
+                "postactivation", "postaction", "notify",
+            )
+        }
+        # the tracer's rate is the bus's: the plane gets every tree too
+        assert len(plane.recorder.finished) == 32
+        assert moderator.events.listener_errors == 0
+
+    def test_tracer_after_a_sampled_plane_is_disabled_sees_every_event(
+            self):
+        moderator = _never_blocking()
+        plane = ObservabilityPlane(moderator, sample_rate=16).enable()
+        _serve(moderator, 20)
+        plane.disable()
+        tracer = Tracer()
+        moderator.events.subscribe(tracer)
+        _serve(moderator, 32)
+        assert tracer.count("preactivation") == 32
+        assert tracer.count("notify") == 32
+
+    @pytest.mark.parametrize("runtime", ["threaded", "continuation"])
+    def test_notify_that_woke_a_parked_activation_is_delivered(
+            self, runtime):
+        moderator = AspectModerator()
+        ready = threading.Event()
+        givers = []
+
+        def give(joinpoint):
+            givers.append(joinpoint.activation_id)
+            ready.set()
+
+        moderator.register_aspect("take", "gate", FunctionAspect(
+            concern="gate", precondition=lambda jp: ready.is_set(),
+        ))
+        moderator.register_aspect("give", "gate", FunctionAspect(
+            concern="gate", postaction=give,
+        ))
+        recorder = _SeenRecorder(sample_rate=16)
+        moderator.events.subscribe(recorder)
+        reactor = None
+        if runtime == "continuation":
+            reactor = ContinuationRuntime(moderator, workers=1)
+            taken = reactor.submit("take", lambda: "taken")
+        else:
+            box = []
+            taker = threading.Thread(target=lambda: box.append(
+                moderator.moderate_call("take", lambda: "taken")
+            ))
+            taker.start()
+        try:
+            # activation 1 is sampled and parks; activation 2 is not
+            # sampled, and its notify is what wakes activation 1
+            deadline = time.monotonic() + 10.0
+            while not moderator.parked_snapshot():
+                assert time.monotonic() < deadline, "take never parked"
+                time.sleep(0.001)
+            if reactor is not None:
+                reactor.submit("give", lambda: None).result(timeout=10.0)
+                assert taken.result(timeout=10.0) == "taken"
+            else:
+                moderator.moderate_call("give", lambda: None)
+                taker.join(10.0)
+                assert not taker.is_alive() and box == ["taken"]
+        finally:
+            if reactor is not None:
+                reactor.close()
+        [giver] = givers
+        assert [kind for kind, activation_id in recorder.seen
+                if activation_id == giver] == ["notify"]
+        [edge] = recorder.wake_edges
+        assert edge.notifier_activation == giver
+        [root] = recorder.finished
+        assert edge.woken_activation == root.activation_id
+        assert moderator.events.listener_errors == 0

@@ -205,3 +205,58 @@ class TestHealthExport:
         assert record["quarantined"] is True
         assert record["last_fault_info"]["exception"] == "OSError"
         assert record["last_fault_info"]["activation_id"] > 0
+
+
+class TestPlaneSummary:
+    def test_summary_while_new_methods_make_first_calls(self):
+        """``summary()`` copies the exact counts under the recorder lock:
+        a first call of a new method, inserting concurrently, can never
+        make it raise ``dictionary changed size during iteration``."""
+        import sys
+        import threading
+
+        from repro.core import AspectModerator, NullAspect
+        from repro.obs import ObservabilityPlane
+
+        moderator = AspectModerator()
+        methods = [f"m{index}" for index in range(300)]
+        for method in methods:
+            moderator.register_aspect(method, "null", NullAspect())
+        plane = ObservabilityPlane(moderator).enable()
+        errors = []
+        stop = threading.Event()
+
+        def first_calls(offset):
+            for method in methods[offset::2]:
+                moderator.moderate_call(method, lambda: None)
+
+        def summarize():
+            while not stop.is_set():
+                try:
+                    plane.summary()
+                except RuntimeError as exc:
+                    errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave as finely as possible
+        try:
+            reader = threading.Thread(target=summarize)
+            reader.start()
+            callers = [
+                threading.Thread(target=first_calls, args=(offset,))
+                for offset in (0, 1)
+            ]
+            for thread in callers:
+                thread.start()
+            for thread in callers:
+                thread.join(30.0)
+            stop.set()
+            reader.join(30.0)
+        finally:
+            sys.setswitchinterval(interval)
+            plane.disable()
+        assert not reader.is_alive()
+        assert errors == []
+        counts = plane.summary()["counts"]
+        assert set(counts) == set(methods)
+        assert {entry["activations"] for entry in counts.values()} == {1}

@@ -1,10 +1,12 @@
 """Unit tests: SpanRecorder folds the event stream into span trees."""
 
 import threading
+import time
 
 import pytest
 
-from repro.core.events import TraceEvent
+from repro.core import AspectModerator, FunctionAspect
+from repro.core.events import EventBus, TraceEvent
 from repro.obs import propagation
 from repro.obs.spans import SpanRecorder, stitch_traces
 
@@ -329,77 +331,112 @@ class TestLiveCluster:
         assert any(span.name == "blocked" for span in pre.children)
 
 
+def _publish(bus, events):
+    """Emit ``events`` the way the moderator does: one head decision per
+    activation, at its ``preactivation``, passed on by its later emits."""
+    sampled = {}
+    for event in events:
+        aid = event.activation_id
+        if event.kind == "preactivation":
+            sampled[aid] = bus.sample()
+        bus.emit(event.kind, event.method_id, event.concern, event.detail,
+                 aid, event.duration, sampled=sampled.get(aid, True))
+
+
+def _sampled_bus(rate):
+    bus = EventBus()
+    recorder = SpanRecorder(sample_rate=rate)
+    bus.subscribe(recorder)
+    return bus, recorder
+
+
 class TestSampledRecorder:
-    """1-in-N span trees; exact counters for every activation."""
+    """1-in-N span trees, decided at the bus's head; exact counters for
+    every activation."""
 
     def test_counts_exact_while_trees_are_sampled(self):
-        recorder = SpanRecorder(sample_rate=4)
+        bus, recorder = _sampled_bus(4)
         for aid in range(1, 9):
-            _feed(recorder, resume_flow(aid=aid, base=float(aid)))
+            _publish(bus, resume_flow(aid=aid, base=float(aid)))
         # first activation sampled, then every 4th: aids 1 and 5
         sampled = sorted(root.activation_id for root in recorder.finished)
         assert sampled == [1, 5]
         assert recorder.counts["open"]["activations"] == 8
 
     def test_unsampled_events_are_swallowed_not_orphaned(self):
-        recorder = SpanRecorder(sample_rate=2)
+        bus, recorder = _sampled_bus(2)
         for aid in (1, 2, 3, 4):
-            _feed(recorder, resume_flow(aid=aid, base=float(aid)))
+            _publish(bus, resume_flow(aid=aid, base=float(aid)))
         assert list(recorder.orphans) == []
-        assert recorder._unsampled == {}  # notify retired them all
+        assert recorder.active() == []
 
     def test_unsampled_abort_still_counted_and_retired(self):
-        recorder = SpanRecorder(sample_rate=2)
-        _feed(recorder, resume_flow(aid=1, base=1.0))  # sampled
-        _feed(recorder, [
+        bus, recorder = _sampled_bus(2)
+        _publish(bus, resume_flow(aid=1, base=1.0))  # sampled
+        _publish(bus, [
             _event("preactivation", 5.0, aid=2),  # unsampled
             _event("precondition", 5.001, concern="auth",
                    detail="abort", aid=2, duration=0.001),
             _event("abort", 5.001, concern="auth", aid=2),
         ])
         assert recorder.counts["open"]["aborted"] == 1
-        assert recorder._unsampled == {}
+        assert recorder.active() == []
+        assert list(recorder.orphans) == []
         assert len(recorder.finished) == 1  # only aid 1 grew a tree
 
     def test_unsampled_notify_still_attributes_wake_edges(self):
-        recorder = SpanRecorder(sample_rate=2)
-        _feed(recorder, [  # aid 1 sampled, parks
-            _event("preactivation", 10.0, aid=1),
-            _event("precondition", 10.001, concern="sync",
-                   detail="block", aid=1, duration=0.001),
-            _event("blocked", 10.001, concern="sync", aid=1),
-        ])
-        # aid 2 is unsampled but its notify is what wakes aid 1
-        _feed(recorder, resume_flow(aid=2, base=10.002))
-        _feed(recorder, [
-            _event("unblocked", 10.010, concern="sync", aid=1,
-                   duration=0.009),
-            _event("precondition", 10.011, concern="sync",
-                   detail="resume", aid=1, duration=0.001),
-            _event("invoke", 10.012, aid=1),
-            _event("postactivation", 10.013, aid=1),
-            _event("postaction", 10.014, concern="sync", aid=1),
-            _event("notify", 10.015, aid=1),
-        ])
-        [edge] = recorder.wake_edges
-        assert edge.notifier_activation == 2
-        assert edge.notifier_span == ""  # no tree for the notifier
-        assert edge.woken_activation == 1
+        moderator = AspectModerator()
+        ready = threading.Event()
+        givers = []
 
-    def test_clear_resets_sampling_state(self):
-        recorder = SpanRecorder(sample_rate=3)
+        def give(joinpoint):
+            givers.append(joinpoint.activation_id)
+            ready.set()
+
+        moderator.register_aspect("take", "gate", FunctionAspect(
+            concern="gate", precondition=lambda jp: ready.is_set(),
+        ))
+        moderator.register_aspect("give", "gate", FunctionAspect(
+            concern="gate", postaction=give,
+        ))
+        recorder = SpanRecorder(sample_rate=2)
+        moderator.events.subscribe(recorder)
+        taken = []
+        # activation 1 (sampled) parks on the gate
+        taker = threading.Thread(
+            target=lambda: taken.append(
+                moderator.moderate_call("take", lambda: "taken")
+            ),
+        )
+        taker.start()
+        deadline = time.monotonic() + 10.0
+        while not moderator.parked_snapshot():
+            assert time.monotonic() < deadline, "take never parked"
+            time.sleep(0.001)
+        # activation 2 is unsampled, but its notify is what wakes 1
+        moderator.moderate_call("give", lambda: None)
+        taker.join(10.0)
+        assert not taker.is_alive() and taken == ["taken"]
+        [edge] = recorder.wake_edges
+        [root] = recorder.finished
+        assert root.method_id == "take"
+        assert edge.woken_activation == root.activation_id
+        assert edge.notifier_activation == givers[0]
+        assert edge.notifier_span == ""  # no tree for the notifier
+
+    def test_clear_resets_trees_and_counts(self):
+        bus, recorder = _sampled_bus(3)
         for aid in (1, 2):
-            _feed(recorder, resume_flow(aid=aid, base=float(aid)))
+            _publish(bus, resume_flow(aid=aid, base=float(aid)))
         recorder.clear()
         assert recorder.counts == {}
         assert recorder.finished == []
-        # tick reset: the next activation is sampled again
-        _feed(recorder, resume_flow(aid=9, base=9.0))
-        assert [root.activation_id for root in recorder.finished] == [9]
+        _publish(bus, resume_flow(aid=9, base=9.0))
+        assert recorder.counts["open"]["activations"] == 1
 
     def test_rate_one_is_full_fidelity(self):
-        recorder = SpanRecorder(sample_rate=1)
+        bus, recorder = _sampled_bus(1)
         for aid in (1, 2, 3):
-            _feed(recorder, resume_flow(aid=aid, base=float(aid)))
+            _publish(bus, resume_flow(aid=aid, base=float(aid)))
         assert len(recorder.finished) == 3
         assert recorder.counts["open"]["activations"] == 3
