@@ -7,7 +7,10 @@ quality, and failover recovery time.
 
 Expected shape: remote calls cost dispatch + 2x simulated latency on
 top of the moderated local call; round-robin splits within 1 request;
-failover detection time tracks the monitor interval.
+failover time tracks the detector's ``dead_after`` plus the
+supervisor's check interval (the placement itself is milliseconds),
+floored by ``Node.crash``, which runs inside the timed window and
+joins serve loops that poll their inbox every 200 ms.
 """
 
 import time
@@ -15,15 +18,20 @@ import time
 import pytest
 
 from repro.apps import RemoteTicketFacade, build_ticketing_cluster
+from repro.core.errors import Overloaded
 from repro.dist import (
     Client,
-    FailoverMonitor,
+    HeartbeatDetector,
+    HeartbeatEmitter,
     LoadBalancer,
+    MemoryStore,
     NameService,
     Network,
     Node,
+    RecoveryPlan,
     RequestTimeout,
     RoundRobin,
+    Supervisor,
 )
 
 
@@ -118,37 +126,58 @@ def test_migration_downtime(benchmark, world):
 
 
 def test_failover_recovery_time(benchmark, world):
-    """Wall-clock from primary crash to first successful failover call."""
+    """Wall-clock from primary crash to first successful failover call.
+
+    Detector-driven: heartbeats every 10 ms, dead after 100 ms of
+    silence, supervisor checks every 10 ms. The ticket facade rides a
+    stateless plan (its blocking ``assign`` cannot be journaled), so
+    the backup serves a fresh cluster.
+    """
     network, names, resources = world
 
+    def fresh_facade(_state=None):
+        return RemoteTicketFacade(
+            build_ticketing_cluster(capacity=10 ** 6).proxy)
+
     def crash_and_recover():
-        primary, _pc = ticket_node(
-            network, f"primary-{time.monotonic_ns()}", resources,
-        )
-        backup, _bc = ticket_node(
-            network, f"backup-{time.monotonic_ns()}", resources,
-        )
-        name = f"tickets-{time.monotonic_ns()}"
-        names.rebind(name, primary.node_id, "tickets")
-        monitor = FailoverMonitor(
-            names, network, public_name=name,
-            primary=primary, backups=[backup], service="tickets",
-            interval=0.01,
-        ).start()
-        client = Client(f"ops-{time.monotonic_ns()}", network, names,
-                        default_timeout=0.5)
+        tag = time.monotonic_ns()
+        primary = Node(f"primary-{tag}", network, workers=2).start()
+        backup = Node(f"backup-{tag}", network, workers=2).start()
+        resources["nodes"] += [primary, backup]
+        monitor = f"monitor-{tag}"
+        detector = HeartbeatDetector(network, monitor, suspect_after=0.05,
+                                     dead_after=0.1)
+        emitters = [HeartbeatEmitter(network, node.node_id, monitor,
+                                     interval=0.01).start()
+                    for node in (primary, backup)]
+        supervisor = Supervisor(names, detector)
+        plan = RecoveryPlan(MemoryStore(), lambda facade: {},
+                            fresh_facade, mutating=[])
+        name = f"tickets-{tag}"
+        spec = supervisor.supervise(name, "tickets", plan,
+                                    [primary, backup],
+                                    bootstrap=fresh_facade)
+        client = Client(f"ops-{tag}", network, names, default_timeout=0.5)
         resources["clients"].append(client)
-        started = time.monotonic()
-        primary.crash()
-        while True:
-            try:
-                client.call_name(name, "open", "probe", timeout=0.05)
-                break
-            except RequestTimeout:
-                continue
-        elapsed = time.monotonic() - started
-        monitor.stop()
-        return elapsed
+        try:
+            assert detector.wait_for_state(primary.node_id, "alive")
+            assert detector.wait_for_state(backup.node_id, "alive")
+            supervisor.place(spec, primary)
+            supervisor.start(interval=0.01)
+            started = time.monotonic()
+            primary.crash()
+            while True:
+                try:
+                    client.call_name(name, "open", "probe", timeout=0.05)
+                    break
+                except (RequestTimeout, Overloaded):
+                    continue
+            return time.monotonic() - started
+        finally:
+            supervisor.stop()
+            for emitter in emitters:
+                emitter.stop()
+            detector.close()
 
     recovery = benchmark.pedantic(crash_and_recover, rounds=3,
                                   iterations=1)

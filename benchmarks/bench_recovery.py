@@ -303,9 +303,9 @@ def measure_failover(keys=200, suffix=50, rounds=10):
             spec = supervisor.supervise("kv", "kv", plan, [])
             target = Node(f"t{round_index}", network).start()
             started = time.perf_counter()
-            supervisor.place(spec, target)
+            _binding, recovered = supervisor.place(spec, target)
             durations.append(time.perf_counter() - started)
-            replayed = spec._last_recovered.replayed  # noqa: SLF001
+            replayed = recovered.replayed
             target.stop()
         return {
             "checkpoint_keys": keys,

@@ -16,7 +16,7 @@ Subpackages:
 * :mod:`repro.concurrency` — functional components and thread utilities;
 * :mod:`repro.sim` — deterministic discrete-event simulation substrate;
 * :mod:`repro.dist` — simulated distributed runtime (nodes, network,
-  RPC, naming, load balancing, replication);
+  RPC, naming, load balancing, sharding, supervised crash recovery);
 * :mod:`repro.apps` — trouble ticketing (the paper's example), auction,
   reservation, timecard;
 * :mod:`repro.baselines` — hand-tangled and stdlib baselines;

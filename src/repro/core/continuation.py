@@ -185,8 +185,8 @@ class ActivationContinuation(Activation):
         self.args = args
         self.kwargs = kwargs
         #: optional zero-arg context-manager factory applied around every
-        #: segment run (the dist layer re-activates trace propagation and
-        #: the serving context on whichever worker resumes the suffix)
+        #: segment run (the dist layer re-activates trace propagation on
+        #: whichever worker resumes the suffix)
         self.wrap = wrap
         self.future = CallFuture()
         #: the submitted bounds and clock reading; the entry step
@@ -286,8 +286,8 @@ class ContinuationRuntime:
 
         ``wrap`` is a zero-arg factory of a context manager entered
         around *every* segment run — thread-local ambience (trace
-        propagation, serving context) must be re-established on
-        whichever worker resumes a suffix.
+        propagation) must be re-established on whichever worker
+        resumes a suffix.
         """
         if self._closed:
             raise RuntimeError("runtime is closed")

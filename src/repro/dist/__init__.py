@@ -8,11 +8,7 @@ from .loadbalance import (
     RoundRobin,
     WeightedChoice,
 )
-from .failure_detector import (
-    HeartbeatDetector,
-    HeartbeatEmitter,
-    detector_failover,
-)
+from .failure_detector import HeartbeatDetector, HeartbeatEmitter
 from .message import Message, WireFormatError, check_wire_safe
 from .migration import MigrationError, MigrationReport, Migrator
 from .naming import Binding, NameService, ShardedBinding
@@ -30,7 +26,6 @@ from .recovery import (
     Supervisor,
     recover_service,
 )
-from .replication import FailoverMonitor, ReplicatedServant
 from .sharding import (
     HashRing,
     RebalanceReport,
@@ -42,10 +37,7 @@ from .resilience import (
     Deadline,
     DestinationBreakers,
     IdempotencyCache,
-    RequestContext,
     ShedInbox,
-    current_request,
-    serving,
 )
 from .rpc import Client, RemoteError, RemoteProxy, RequestTimeout
 
@@ -53,7 +45,6 @@ __all__ = [
     "BalancingPolicy",
     "Binding",
     "Client",
-    "FailoverMonitor",
     "FailoverReport",
     "FileStore",
     "HashRing",
@@ -78,8 +69,6 @@ __all__ = [
     "RecoveryStore",
     "RemoteError",
     "RemoteProxy",
-    "ReplicatedServant",
-    "RequestContext",
     "RequestTimeout",
     "RoundRobin",
     "SupervisedService",
@@ -92,10 +81,7 @@ __all__ = [
     "ShedInbox",
     "WeightedChoice",
     "WireFormatError",
-    "current_request",
-    "detector_failover",
     "check_wire_safe",
     "first_argument_key",
     "recover_service",
-    "serving",
 ]

@@ -1,8 +1,9 @@
 """Heartbeat failure detection over the simulated network.
 
-The :class:`~repro.dist.replication.FailoverMonitor` asks the network
-whether a node is up — fine in simulation, impossible in deployment. A
-real system infers liveness from messages. This module provides:
+``Network.is_up`` answers whether a node is up — fine in simulation,
+impossible in deployment. A real system infers liveness from messages,
+and the :class:`~repro.dist.recovery.Supervisor` acts only on what this
+module infers. It provides:
 
 * :class:`HeartbeatEmitter` — a node-side daemon sending periodic
   heartbeat events to a monitor endpoint;
@@ -10,10 +11,7 @@ real system infers liveness from messages. This module provides:
   classifies nodes as alive/suspect/dead by missed-heartbeat count
   (a timeout-based detector; the classic trade-off between detection
   latency and false suspicion is the ``suspect_after`` /
-  ``dead_after`` knobs);
-* :func:`detector_failover` — glue: a
-  :class:`~repro.dist.replication.FailoverMonitor`-compatible health
-  check built from the detector instead of network introspection.
+  ``dead_after`` knobs).
 
 A lost heartbeat is indistinguishable from a dead node — exactly the
 ambiguity real failure detectors live with, reproduced here because the
@@ -24,7 +22,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional
 
 from repro.concurrency.primitives import WaitQueue
 from .message import Message
@@ -248,19 +246,3 @@ class HeartbeatDetector:
         self.network.unregister(self.endpoint)
         self._thread.join(timeout=1.0)
 
-
-def detector_failover(detector: HeartbeatDetector,
-                      candidates: List[str]) -> Callable[[], Optional[str]]:
-    """Health-check closure: first *alive* candidate, else None.
-
-    Usable wherever a promote-target chooser is needed; unlike
-    ``Network.is_up`` it relies only on observed messages.
-    """
-
-    def choose() -> Optional[str]:
-        for node_id in candidates:
-            if detector.alive(node_id):
-                return node_id
-        return None
-
-    return choose

@@ -21,8 +21,7 @@ unbounded queues.
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.concurrency.primitives import WaitQueue
 from repro.core.errors import (
@@ -41,9 +40,7 @@ from .resilience import (
     Deadline,
     DedupEntry,
     IdempotencyCache,
-    RequestContext,
     ShedInbox,
-    serving,
 )
 
 #: counters every node keeps (prefix ``repro_node_``)
@@ -372,16 +369,16 @@ class Node:
         key = payload.get("idempotency_key")
 
         if key is None and budget is None:
-            # Unarmed request: no dedup claim, no deadline check, no
-            # per-thread envelope — the legacy-shaped serving sequence,
-            # inline so the fast path pays no extra call frames.
+            # Unarmed request: no dedup claim, no deadline check — the
+            # legacy-shaped serving sequence, inline so the fast path
+            # pays no extra call frames.
             service = payload.get("service", "")
             method = payload.get("method", "")
             if self._journals and self._journal_plan(service, method) \
                     is not None:
                 # A journaled mutation must hit the durable log even
                 # when the caller sent it unarmed: route it through the
-                # armed handler (without envelope) so effect + append
+                # armed handler (no key, no deadline) so effect + append
                 # stay one atomic step.
                 self._handle_armed(message, payload, service, method,
                                    None, None, None)
@@ -489,7 +486,7 @@ class Node:
             if injector is not None:
                 self._crash_point(injector, "serve")
             if plan is None:
-                result = self._invoke(payload, deadline, key)
+                result = self._invoke(payload, deadline)
                 if injector is not None:
                     self._crash_point(injector, "applied")
                 response = reply(message, self._wire_result(result))
@@ -500,7 +497,7 @@ class Node:
                 # after the recorded sequence (which would double-apply
                 # it on recovery).
                 with plan.lock:
-                    result = self._invoke(payload, deadline, key)
+                    result = self._invoke(payload, deadline)
                     if injector is not None:
                         self._crash_point(injector, "applied")
                     response = reply(message, self._wire_result(result))
@@ -542,8 +539,7 @@ class Node:
             self._crash_point(injector, "replied")
 
     def _invoke(self, payload: Dict[str, Any],
-                deadline: Optional[Deadline],
-                key: Optional[str]) -> Any:
+                deadline: Optional[Deadline]) -> Any:
         """Execute the servant call a request payload describes."""
         service = payload.get("service", "")
         method = payload.get("method", "")
@@ -563,14 +559,8 @@ class Node:
                     self._inflight.get(service, 0) + 1
         if servant is None:
             raise self._unavailable(service, moving)
-        # Ambient per-thread envelope: replication forwarders pick the
-        # key/deadline up from here so a forwarded apply shares the
-        # original logical call's identity and budget.
-        request_context = RequestContext(
-            idempotency_key=key, deadline=deadline, caller=caller
-        )
         try:
-            with propagation.activate(context), serving(request_context):
+            with propagation.activate(context):
                 return self._dispatch(servant, method, args, kwargs,
                                       caller, deadline)
         finally:
@@ -624,18 +614,12 @@ class Node:
             self._inflight[service] = self._inflight.get(service, 0) + 1
         if caller is None:
             caller = servant._caller
-        request_context = (
-            RequestContext(idempotency_key=key, deadline=deadline,
-                           caller=caller)
-            if key is not None or deadline is not None else None
-        )
 
         def wrap() -> Any:
             # Re-established around every segment run: the worker that
             # resumes a parked suffix is not the thread that started the
-            # activation, and both trace propagation and the serving
-            # envelope are thread-local ambience.
-            return self._reactor_ambience(context, request_context)
+            # activation, and trace propagation is thread-local.
+            return propagation.activate(context)
 
         try:
             future = runtime.submit(
@@ -654,19 +638,6 @@ class Node:
             )
         )
         return True
-
-    @contextmanager
-    def _reactor_ambience(
-        self, context: Optional[Any],
-        request_context: Optional[RequestContext],
-    ) -> Iterator[None]:
-        """Per-segment thread-local envelope for reactor-served calls."""
-        with propagation.activate(context):
-            if request_context is None:
-                yield
-            else:
-                with serving(request_context):
-                    yield
 
     def _finish_reactor(self, future: Any, message: Message, service: str,
                         method: str, deadline: Optional[Deadline],

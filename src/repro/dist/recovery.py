@@ -54,7 +54,7 @@ import os
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Optional
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 from urllib.parse import quote
 
 from repro.core.errors import FencedOut, NameNotFound, NetworkError
@@ -597,13 +597,15 @@ class Supervisor:
         return spec
 
     # ------------------------------------------------------------------
-    def place(self, spec: SupervisedService, target: Node) -> Binding:
+    def place(self, spec: SupervisedService,
+              target: Node) -> Tuple[Binding, RecoveredService]:
         """Run the full placement sequence onto ``target``.
 
         Used both for initial placement (no checkpoint yet — the
         bootstrap builds the servant, and a baseline checkpoint is
-        taken immediately) and for failover. Returns the new binding;
-        its version is the fencing epoch the service now holds.
+        taken immediately) and for failover. Returns the new binding —
+        its version is the fencing epoch the service now holds — and
+        the recovered service it was built from.
         """
         target.expect(spec.service)
         binding = self.names.rebind(spec.name, target.node_id,
@@ -624,22 +626,20 @@ class Supervisor:
                                 amount=recovered.replayed)
         if seeded:
             self._counters.bump("dedup_seeded", amount=seeded)
-        spec._last_recovered = recovered  # noqa: SLF001 - report detail
-        return binding
+        return binding, recovered
 
     def failover(self, spec: SupervisedService, target: Node,
                  from_node: str = "") -> FailoverReport:
         """Fail ``spec`` over to ``target`` now (also usable manually)."""
         started = self._clock()
-        binding = self.place(spec, target)
+        binding, recovered = self.place(spec, target)
         spec.failovers += 1
         spec.last_attempt = self._clock()
-        recovered = getattr(spec, "_last_recovered", None)
         report = FailoverReport(
             name=spec.name, service=spec.service, from_node=from_node,
             to_node=target.node_id, epoch=binding.epoch,
-            replayed=recovered.replayed if recovered else 0,
-            seeded=len(recovered.dedup_seed) if recovered else 0,
+            replayed=recovered.replayed,
+            seeded=len(recovered.dedup_seed),
             duration=self._clock() - started,
         )
         self._counters.bump("failovers")

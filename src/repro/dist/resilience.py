@@ -23,12 +23,11 @@ the resilient call path composes (see ``docs/resilience.md``):
   request), so overload degrades gracefully instead of growing queues
   without bound.
 
-A thread-local *request context* (:func:`serving` / :func:`current_request`)
-makes the in-flight request's idempotency key and deadline ambient on
-the serving thread, the same way :mod:`repro.obs.propagation` makes the
-trace context ambient — so :class:`~repro.dist.replication.
-ReplicatedServant` can forward mutations under the *original* key and
-the backup's dedup cache recognizes a post-failover client retry.
+Dedup survives a failover through the recovery plane, not through
+this module: the journal records each keyed effect's reply, and
+:func:`~repro.dist.recovery.recover_service` seeds the new home's
+cache with it, so a client retry that follows the rebind replays the
+recorded reply (``docs/recovery.md``).
 """
 
 from __future__ import annotations
@@ -37,9 +36,8 @@ import copy
 import threading
 import time
 from collections import OrderedDict
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.aspects.circuit_breaker import BreakerState, CircuitBreakerAspect
 from repro.core.errors import CircuitOpen
@@ -52,11 +50,8 @@ __all__ = [
     "DedupEntry",
     "DestinationBreakers",
     "IdempotencyCache",
-    "RequestContext",
     "RPC_TRANSIENT",
     "ShedInbox",
-    "current_request",
-    "serving",
 ]
 
 
@@ -126,44 +121,6 @@ class Deadline:
         if timeout is None:
             return remaining
         return min(timeout, remaining)
-
-
-# ----------------------------------------------------------------------
-# ambient request context (serving side)
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class RequestContext:
-    """The in-flight request's resilience envelope, ambient per thread."""
-
-    idempotency_key: Optional[str]
-    deadline: Optional[Deadline]
-    caller: Any = None
-
-
-_state = threading.local()
-
-
-def current_request() -> Optional[RequestContext]:
-    """The request context of the serving thread, if one is active."""
-    return getattr(_state, "request", None)
-
-
-@contextmanager
-def serving(context: Optional[RequestContext]) -> Iterator[None]:
-    """Make ``context`` the thread's request context for the body.
-
-    ``None`` is accepted (and restores nothing) so call sites need no
-    branch; nesting restores the previous context on exit.
-    """
-    if context is None:
-        yield
-        return
-    previous = getattr(_state, "request", None)
-    _state.request = context
-    try:
-        yield
-    finally:
-        _state.request = previous
 
 
 # ----------------------------------------------------------------------

@@ -216,9 +216,8 @@ class Client:
         """Invoke through the naming service (location-transparent).
 
         The name resolves *per attempt*, so a retry after a
-        :class:`~repro.dist.replication.FailoverMonitor` rebind follows
-        the binding to the new primary instead of re-dialing the dead
-        node.
+        :class:`~repro.dist.recovery.Supervisor` failover follows the
+        binding to the new home instead of re-dialing the dead node.
         """
         if self.names is None:
             raise NetworkError("client has no naming service configured")

@@ -12,13 +12,17 @@ from repro.apps import (
 from repro.core import MethodAborted
 from repro.dist import (
     Client,
-    FailoverMonitor,
+    HeartbeatDetector,
+    HeartbeatEmitter,
     LoadBalancer,
+    MemoryStore,
     NameService,
     Network,
     Node,
+    RecoveryPlan,
     RequestTimeout,
     RoundRobin,
+    Supervisor,
 )
 
 
@@ -107,21 +111,47 @@ class TestLoadBalancedTicketing:
 
 class TestFailover:
     def test_name_rebinds_and_clients_recover(self, world):
-        network, names, make_node, make_client = world
-        primary, _pc = make_node("primary")
-        backup, backup_cluster = make_node("backup")
-        names.bind("tickets", "primary", "tickets")
-        monitor = FailoverMonitor(
-            names, network, public_name="tickets",
-            primary=primary, backups=[backup], service="tickets",
-        )
-        client = make_client("ops")
-        client.call_name("tickets", "open", "before-crash")
+        network, names, _make_node, make_client = world
+        primary = Node("primary", network, workers=2).start()
+        backup = Node("backup", network, workers=2).start()
+        detector = HeartbeatDetector(network, "monitor",
+                                     suspect_after=0.12, dead_after=0.3)
+        emitters = [HeartbeatEmitter(network, node.node_id, "monitor",
+                                     interval=0.03).start()
+                    for node in (primary, backup)]
+        # Stateless plan: the ticket facade's blocking ``assign`` cannot
+        # be journaled, so the backup serves a fresh cluster.
+        clusters = []
 
-        primary.crash()
-        with pytest.raises(RequestTimeout):
-            client.call_name("tickets", "open", "lost", timeout=0.2)
-        assert monitor.check_once()
+        def fresh_facade(_state=None):
+            clusters.append(build_ticketing_cluster(capacity=32))
+            return RemoteTicketFacade(clusters[-1].proxy)
 
-        client.call_name("tickets", "open", "after-failover")
-        assert backup_cluster.component.pending == 1
+        plan = RecoveryPlan(MemoryStore(), lambda facade: {},
+                            fresh_facade, mutating=[])
+        supervisor = Supervisor(names, detector)
+        spec = supervisor.supervise("tickets", "tickets", plan,
+                                    [primary, backup],
+                                    bootstrap=fresh_facade)
+        try:
+            assert detector.wait_for_state("primary", "alive", timeout=2.0)
+            assert detector.wait_for_state("backup", "alive", timeout=2.0)
+            supervisor.place(spec, primary)
+            client = make_client("ops")
+            client.call_name("tickets", "open", "before-crash")
+
+            primary.crash()
+            with pytest.raises(RequestTimeout):
+                client.call_name("tickets", "open", "lost", timeout=0.2)
+            assert detector.wait_for_state("primary", "dead", timeout=3.0)
+            assert supervisor.check_once()
+
+            client.call_name("tickets", "open", "after-failover")
+            backup_cluster = clusters[-1]
+            assert backup_cluster.component.pending == 1
+        finally:
+            for emitter in emitters:
+                emitter.stop()
+            detector.close()
+            primary.stop()
+            backup.stop()

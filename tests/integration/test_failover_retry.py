@@ -1,10 +1,11 @@
-"""Partition → failover → retry re-resolution, with cross-failover dedup.
+"""Crash → failover → retry re-resolution, with cross-failover dedup.
 
-The satellite scenario from the resilience issue: a client mid-retry
-follows a ``FailoverMonitor`` rebind to the backup, and the idempotency
-cache prevents the replayed logical call from double-applying — the
-backup already executed the mutation once, as a forwarded apply from
-the primary, under the *same* idempotency key.
+A client mid-retry follows a :class:`~repro.dist.recovery.Supervisor`
+rebind to the backup, and the idempotency cache prevents the replayed
+logical call from double-applying: the primary journaled the mutation
+with its key and reply before the reply was lost, and recovery seeded
+the backup's dedup cache from that journal record — so the retry
+replays the recorded reply instead of executing the mutation again.
 """
 
 import threading
@@ -15,11 +16,12 @@ import pytest
 from repro.aspects.retry import RetryPolicy
 from repro.dist import (
     Client,
-    FailoverMonitor,
+    MemoryStore,
     NameService,
     Network,
     Node,
-    ReplicatedServant,
+    RecoveryPlan,
+    Supervisor,
 )
 from repro.dist.resilience import RPC_TRANSIENT
 from repro.faults import FaultInjector, single_loss_plans
@@ -30,10 +32,10 @@ POLICY = RetryPolicy(max_attempts=5, base_delay=0.0, retry_on=RPC_TRANSIENT)
 class CountingKV:
     """A KV store that counts mutations — the double-apply detector."""
 
-    def __init__(self):
+    def __init__(self, data=None, applies=0):
         self._lock = threading.Lock()
-        self.data = {}
-        self.applies = 0
+        self.data = dict(data or {})
+        self.applies = applies
 
     def put(self, key, value):
         with self._lock:
@@ -45,37 +47,53 @@ class CountingKV:
         return self.data.get(key)
 
 
+class Cluster:
+    """A journaled KV placed on ``primary`` with ``backup`` standing by."""
+
+    def __init__(self):
+        self.network = Network()
+        self.names = NameService()
+        self.primary = Node("primary", self.network).start()
+        self.backup = Node("backup", self.network).start()
+        #: every servant the plan built, in order: bootstrap, then one
+        #: rebuild per placement (baseline checkpoint or failover)
+        self.servants = []
+        self.store = MemoryStore()
+        self.plan = RecoveryPlan(
+            self.store,
+            lambda kv: {"data": dict(kv.data), "applies": kv.applies},
+            lambda state: self._built(CountingKV(**state)),
+            mutating=["put"],
+        )
+        self.supervisor = Supervisor(self.names, detector=None)
+        self.spec = self.supervisor.supervise(
+            "kv", "kv", self.plan, [self.primary, self.backup],
+            bootstrap=lambda: self._built(CountingKV()),
+        )
+        self.supervisor.place(self.spec, self.primary)
+        self.client = Client("client", self.network, self.names,
+                             default_timeout=1.0)
+
+    def _built(self, servant):
+        self.servants.append(servant)
+        return servant
+
+    def fail_over(self):
+        return self.supervisor.failover(self.spec, self.backup,
+                                        from_node="primary")
+
+    def close(self):
+        self.client.close()
+        self.primary.stop()
+        self.backup.stop()
+        self.network.close()
+
+
 @pytest.fixture
 def cluster():
-    network = Network()
-    names = NameService()
-    primary = Node("primary", network).start()
-    backup = Node("backup", network).start()
-
-    primary_store, backup_store = CountingKV(), CountingKV()
-    backup.export("kv", backup_store)
-    names.bind("kv-backup", "backup", "kv")
-
-    forwarder = Client("forwarder", network, names, default_timeout=1.0)
-    replicated = ReplicatedServant(
-        primary_store, forwarder, replica_names=["kv-backup"],
-        mutating=["put"],
-    )
-    primary.export("kv", replicated)
-    names.bind("kv", "primary", "kv")
-
-    monitor = FailoverMonitor(
-        names, network, public_name="kv",
-        primary=primary, backups=[backup], service="kv",
-    )
-    client = Client("client", network, names, default_timeout=1.0)
-    yield (network, names, primary, backup, primary_store, backup_store,
-           replicated, monitor, client)
-    client.close()
-    forwarder.close()
-    primary.stop()
-    backup.stop()
-    network.close()
+    cluster = Cluster()
+    yield cluster
+    cluster.close()
 
 
 def _await(predicate, timeout=3.0, message="condition never held"):
@@ -87,91 +105,89 @@ def _await(predicate, timeout=3.0, message="condition never held"):
 
 class TestFailoverRetryDedup:
     def test_retry_follows_rebind_without_double_apply(self, cluster):
-        (network, names, primary, backup, primary_store, backup_store,
-         replicated, monitor, client) = cluster
+        primary_store = cluster.servants[-1]
 
-        # Lose the reply to the client: the primary applies the
-        # mutation (and forwards it to the backup), but the caller
-        # never hears back and will retry.
+        # Lose the reply to the client: the primary applies and
+        # journals the mutation, but the caller never hears back and
+        # will retry.
         plan = single_loss_plans(["client"])[0]
-        FaultInjector(plan).install(network)
+        FaultInjector(plan).install(cluster.network)
 
         failed_over = threading.Event()
 
         def fail_over():
-            # After the primary has applied + forwarded, crash it and
-            # promote the backup — while the client is mid-retry-wait.
-            _await(lambda: backup_store.data.get("k") == "v",
-                   message="forwarded apply never reached the backup")
-            primary.crash()
-            monitor.check_once()
+            # After the primary has applied + journaled, crash it and
+            # fail over to the backup — while the client is mid-retry.
+            _await(lambda: cluster.store.entries("kv"),
+                   message="the primary never journaled the put")
+            cluster.primary.crash()
+            cluster.fail_over()
             failed_over.set()
 
         crasher = threading.Thread(target=fail_over)
         crasher.start()
         try:
-            result = client.call_name(
+            result = cluster.client.call_name(
                 "kv", "put", "k", "v",
                 timeout=0.5, retry_policy=POLICY,
             )
         finally:
             crasher.join(timeout=5.0)
-            FaultInjector.uninstall(network)
+            FaultInjector.uninstall(cluster.network)
         assert failed_over.is_set()
 
         # The retry resolved the rebound name (per-attempt resolution)
-        # and the backup's dedup cache replayed the forwarded apply
-        # instead of executing the mutation a second time.
-        assert names.resolve("kv").node_id == "backup"
+        # and the backup's journal-seeded dedup cache replayed the
+        # recorded reply instead of executing the mutation again.
+        backup_store = cluster.servants[-1]
+        assert backup_store is not primary_store
+        assert cluster.names.resolve("kv").node_id == "backup"
         assert primary_store.applies == 1
-        assert backup_store.applies == 1
-        assert backup.dedup_hits >= 1
-        # the replayed reply is the forwarded apply's original result
+        assert backup_store.applies == 1  # by replay, not re-execution
+        assert cluster.backup.dedup_hits >= 1
+        # the replayed reply is the primary's original result
         assert result == 1
-        assert client.retries >= 1
+        assert cluster.client.retries >= 1
 
     def test_partitioned_primary_retry_lands_on_backup(self, cluster):
-        (network, names, primary, backup, primary_store, backup_store,
-         replicated, monitor, client) = cluster
+        primary_store = cluster.servants[-1]
 
         # Split the primary away from the client. The first attempt's
         # request is swallowed by the partition; the mutation is never
-        # applied anywhere until the rebind routes a retry to the
+        # applied anywhere until the failover routes a retry to the
         # backup.
-        network.partition({"primary"},
-                          {"client", "backup", "forwarder"})
+        cluster.network.partition({"primary"}, {"client", "backup"})
 
-        def heal_and_promote():
+        def fail_over():
             time.sleep(0.2)  # let at least one attempt hit the wall
-            names.rebind("kv", "backup", "kv")
+            cluster.fail_over()
 
-        healer = threading.Thread(target=heal_and_promote)
-        healer.start()
+        promoter = threading.Thread(target=fail_over)
+        promoter.start()
         try:
-            result = client.call_name(
+            result = cluster.client.call_name(
                 "kv", "put", "k", "v",
                 timeout=0.3, retry_policy=POLICY,
             )
         finally:
-            healer.join(timeout=5.0)
+            promoter.join(timeout=5.0)
 
         assert result == 1
         assert primary_store.applies == 0  # partition swallowed it all
-        assert backup_store.applies == 1
-        assert client.retries >= 1
+        assert cluster.servants[-1].applies == 1
+        assert cluster.client.retries >= 1
 
     def test_wait_for_observes_failover_rebind(self, cluster):
-        (network, names, primary, backup, primary_store, backup_store,
-         replicated, monitor, client) = cluster
         observed = []
 
         def wait():
-            observed.append(names.wait_for("kv", version=2, timeout=3.0))
+            observed.append(
+                cluster.names.wait_for("kv", version=2, timeout=3.0))
 
         waiter = threading.Thread(target=wait)
         waiter.start()
-        primary.crash()
-        monitor.check_once()
+        cluster.primary.crash()
+        cluster.fail_over()
         waiter.join(timeout=5.0)
         assert not waiter.is_alive()
         binding = observed[0]
@@ -180,9 +196,7 @@ class TestFailoverRetryDedup:
         assert binding.version == 2
 
     def test_wait_for_times_out_without_rebind(self, cluster):
-        (network, names, primary, backup, primary_store, backup_store,
-         replicated, monitor, client) = cluster
-        assert names.wait_for("kv", version=2, timeout=0.1) is None
-        # version 1 is already satisfied: returns immediately
-        binding = names.wait_for("kv", version=1, timeout=0.1)
+        assert cluster.names.wait_for("kv", version=2, timeout=0.1) is None
+        # version 1 (the placement) is already satisfied: returns at once
+        binding = cluster.names.wait_for("kv", version=1, timeout=0.1)
         assert binding is not None and binding.version == 1

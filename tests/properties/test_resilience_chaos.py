@@ -1,13 +1,17 @@
 """Resilience chaos: exactly-once effects under loss, partition, overload.
 
-The acceptance sweep for the resilient RPC layer. A replicated
-primary/backup cluster serves retried mutating calls while deterministic
-:class:`FaultPlan` schedules lose messages and partitions split the
-network. Invariants, for every schedule:
+The acceptance sweep for the resilient RPC layer. A journaled key-value
+service, placed by a :class:`~repro.dist.recovery.Supervisor` on a
+primary with a backup as the second candidate, serves retried mutating
+calls while deterministic :class:`FaultPlan` schedules lose messages,
+partitions split the network, and the primary fails over. Invariants,
+for every schedule:
 
 * **exactly-once effects** — every logical mutating call that reports
-  success was applied exactly once on the primary and at most once per
-  replica (the dedup cache absorbs every replay the retry loop emits);
+  success was applied exactly once on its live home and in an
+  independent audit rebuild from the durable store (the dedup cache
+  absorbs every replay the retry loop emits, and the journal seeds it
+  at the new home);
 * **no stranded callers** — a caller with a deadline returns (result or
   typed error) within its budget plus a bounded grace;
 * **bounded inboxes** — under 10x offered load a shedding node's queue
@@ -27,11 +31,13 @@ from repro.core.errors import (
 )
 from repro.dist import (
     Client,
-    FailoverMonitor,
+    MemoryStore,
     NameService,
     Network,
     Node,
-    ReplicatedServant,
+    RecoveryPlan,
+    Supervisor,
+    recover_service,
 )
 from repro.dist.resilience import RPC_TRANSIENT
 from repro.faults import FaultInjector, FaultPlan, single_loss_plans
@@ -39,21 +45,21 @@ from repro.faults import FaultInjector, FaultPlan, single_loss_plans
 POLICY = RetryPolicy(max_attempts=6, base_delay=0.0, retry_on=RPC_TRANSIENT)
 
 #: every endpoint a message can be lost on its way to
-ENDPOINTS = ("client", "primary", "backup", "forwarder")
+ENDPOINTS = ("client", "primary", "backup")
 
 #: the full single-loss schedule space: each plan silently drops the
-#: k-th delivery to one endpoint — lost requests, replies, forwards,
-#: and forward-acks alike
+#: k-th delivery to one endpoint — lost requests to either home and
+#: lost replies alike
 LOSS_PLANS = single_loss_plans(ENDPOINTS, occurrences=(1, 2))
 
 
 class CountingKV:
     """Counts applies per key — any count above 1 is a double-apply."""
 
-    def __init__(self):
+    def __init__(self, data=None, counts=None):
         self._lock = threading.Lock()
-        self.data = {}
-        self.counts = {}
+        self.data = dict(data or {})
+        self.counts = dict(counts or {})
 
     def put(self, key, value):
         with self._lock:
@@ -64,48 +70,66 @@ class CountingKV:
     def get(self, key):
         return self.data.get(key)
 
+    def applied(self, key):
+        return self.counts.get(key, 0)
+
+
+def kv_capture(servant):
+    return {"data": dict(servant.data), "counts": dict(servant.counts)}
+
+
+def kv_rebuild(state):
+    return CountingKV(data=state.get("data"), counts=state.get("counts"))
+
 
 class Cluster:
-    """Primary/backup replication rig with retry-armed clients."""
+    """Supervised primary/backup rig with a journaled store."""
 
-    def __init__(self, forwarder_policy=POLICY):
+    def __init__(self):
         self.network = Network()
         self.names = NameService()
         self.primary = Node("primary", self.network).start()
         self.backup = Node("backup", self.network).start()
-        self.primary_store = CountingKV()
-        self.backup_store = CountingKV()
-        self.backup.export("kv", self.backup_store)
-        self.names.bind("kv-backup", "backup", "kv")
-        self.forwarder = Client(
-            "forwarder", self.network, self.names,
-            default_timeout=0.3, retry_policy=forwarder_policy,
+        self.plan = RecoveryPlan(MemoryStore(), kv_capture, kv_rebuild,
+                                 mutating=["put"])
+        # failovers here are driven by hand, so no detector is consulted
+        self.supervisor = Supervisor(self.names, detector=None)
+        self.spec = self.supervisor.supervise(
+            "kv", "kv", self.plan, [self.primary, self.backup],
+            bootstrap=CountingKV,
         )
-        self.replicated = ReplicatedServant(
-            self.primary_store, self.forwarder,
-            replica_names=["kv-backup"], mutating=["put"],
-        )
-        self.primary.export("kv", self.replicated)
-        self.names.bind("kv", "primary", "kv")
+        self.supervisor.place(self.spec, self.primary)
         self.client = Client("client", self.network, self.names,
                              default_timeout=2.0)
 
     def close(self):
         self.client.close()
-        self.forwarder.close()
         self.primary.stop()
         self.backup.stop()
         self.network.close()
 
+    def put(self, key, timeout=0.25):
+        return self.client.call_name(
+            "kv", "put", key, f"v-{key}",
+            timeout=timeout, retry_policy=POLICY,
+        )
+
+    def fail_over_to_backup(self):
+        return self.supervisor.failover(self.spec, self.backup,
+                                        from_node="primary")
+
     def assert_effects_exactly_once(self, keys):
-        """Every applied key was applied at most once per store."""
-        for store_name, store in (("primary", self.primary_store),
-                                  ("backup", self.backup_store)):
-            for key in keys:
-                count = store.counts.get(key, 0)
-                assert count <= 1, (
-                    f"{store_name} applied {key!r} {count} times"
-                )
+        """The live home and an audit rebuild applied each key once."""
+        audited = recover_service(self.plan, "kv",
+                                  bootstrap=CountingKV).servant
+        for key in keys:
+            live = self.client.call_name("kv", "applied", key,
+                                         timeout=0.25, retry_policy=POLICY)
+            assert live == 1, f"live home applied {key!r} {live} times"
+            durable = audited.applied(key)
+            assert durable == 1, (
+                f"audit rebuild applied {key!r} {durable} times"
+            )
 
 
 @pytest.mark.parametrize(
@@ -114,54 +138,43 @@ def test_every_single_loss_schedule_applies_exactly_once(plan):
     cluster = Cluster()
     injector = FaultInjector(plan).install(cluster.network)
     try:
-        keys = ("k1", "k2")
-        for key in keys:
-            result = cluster.client.call_name(
-                "kv", "put", key, f"v-{key}",
-                timeout=0.25, retry_policy=POLICY,
-            )
-            assert result == 1, f"{key!r} observed a double-apply"
-        # success ⇒ exactly once on the primary, at most once per
-        # replica — regardless of which delivery the schedule ate
-        for key in keys:
-            assert cluster.primary_store.counts.get(key) == 1
-        cluster.assert_effects_exactly_once(keys)
+        for key in ("k1", "k2"):
+            assert cluster.put(key) == 1, f"{key!r} observed a double-apply"
+        cluster.primary.crash()
+        cluster.fail_over_to_backup()
+        assert cluster.names.resolve("kv").node_id == "backup"
+        assert cluster.put("k3") == 1, "'k3' observed a double-apply"
+        # success ⇒ exactly once on the new home and in the durable
+        # view — regardless of which delivery the schedule ate
+        cluster.assert_effects_exactly_once(("k1", "k2", "k3"))
     finally:
         FaultInjector.uninstall(cluster.network)
         cluster.close()
 
 
-def test_partition_failover_schedule_applies_at_most_once_per_replica():
+def test_partition_failover_schedule_applies_exactly_once():
     """Partition the primary mid-call; the rebound retry must dedup."""
     cluster = Cluster()
-    monitor = FailoverMonitor(
-        cluster.names, cluster.network, public_name="kv",
-        primary=cluster.primary, backups=[cluster.backup], service="kv",
-    )
     # the reply to the client is lost, then the primary is cut off
     plan = single_loss_plans(["client"])[0]
     FaultInjector(plan).install(cluster.network)
     try:
         def sever():
             deadline = time.monotonic() + 3.0
-            while cluster.backup_store.data.get("k") != "v":
+            while not cluster.plan.store.entries("kv"):
                 if time.monotonic() > deadline:
                     return
                 time.sleep(0.005)
             cluster.network.take_down("primary")
-            monitor.check_once()
+            cluster.fail_over_to_backup()
 
         severer = threading.Thread(target=sever)
         severer.start()
-        result = cluster.client.call_name(
-            "kv", "put", "k", "v", timeout=0.4, retry_policy=POLICY,
-        )
+        result = cluster.put("k", timeout=0.4)
         severer.join(timeout=5.0)
         assert result == 1
-        cluster.assert_effects_exactly_once(["k"])
-        assert cluster.primary_store.counts.get("k") == 1
-        assert cluster.backup_store.counts.get("k") == 1
         assert cluster.names.resolve("kv").node_id == "backup"
+        cluster.assert_effects_exactly_once(["k"])
     finally:
         FaultInjector.uninstall(cluster.network)
         cluster.close()
@@ -170,8 +183,7 @@ def test_partition_failover_schedule_applies_at_most_once_per_replica():
 def test_partitioned_cluster_never_double_applies():
     """Requests swallowed by a partition are retried, never duplicated."""
     cluster = Cluster()
-    cluster.network.partition({"primary"},
-                              {"client", "backup", "forwarder"})
+    cluster.network.partition({"primary"}, {"client", "backup"})
     try:
         def heal():
             time.sleep(0.3)
@@ -179,13 +191,10 @@ def test_partitioned_cluster_never_double_applies():
 
         healer = threading.Thread(target=heal)
         healer.start()
-        result = cluster.client.call_name(
-            "kv", "put", "k", "v", timeout=0.2, retry_policy=POLICY,
-        )
+        result = cluster.put("k", timeout=0.2)
         healer.join(timeout=5.0)
         assert result == 1
         cluster.assert_effects_exactly_once(["k"])
-        assert cluster.primary_store.counts.get("k") == 1
     finally:
         cluster.close()
 

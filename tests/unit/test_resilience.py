@@ -11,10 +11,7 @@ from repro.dist.resilience import (
     Deadline,
     DestinationBreakers,
     IdempotencyCache,
-    RequestContext,
     ShedInbox,
-    current_request,
-    serving,
 )
 
 
@@ -59,45 +56,6 @@ class TestDeadline:
         assert deadline.cap(10.0) <= 1.0
         assert deadline.cap(None) <= 1.0
         assert deadline.cap(0.1) == pytest.approx(0.1, abs=0.01)
-
-
-# ----------------------------------------------------------------------
-# request context
-# ----------------------------------------------------------------------
-class TestRequestContext:
-    def test_none_outside_serving(self):
-        assert current_request() is None
-
-    def test_serving_activates_and_restores(self):
-        context = RequestContext(idempotency_key="k1", deadline=None)
-        with serving(context):
-            assert current_request() is context
-        assert current_request() is None
-
-    def test_serving_none_is_noop(self):
-        with serving(None):
-            assert current_request() is None
-
-    def test_nesting_restores_outer(self):
-        outer = RequestContext(idempotency_key="outer", deadline=None)
-        inner = RequestContext(idempotency_key="inner", deadline=None)
-        with serving(outer):
-            with serving(inner):
-                assert current_request().idempotency_key == "inner"
-            assert current_request().idempotency_key == "outer"
-
-    def test_thread_isolation(self):
-        seen = []
-        context = RequestContext(idempotency_key="k", deadline=None)
-
-        def probe():
-            seen.append(current_request())
-
-        with serving(context):
-            thread = threading.Thread(target=probe)
-            thread.start()
-            thread.join()
-        assert seen == [None]
 
 
 # ----------------------------------------------------------------------
