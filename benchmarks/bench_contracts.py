@@ -30,10 +30,11 @@ from __future__ import annotations
 
 import json
 import statistics
-import time
 
 from repro.contracts import ContractRegistry
 from repro.core import AspectModerator, ComponentProxy, NullAspect
+
+from harness import mean_call_ns
 
 OVERHEAD_BOUND = 0.02  # contracts-off mean-latency bound (2%)
 
@@ -68,13 +69,6 @@ def _declare(registry):
     )
 
 
-def _median_call_ns(bound_call, iterations):
-    started = time.perf_counter_ns()
-    for _ in range(iterations):
-        bound_call()
-    return (time.perf_counter_ns() - started) / iterations
-
-
 def measure(iterations=5_000, rounds=80):
     """Interleaved measurement of baseline/disabled/checked."""
     base_moderator, base_proxy = build_fast_path()
@@ -96,7 +90,7 @@ def measure(iterations=5_000, rounds=80):
 
     # warm-up compiles the plans and primes caches in every mode
     for call in (base_call, disabled_call, checked_call):
-        _median_call_ns(call, max(iterations // 10, 100))
+        mean_call_ns(call, max(iterations // 10, 100))
     assert base_moderator.plan_for("service").fast_cells
     assert disabled_moderator.plan_for("service").fast_cells
     assert not checked_moderator.plan_for("service").fast_cells
@@ -109,12 +103,12 @@ def measure(iterations=5_000, rounds=80):
     checked_iterations = max(iterations // 5, 200)
     for round_index in range(rounds):
         if round_index % 2 == 0:
-            base_ns = _median_call_ns(base_call, iterations)
-            disabled_ns = _median_call_ns(disabled_call, iterations)
+            base_ns = mean_call_ns(base_call, iterations)
+            disabled_ns = mean_call_ns(disabled_call, iterations)
         else:
-            disabled_ns = _median_call_ns(disabled_call, iterations)
-            base_ns = _median_call_ns(base_call, iterations)
-        checked_ns = _median_call_ns(checked_call, checked_iterations)
+            disabled_ns = mean_call_ns(disabled_call, iterations)
+            base_ns = mean_call_ns(base_call, iterations)
+        checked_ns = mean_call_ns(checked_call, checked_iterations)
         samples["baseline"].append(base_ns)
         samples["disabled"].append(disabled_ns)
         samples["checked"].append(checked_ns)

@@ -38,10 +38,11 @@ from __future__ import annotations
 import json
 import statistics
 import threading
-import time
 
 from repro.core import AspectModerator, ComponentProxy, NullAspect
 from repro.obs import ObservabilityPlane
+
+from harness import mean_call_ns
 
 OVERHEAD_BOUND = 0.02  # disabled-plane mean-latency bound (2%)
 #: sampled-plane bound: its overhead at most this share of full recording's
@@ -60,14 +61,6 @@ def build_fast_path():
     moderator.register_aspect("service", "null", NullAspect())
     proxy = ComponentProxy(moderator=moderator, component=Component())
     return moderator, proxy
-
-
-def _median_call_ns(bound_call, iterations):
-    """Median per-call nanoseconds over one timed chunk."""
-    started = time.perf_counter_ns()
-    for _ in range(iterations):
-        bound_call()
-    return (time.perf_counter_ns() - started) / iterations
 
 
 def measure(iterations=5_000, rounds=80):
@@ -94,7 +87,7 @@ def measure(iterations=5_000, rounds=80):
 
     # warm-up compiles the plans and primes caches in every mode
     for call in (base_call, disabled_call, enabled_call, sampled_call):
-        _median_call_ns(call, max(iterations // 10, 100))
+        mean_call_ns(call, max(iterations // 10, 100))
 
     # Paired rounds: each round times baseline and disabled (and
     # enabled) back to back, alternating which goes first, and records
@@ -113,13 +106,13 @@ def measure(iterations=5_000, rounds=80):
     enabled_iterations = max(iterations // 5, 200)
     for round_index in range(rounds):
         if round_index % 2 == 0:
-            base_ns = _median_call_ns(base_call, iterations)
-            disabled_ns = _median_call_ns(disabled_call, iterations)
+            base_ns = mean_call_ns(base_call, iterations)
+            disabled_ns = mean_call_ns(disabled_call, iterations)
         else:
-            disabled_ns = _median_call_ns(disabled_call, iterations)
-            base_ns = _median_call_ns(base_call, iterations)
-        enabled_ns = _median_call_ns(enabled_call, enabled_iterations)
-        sampled_ns = _median_call_ns(sampled_call, enabled_iterations)
+            disabled_ns = mean_call_ns(disabled_call, iterations)
+            base_ns = mean_call_ns(base_call, iterations)
+        enabled_ns = mean_call_ns(enabled_call, enabled_iterations)
+        sampled_ns = mean_call_ns(sampled_call, enabled_iterations)
         samples["baseline"].append(base_ns)
         samples["disabled"].append(disabled_ns)
         samples["enabled"].append(enabled_ns)

@@ -43,6 +43,8 @@ from repro.core import (
 from repro.core.results import AspectResult
 from repro.obs import ClauseProfiler
 
+from harness import mean_call_ns
+
 SPEEDUP_BOUND = 1.3   # reordered stack must beat the seed by this much
 OVERHEAD_BOUND = 0.02  # uninstalled-profiler fast-path bound (2%)
 
@@ -156,13 +158,6 @@ def build_fast_path(profiler=None):
     return moderator, proxy
 
 
-def _call_ns(bound_call, iterations):
-    started = time.perf_counter_ns()
-    for _ in range(iterations):
-        bound_call()
-    return (time.perf_counter_ns() - started) / iterations
-
-
 def measure_overhead(iterations=5_000, rounds=60):
     """Uninstalled profiler (bounded) and installed profiler
     (informational) against the bare Figure-3 fast path."""
@@ -179,18 +174,18 @@ def measure_overhead(iterations=5_000, rounds=60):
     installed_call = lambda: installed_proxy.service()  # noqa: E731
 
     for call in (base_call, idle_call, installed_call):
-        _call_ns(call, max(iterations // 10, 100))
+        mean_call_ns(call, max(iterations // 10, 100))
 
     idle_ratios = []
     installed_ratios = []
     for round_index in range(rounds):
         if round_index % 2 == 0:
-            base_ns = _call_ns(base_call, iterations)
-            idle_ns = _call_ns(idle_call, iterations)
+            base_ns = mean_call_ns(base_call, iterations)
+            idle_ns = mean_call_ns(idle_call, iterations)
         else:
-            idle_ns = _call_ns(idle_call, iterations)
-            base_ns = _call_ns(base_call, iterations)
-        installed_ns = _call_ns(installed_call,
+            idle_ns = mean_call_ns(idle_call, iterations)
+            base_ns = mean_call_ns(base_call, iterations)
+        installed_ns = mean_call_ns(installed_call,
                                 max(iterations // 5, 200))
         idle_ratios.append(idle_ns / base_ns)
         installed_ratios.append(installed_ns / base_ns)

@@ -52,6 +52,8 @@ from repro.dist import (
 from repro.dist.message import Message, error_reply, reply
 from repro.obs import propagation
 
+from harness import floor_pair_ns, mean_call_ns
+
 OVERHEAD_BOUND = 0.02  # uninstalled round-trip latency bound (2%)
 
 
@@ -177,31 +179,6 @@ class Rig:
         self.node.stop()
 
 
-def _mean_call_ns(bound_call, iterations):
-    """Mean per-call nanoseconds over one timed chunk."""
-    started = time.perf_counter_ns()
-    for _ in range(iterations):
-        bound_call()
-    return (time.perf_counter_ns() - started) / iterations
-
-
-#: sub-chunks each side's per-round budget is split into; the per-round
-#: figure is the *minimum* sub-chunk mean, so a steal burst or GC pause
-#: landing inside one sub-chunk is excluded instead of averaged in
-_CHUNKS = 10
-
-
-def _floor_pair_ns(first_call, second_call, iterations):
-    """Floor (min-of-chunks) ns/call for two interleaved callables."""
-    per_chunk = max(iterations // _CHUNKS, 10)
-    first_samples = []
-    second_samples = []
-    for _ in range(_CHUNKS):
-        first_samples.append(_mean_call_ns(first_call, per_chunk))
-        second_samples.append(_mean_call_ns(second_call, per_chunk))
-    return min(first_samples), min(second_samples)
-
-
 def measure(iterations=1000, rounds=24):
     """Paired fresh-rig rounds of legacy/uninstalled/journaled trips.
 
@@ -225,15 +202,15 @@ def measure(iterations=1000, rounds=24):
         try:
             for rig in (legacy, uninstalled, journaled):
                 assert rig.call() >= 1
-                _mean_call_ns(rig.call, warm_iterations)
+                mean_call_ns(rig.call, warm_iterations)
             if round_index % 2 == 0:
-                legacy_ns, uninstalled_ns = _floor_pair_ns(
+                legacy_ns, uninstalled_ns = floor_pair_ns(
                     legacy.call, uninstalled.call, iterations)
             else:
-                uninstalled_ns, legacy_ns = _floor_pair_ns(
+                uninstalled_ns, legacy_ns = floor_pair_ns(
                     uninstalled.call, legacy.call, iterations)
-            journaled_ns = _mean_call_ns(journaled.call,
-                                         journaled_iterations)
+            journaled_ns = mean_call_ns(journaled.call,
+                                        journaled_iterations)
             samples["legacy"].append(legacy_ns)
             samples["uninstalled"].append(uninstalled_ns)
             samples["journaled"].append(journaled_ns)

@@ -33,7 +33,6 @@ from __future__ import annotations
 import json
 import statistics
 import threading
-import time
 from typing import Any, Dict, List, Optional
 
 from repro.aspects.retry import RetryPolicy
@@ -46,6 +45,8 @@ from repro.dist.message import Message, error_reply, reply, request
 from repro.dist.resilience import RPC_TRANSIENT
 from repro.dist.rpc import RemoteError, RequestTimeout
 from repro.obs import propagation
+
+from harness import floor_pair_ns, mean_call_ns
 
 OVERHEAD_BOUND = 0.02  # unarmed round-trip latency bound (2%)
 
@@ -294,37 +295,6 @@ class Rig:
         self.node.stop()
 
 
-def _mean_call_ns(bound_call, iterations):
-    """Mean per-call nanoseconds over one timed chunk."""
-    started = time.perf_counter_ns()
-    for _ in range(iterations):
-        bound_call()
-    return (time.perf_counter_ns() - started) / iterations
-
-
-#: sub-chunks each side's per-round budget is split into; the per-round
-#: figure is the *minimum* sub-chunk mean, so a steal burst or GC pause
-#: landing inside one sub-chunk is excluded instead of averaged in
-_CHUNKS = 10
-
-
-def _floor_pair_ns(first_call, second_call, iterations):
-    """Floor (min-of-chunks) ns/call for two interleaved callables.
-
-    Splits each side's budget into ``_CHUNKS`` timed sub-chunks and
-    interleaves them first/second/first/second, so contamination from a
-    shared-host steal window or a GC pause hits isolated sub-chunks of
-    *both* sides; the per-side minimum keeps only clean sub-chunks.
-    """
-    per_chunk = max(iterations // _CHUNKS, 10)
-    first_samples = []
-    second_samples = []
-    for _ in range(_CHUNKS):
-        first_samples.append(_mean_call_ns(first_call, per_chunk))
-        second_samples.append(_mean_call_ns(second_call, per_chunk))
-    return min(first_samples), min(second_samples)
-
-
 def measure(iterations=1000, rounds=24):
     """Paired fresh-rig rounds of legacy/unarmed/armed round trips.
 
@@ -335,7 +305,7 @@ def measure(iterations=1000, rounds=24):
     round redraws that state, turning the bias into per-round noise
     the median of within-round ratios averages away. Within a round,
     each side's figure is a min-of-interleaved-sub-chunks floor (see
-    :func:`_floor_pair_ns`), so bursty contamination on a shared host
+    :func:`floor_pair_ns`), so bursty contamination on a shared host
     is excluded rather than averaged in.
 
     Returns per-configuration best-of-rounds ns/call plus the
@@ -357,16 +327,16 @@ def measure(iterations=1000, rounds=24):
             # loops and primes every thread's counter stripe
             for rig in (legacy, unarmed, armed):
                 assert rig.call() == 8
-                _mean_call_ns(rig.call, warm_iterations)
+                mean_call_ns(rig.call, warm_iterations)
             # within the round, alternate which side is timed first so
             # short-term drift cancels across rounds
             if round_index % 2 == 0:
-                legacy_ns, unarmed_ns = _floor_pair_ns(
+                legacy_ns, unarmed_ns = floor_pair_ns(
                     legacy.call, unarmed.call, iterations)
             else:
-                unarmed_ns, legacy_ns = _floor_pair_ns(
+                unarmed_ns, legacy_ns = floor_pair_ns(
                     unarmed.call, legacy.call, iterations)
-            armed_ns = _mean_call_ns(armed.call, armed_iterations)
+            armed_ns = mean_call_ns(armed.call, armed_iterations)
             samples["legacy"].append(legacy_ns)
             samples["unarmed"].append(unarmed_ns)
             samples["armed"].append(armed_ns)

@@ -37,6 +37,8 @@ from repro.dist.naming import Binding
 from repro.dist.resilience import RPC_TRANSIENT
 from repro.dist.sharding import HashRing
 
+from harness import floor_pair_ns, mean_call_ns
+
 OVERHEAD_BOUND = 0.02   # unsharded resolve path bound (2%)
 SCALE_BOUND_2 = 1.7     # minimum speedup at 2 shards
 SCALE_BOUND_4 = 3.0     # minimum speedup at 4 shards
@@ -307,27 +309,6 @@ class ResolveRig:
         self.node.stop()
 
 
-def _mean_call_ns(bound_call, iterations):
-    started = time.perf_counter_ns()
-    for _ in range(iterations):
-        bound_call()
-    return (time.perf_counter_ns() - started) / iterations
-
-
-_CHUNKS = 10
-
-
-def _floor_pair_ns(first_call, second_call, iterations):
-    """Floor (min-of-chunks) ns/call for two interleaved callables."""
-    per_chunk = max(iterations // _CHUNKS, 10)
-    first_samples = []
-    second_samples = []
-    for _ in range(_CHUNKS):
-        first_samples.append(_mean_call_ns(first_call, per_chunk))
-        second_samples.append(_mean_call_ns(second_call, per_chunk))
-    return min(first_samples), min(second_samples)
-
-
 def measure_unsharded_overhead(iterations: int = 400,
                                rounds: int = 24) -> Dict[str, Any]:
     """Paired fresh-rig rounds: legacy vs current naming, plain calls."""
@@ -340,12 +321,12 @@ def measure_unsharded_overhead(iterations: int = 400,
         try:
             for rig in (legacy, current):
                 assert rig.call() == 1
-                _mean_call_ns(rig.call, warm)
+                mean_call_ns(rig.call, warm)
             if round_index % 2 == 0:
-                legacy_ns, current_ns = _floor_pair_ns(
+                legacy_ns, current_ns = floor_pair_ns(
                     legacy.call, current.call, iterations)
             else:
-                current_ns, legacy_ns = _floor_pair_ns(
+                current_ns, legacy_ns = floor_pair_ns(
                     current.call, legacy.call, iterations)
             samples["legacy"].append(legacy_ns)
             samples["current"].append(current_ns)

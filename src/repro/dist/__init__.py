@@ -17,6 +17,7 @@ from .node import Node
 from .recovery import (
     FailoverReport,
     FileStore,
+    Handoff,
     MemoryStore,
     RecoveredService,
     RecoveryError,
@@ -47,6 +48,7 @@ __all__ = [
     "Client",
     "FailoverReport",
     "FileStore",
+    "Handoff",
     "HashRing",
     "HeartbeatDetector",
     "HeartbeatEmitter",

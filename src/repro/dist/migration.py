@@ -1,11 +1,11 @@
 """Live service migration: move a servant between nodes.
 
 Location transparency (paper Section 2) pays off when services *move*:
-clients address a logical name, so migration is capture state → rebuild
-on the target → rebind the name. The migrator enforces the honesty rule
-of this simulated runtime: captured state must be **wire-safe** (it
-would have to cross a real network), so in-process object handoff is
-rejected — what works here works in a real deployment.
+clients address a logical name, so migration is pack state → rebuild
+on the target → rebind the name, arriving the way a failover does
+(``docs/recovery.md``) with one wire-safe
+:class:`~repro.dist.recovery.Handoff` bundle: in-process object
+handoff is rejected, so what works here works in a real deployment.
 
 Quiescing: the optional ``quiesce`` / ``resume`` callbacks bracket the
 capture. The natural implementation is a
@@ -18,18 +18,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.core.errors import NetworkError
-from .message import check_wire_safe
 from .naming import Binding, NameService
 from .node import Node
-
-#: extract wire-safe state from the running servant
-CaptureFn = Callable[[Any], Dict[str, Any]]
-#: build a fresh servant from captured state (runs "on the target")
-RebuildFn = Callable[[Dict[str, Any]], Any]
-
+from .recovery import Handoff, install, take_over
 
 class MigrationError(NetworkError):
     """Raised when a migration cannot proceed (bad state, dead target)."""
@@ -43,7 +37,7 @@ class MigrationReport:
     source: str
     target: str
     state_keys: int
-    downtime: float  # seconds between withdraw and rebind
+    downtime: float  # seconds between withdraw and serving on target
     binding: Binding
 
 
@@ -59,26 +53,39 @@ class Migrator:
         public_name: str,
         source: Node,
         target: Node,
-        capture: CaptureFn,
-        rebuild: RebuildFn,
+        capture: Callable[[Any], Dict[str, Any]],
+        rebuild: Callable[[Dict[str, Any]], Any],
         quiesce: Optional[Callable[[], None]] = None,
         resume: Optional[Callable[[], None]] = None,
         drain_timeout: float = 5.0,
     ) -> MigrationReport:
-        """Move ``public_name`` from ``source`` to ``target``.
+        """Move ``public_name`` from ``source`` to ``target``."""
+        report, _ = self.move(public_name, source, target,
+                              Handoff(capture, rebuild), quiesce=quiesce,
+                              resume=resume, drain_timeout=drain_timeout)
+        return report
 
-        Steps: resolve → quiesce → withdraw from source (opening the
-        *moving window*: requests now bounce with a retryable
-        ``Overloaded`` instead of a terminal error) → drain in-flight
-        calls (``source.settle``, bounded by ``drain_timeout``) →
-        capture (wire-safety enforced) → rebuild + export on target →
-        rebind → resume. On any failure after the withdraw the servant
-        is restored on the source and the name left untouched
-        (migration is all-or-nothing from the clients' perspective),
-        and ``resume`` runs on *every* exit — a failed capture or
-        rebuild must never leave the service quiesced forever.
+    def move(
+        self,
+        public_name: str,
+        source: Node,
+        target: Node,
+        handoff: Handoff,
+        quiesce: Optional[Callable[[], None]] = None,
+        resume: Optional[Callable[[], None]] = None,
+        drain_timeout: float = 5.0,
+    ) -> Tuple[MigrationReport, int]:
+        """Move ``public_name`` carrying ``handoff``'s bundle.
+
+        quiesce → withdraw (the retryable *moving window* opens) and
+        detach the recovery plan → drain (``settle``) → pack → unpack →
+        ``take_over`` → ``install`` → resume. A failure before the
+        rebind puts servant and plan back on the source with the name
+        untouched; ``resume`` runs on every exit. Returns the report
+        and the number of dedup entries seeded on the target.
         """
         binding = self.names.resolve(public_name)
+        service = binding.service
         if binding.node_id != source.node_id:
             raise MigrationError(
                 f"{public_name!r} is bound to {binding.node_id!r}, "
@@ -86,66 +93,59 @@ class Migrator:
             )
         if not target.network.is_up(target.node_id):
             raise MigrationError(f"target {target.node_id!r} is down")
+        if service in target.services():
+            raise MigrationError(
+                f"target {target.node_id!r} already serves {service!r}"
+            )
 
         if quiesce is not None:
             quiesce()
         try:
             try:
-                servant = source.withdraw(binding.service, moving=True)
+                servant = source.withdraw(service, moving=True)
             except KeyError as exc:
                 raise MigrationError(
-                    f"service {binding.service!r} not on "
-                    f"{source.node_id!r}"
+                    f"service {service!r} not on {source.node_id!r}"
                 ) from exc
             withdrawn_at = time.monotonic()
-
+            plan = source.detach_recovery(service)
             try:
                 # Withdraw stopped new arrivals; the drain barrier
-                # proves the in-flight ones finished, so the captured
+                # proves the in-flight ones finished, so the packed
                 # state can miss no applied effect.
-                if not source.settle(binding.service, drain_timeout):
+                if not source.settle(service, drain_timeout):
                     raise MigrationError(
                         f"in-flight calls to {public_name!r} did not "
                         f"drain within {drain_timeout}s"
                     )
-                state = capture(servant)
-                if not isinstance(state, dict) \
-                        or not check_wire_safe(state):
-                    raise MigrationError(
-                        f"captured state for {public_name!r} is not "
-                        f"wire-safe"
-                    )
-                replacement = rebuild(state)
-                target.export(binding.service, replacement)
-            except MigrationError:
-                source.export(binding.service, servant)  # roll back
-                raise
+                packed = handoff.pack(servant, source.dedup)
+                replacement, seed = handoff.unpack(packed)
             except Exception as exc:  # noqa: BLE001 - roll back, re-raise
-                source.export(binding.service, servant)
+                if plan is not None:
+                    source.attach_recovery(service, plan)
+                source.export(service, servant)
+                if isinstance(exc, MigrationError):
+                    raise
                 raise MigrationError(
-                    f"rebuild failed for {public_name!r}: {exc}"
+                    f"capture or rebuild failed for {public_name!r}: "
+                    f"{exc}"
                 ) from exc
-
-            new_binding = self.names.rebind(
-                public_name, target.node_id, binding.service
-            )
+            new_binding = take_over(self.names, public_name, service,
+                                    target, plan)
+            seeded = install(target, service, replacement, seed, plan,
+                             new_binding.epoch)
             downtime = time.monotonic() - withdrawn_at
-        except BaseException:
-            # Rollback path: the servant (if withdrawn) is back on the
-            # source — resume it so a failed migration leaves the
-            # service *serving*, not parked behind a stale quiesce.
+        finally:
             if resume is not None:
                 resume()
-            raise
-        if resume is not None:
-            resume()
         report = MigrationReport(
             name=public_name,
             source=source.node_id,
             target=target.node_id,
-            state_keys=len(state),
+            # the handoff bundle is not the servant's own state
+            state_keys=len(packed) - 1,
             downtime=downtime,
             binding=new_binding,
         )
         self.history.append(report)
-        return report
+        return report, seeded

@@ -84,9 +84,6 @@ class ShardedBinding:
         """The plain binding name one shard's location lives under."""
         return f"{self.name}#{shard_id}"
 
-    def shard_names(self) -> List[str]:
-        return [self.shard_name(shard_id) for shard_id in self.shard_ids]
-
 
 class _NotifyGate:
     """Per-name watcher dispatch state: version-ordered delivery.

@@ -34,7 +34,7 @@ from repro.core.errors import (
 from repro.core.proxy import ComponentProxy
 from repro.obs import propagation
 from repro.obs.metrics import MetricsRegistry
-from .message import Message, error_reply, reply
+from .message import Message, check_wire_safe, error_reply, reply
 from .network import Network
 from .resilience import (
     Deadline,
@@ -322,10 +322,7 @@ class Node:
                        f"({action})", retry_after=self.retry_after),
             extra={"retry_after": self.retry_after},
         )
-        try:
-            self.network.send(response)
-        except Exception:  # noqa: BLE001 - reply to a vanished client
-            pass
+        self._send_response(response)
 
     # ------------------------------------------------------------------
     # serving
@@ -513,27 +510,8 @@ class Node:
         except _NodeCrashed:
             raise
         except BaseException as exc:  # noqa: BLE001 - marshalled to caller
-            if (isinstance(exc, ActivationTimeout) and deadline is not None
-                    and deadline.expired):
-                # The park was cut short by the request's budget, not
-                # the local timeout: surface the end-to-end semantics.
-                exc = DeadlineExceeded(
-                    f"deadline elapsed while {service}.{method} was "
-                    f"blocked in moderation"
-                )
-            counted = ["requests_failed"]
-            if isinstance(exc, DeadlineExceeded):
-                counted.append("deadline_expired")
-            self._counters.bump(*counted)
-            response = error_reply(message, exc)
-            if entry is not None:
-                if self._not_applied(exc):
-                    # The attempt provably never ran the method body:
-                    # drop the slot so a retry may execute it.
-                    self.dedup.abandon(key)
-                else:
-                    # The body ran (or may have): pin this outcome.
-                    self.dedup.finish(key, response.kind, response.payload)
+            response = self._failed(message, exc, service, method,
+                                    deadline, key, entry)
         self._send_response(response)
         if injector is not None:
             self._crash_point(injector, "replied")
@@ -566,9 +544,11 @@ class Node:
         finally:
             self._release(service)
 
-    def _dispatch(self, servant: Any, method: str, args: tuple,
+    @staticmethod
+    def _dispatch(servant: Any, method: str, args: tuple,
                   kwargs: Dict[str, Any], caller: Optional[str],
                   deadline: Optional[Deadline]) -> Any:
+        """One servant call; journal replay shares it with serving."""
         if isinstance(servant, ComponentProxy):
             if deadline is not None:
                 # Moderator BLOCK parks are capped at the budget.
@@ -578,7 +558,7 @@ class Node:
                 )
             return servant.call(method, *args, caller=caller, **kwargs)
         target = getattr(servant, method)
-        if caller is not None and self._accepts_caller(target):
+        if caller is not None and Node._accepts_caller(target):
             kwargs.setdefault("caller", caller)
         return target(*args, **kwargs)
 
@@ -645,9 +625,9 @@ class Node:
                         entry: Optional[DedupEntry]) -> None:
         """Completion callback: reply exactly as the threaded path would.
 
-        Mirrors the unarmed inline path (no dedup, plain counters) and
-        :meth:`_handle_armed` (deadline mapping, dedup finish/abandon)
-        depending on how the request arrived.
+        A success replies and caches like :meth:`_handle_armed`; a
+        failure takes the same :meth:`_failed` step. With no dedup entry
+        (an unarmed request) both reduce to the plain counters.
         """
         self._release(service)
         exc = future.exception()
@@ -657,25 +637,37 @@ class Node:
             if entry is not None:
                 self.dedup.finish(key, response.kind, response.payload)
         else:
-            if (isinstance(exc, ActivationTimeout) and deadline is not None
-                    and deadline.expired):
-                # The park was cut short by the request's budget, not
-                # the local timeout: surface the end-to-end semantics.
-                exc = DeadlineExceeded(
-                    f"deadline elapsed while {service}.{method} was "
-                    f"blocked in moderation"
-                )
-            counted = ["requests_failed"]
-            if isinstance(exc, DeadlineExceeded):
-                counted.append("deadline_expired")
-            self._counters.bump(*counted)
-            response = error_reply(message, exc)
-            if entry is not None:
-                if self._not_applied(exc):
-                    self.dedup.abandon(key)
-                else:
-                    self.dedup.finish(key, response.kind, response.payload)
+            response = self._failed(message, exc, service, method,
+                                    deadline, key, entry)
         self._send_response(response)
+
+    def _failed(self, message: Message, exc: BaseException, service: str,
+                method: str, deadline: Optional[Deadline],
+                key: Optional[str],
+                entry: Optional[DedupEntry]) -> Message:
+        """The error reply for a failed request, counted and deduped."""
+        if (isinstance(exc, ActivationTimeout) and deadline is not None
+                and deadline.expired):
+            # The park was cut short by the request's budget, not the
+            # local timeout: surface the end-to-end semantics.
+            exc = DeadlineExceeded(
+                f"deadline elapsed while {service}.{method} was "
+                f"blocked in moderation"
+            )
+        counted = ["requests_failed"]
+        if isinstance(exc, DeadlineExceeded):
+            counted.append("deadline_expired")
+        self._counters.bump(*counted)
+        response = error_reply(message, exc)
+        if entry is not None:
+            if self._not_applied(exc):
+                # The attempt provably never ran the method body: drop
+                # the slot so a retry may execute it.
+                self.dedup.abandon(key)
+            else:
+                # The body ran (or may have): pin this outcome.
+                self.dedup.finish(key, response.kind, response.payload)
+        return response
 
     def _claim(self, message: Message, key: str,
                deadline: Optional[Deadline]) -> Optional[DedupEntry]:
@@ -762,8 +754,6 @@ class Node:
     @staticmethod
     def _wire_result(result: Any) -> Any:
         """Coerce servant results into wire-safe data."""
-        from .message import check_wire_safe
-
         if check_wire_safe(result):
             return result
         if hasattr(result, "__dict__"):
@@ -806,8 +796,9 @@ class Node:
     def checkpoint(self, service: str) -> int:
         """Durably checkpoint a journaled service's state now.
 
-        Captures the servant state plus the sharding handoff bundle
-        (completed idempotency entries, optional aspect state) under
+        Packs the servant state with its handoff bundle
+        (:meth:`repro.dist.recovery.Handoff.pack`: completed
+        idempotency entries, optional aspect state) under
         the plan lock — so the recorded journal sequence is exactly the
         last effect the captured state contains — then prunes the
         journal up to it. Returns the checkpointed sequence.
@@ -831,20 +822,12 @@ class Node:
                            servant: Any = None) -> int:
         # under plan.lock (never under self._lock: lock order is
         # plan.lock -> self._lock)
-        from .sharding import HANDOFF_KEY
-
         if servant is None:
             with self._lock:
                 servant = self._servants.get(service)
             if servant is None:  # withdrawn mid-flight: nothing to save
                 return plan.store.last_seq(service)
-        state = dict(plan.capture(servant))
-        handoff: Dict[str, Any] = {
-            "dedup": self.dedup.export_completed(),
-        }
-        if plan.aspect_capture is not None:
-            handoff["aspects"] = plan.aspect_capture(servant)
-        state[HANDOFF_KEY] = handoff
+        state = plan.pack(servant, self.dedup)
         epoch = self._epochs.get(service, 0)
         seq = plan.store.last_seq(service)
         plan.store.save_checkpoint(

@@ -15,13 +15,14 @@ moderation seams, not inside components). Four pieces
 * **Durability** — a write-ahead effect journal plus periodic
   checkpoints behind a pluggable :class:`RecoveryStore`
   (:class:`MemoryStore` for tests/simulation, :class:`FileStore` for
-  real runs). The checkpoint reuses the sharding handoff bundle
-  verbatim (``__handoff__`` with ``IdempotencyCache.export_completed``
-  inside the captured state dict), so :func:`recover_service` rebuilds
-  the servant from the last checkpoint, replays the journal suffix, and
-  returns the dedup seed that makes re-application exactly-once: a
-  client retry of an effect the dead node already acknowledged replays
-  the journaled reply instead of re-executing.
+  real runs). A checkpoint is a :meth:`Handoff.pack` bundle — the
+  same one a live migration or shard rebalance carries
+  (:data:`HANDOFF_KEY` with ``IdempotencyCache.export_completed``
+  inside the captured state dict) — so :func:`recover_service` unpacks
+  the last checkpoint, replays the journal suffix, and returns the
+  dedup seed that makes re-application exactly-once: a client retry of
+  an effect the dead node already acknowledged replays the journaled
+  reply instead of re-executing.
 * **Fencing** — the naming service's binding version doubles as a
   monotonic fencing epoch (:attr:`~repro.dist.naming.Binding.epoch`).
   It rides armed requests on the wire and gates every journal append
@@ -32,11 +33,12 @@ moderation seams, not inside components). Four pieces
 * **Supervision** — :class:`Supervisor` turns
   :class:`~repro.dist.failure_detector.HeartbeatDetector` dead verdicts
   into automatic failover with per-service backoff and a failover cap:
-  open the moving window on the target, rebind (minting the epoch),
-  fence the store, recover from checkpoint + journal, seed the dedup
-  cache, export. The fence is the linearization point — zombie appends
-  that raced in before it are part of the replayed view, appends after
-  it are rejected, so the handover is exactly-once by construction.
+  :func:`take_over` (expect, rebind minting the epoch, fence the
+  store), recover from checkpoint + journal, :func:`install` (seed the
+  dedup cache, attach, export); live moves arrive the same way. The
+  fence is the linearization point — zombie appends that raced in
+  before it are part of the replayed view, appends after it are
+  rejected, so the handover is exactly-once by construction.
 
 Journaled services serialize their mutating activations under the plan
 lock (effect + journal append must be one atomic step or a checkpoint
@@ -58,7 +60,6 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 from urllib.parse import quote
 
 from repro.core.errors import FencedOut, NameNotFound, NetworkError
-from repro.core.proxy import ComponentProxy
 from repro.obs.metrics import MetricsRegistry
 from .message import WireFormatError, check_wire_safe
 from .naming import Binding, NameService
@@ -366,13 +367,54 @@ class FileStore(RecoveryStore):
 # ----------------------------------------------------------------------
 # plans and recovery
 # ----------------------------------------------------------------------
-class RecoveryPlan:
-    """How one service journals, checkpoints, and rebuilds.
+#: key the handoff bundle (completed dedup entries + aspect state) rides
+#: under inside a packed state dict; stripped before ``rebuild`` sees it
+HANDOFF_KEY = "__handoff__"
+
+
+@dataclass(eq=False)
+class Handoff:
+    """What travels with a service: a checkpoint, a move, a rebalance.
 
     ``capture`` / ``rebuild`` see only the servant's own wire-safe
-    state dict — the handoff bundle (dedup export, ``aspect_capture``
-    output) is added and stripped by the plane, exactly as the
-    rebalancer does. ``mutating`` names the methods whose effects must
+    state dict; :meth:`pack` adds the bundle (the node's completed
+    idempotency entries, ``aspect_capture`` output) and :meth:`unpack`
+    strips it, so a retry of a call the old home applied replays.
+    """
+
+    capture: Callable[[Any], Dict[str, Any]]
+    rebuild: Callable[[Dict[str, Any]], Any]
+    aspect_capture: Optional[Callable[[Any], Dict[str, Any]]] = None
+    aspect_restore: Optional[Callable[[Any, Dict[str, Any]], None]] = None
+
+    def pack(self, servant: Any, dedup: Any) -> Dict[str, Any]:
+        """Capture ``servant`` plus the bundle from ``dedup``'s cache."""
+        packed = dict(self.capture(servant))
+        bundle: Dict[str, Any] = {"dedup": dedup.export_completed()}
+        if self.aspect_capture is not None:
+            bundle["aspects"] = self.aspect_capture(servant)
+        packed[HANDOFF_KEY] = bundle
+        return packed
+
+    def unpack(self, packed: Dict[str, Any],
+               ) -> Tuple[Any, Dict[str, Dict[str, Any]]]:
+        """Check wire-safety, rebuild; returns servant and dedup seed."""
+        if not check_wire_safe(packed):
+            raise WireFormatError("captured state is not wire-safe")
+        state = dict(packed)
+        bundle = state.pop(HANDOFF_KEY, None) or {}
+        servant = self.rebuild(state)
+        if self.aspect_restore is not None:
+            self.aspect_restore(servant, bundle.get("aspects", {}))
+        return servant, dict(bundle.get("dedup", {}))
+
+
+class RecoveryPlan(Handoff):
+    """How one service journals, checkpoints, and rebuilds.
+
+    ``capture`` / ``rebuild`` / ``aspect_capture`` / ``aspect_restore``
+    are the service's :class:`Handoff`: a checkpoint is one packed
+    bundle. ``mutating`` names the methods whose effects must
     be journaled (``None`` journals every method — safe but noisy for
     read-heavy services; the mutating set **must** cover every
     state-changing method or recovery silently loses the uncovered
@@ -394,13 +436,10 @@ class RecoveryPlan:
                  aspect_restore: Optional[
                      Callable[[Any, Dict[str, Any]], None]] = None,
                  checkpoint_every: int = 0) -> None:
+        super().__init__(capture, rebuild, aspect_capture, aspect_restore)
         self.store = store
-        self.capture = capture
-        self.rebuild = rebuild
         self.mutating = frozenset(mutating) if mutating is not None \
             else None
-        self.aspect_capture = aspect_capture
-        self.aspect_restore = aspect_restore
         self.checkpoint_every = int(checkpoint_every)
         self.lock = threading.RLock()
         self.appended = 0
@@ -424,20 +463,6 @@ class RecoveredService:
     checkpoint_seq: int
 
 
-def replay_effect(servant: Any, record: Dict[str, Any]) -> Any:
-    """Re-apply one journaled effect to a rebuilt servant."""
-    method = record.get("method", "")
-    args = tuple(record.get("args", ()))
-    kwargs = dict(record.get("kwargs", {}))
-    caller = record.get("caller")
-    if isinstance(servant, ComponentProxy):
-        return servant.call(method, *args, caller=caller, **kwargs)
-    target = getattr(servant, method)
-    if caller is not None and Node._accepts_caller(target):
-        kwargs.setdefault("caller", caller)
-    return target(*args, **kwargs)
-
-
 def recover_service(plan: RecoveryPlan, service: str,
                     bootstrap: Optional[Callable[[], Any]] = None,
                     ) -> RecoveredService:
@@ -452,30 +477,25 @@ def recover_service(plan: RecoveryPlan, service: str,
     never saw. A replay failure is a :class:`RecoveryError`: a
     partially recovered servant is corruption, not degraded service.
     """
-    from .sharding import HANDOFF_KEY
-
     checkpoint = plan.store.load_checkpoint(service)
-    dedup_seed: Dict[str, Dict[str, Any]] = {}
     if checkpoint is not None:
-        state = dict(checkpoint.get("state", {}))
-        handoff = state.pop(HANDOFF_KEY, {}) or {}
-        dedup_seed.update(handoff.get("dedup", {}))
-        servant = plan.rebuild(state)
-        if plan.aspect_restore is not None:
-            plan.aspect_restore(servant, handoff.get("aspects", {}))
+        servant, dedup_seed = plan.unpack(checkpoint.get("state", {}))
         after = int(checkpoint.get("seq", 0))
     else:
         if bootstrap is None:
             raise RecoveryError(
                 f"service {service!r} has no checkpoint and no bootstrap"
             )
-        servant = bootstrap()
+        servant, dedup_seed = bootstrap(), {}
         after = 0
     replayed = 0
     for entry in plan.store.entries(service, after=after):
         record = entry.get("record", {})
         try:
-            replay_effect(servant, record)
+            Node._dispatch(servant, record.get("method", ""),
+                           tuple(record.get("args", ())),
+                           dict(record.get("kwargs", {})),
+                           record.get("caller"), None)
         except BaseException as exc:  # noqa: BLE001 - fail loud
             raise RecoveryError(
                 f"replay of journal entry {entry.get('seq')} "
@@ -492,6 +512,34 @@ def recover_service(plan: RecoveryPlan, service: str,
         replayed += 1
     return RecoveredService(servant=servant, dedup_seed=dedup_seed,
                             replayed=replayed, checkpoint_seq=after)
+
+
+# ----------------------------------------------------------------------
+# placement: the one way a service arrives at a node
+# ----------------------------------------------------------------------
+def take_over(names: NameService, name: str, service: str, target: Node,
+              plan: Optional[RecoveryPlan]) -> Binding:
+    """expect → rebind (mints the epoch) → fence the plan's store."""
+    target.expect(service)
+    binding = names.rebind(name, target.node_id, service)
+    if plan is not None:
+        plan.store.fence(service, binding.epoch)
+    return binding
+
+
+def install(target: Node, service: str, servant: Any,
+            dedup_seed: Dict[str, Dict[str, Any]],
+            plan: Optional[RecoveryPlan], epoch: int) -> int:
+    """seed dedup → attach the plan → export; returns entries seeded.
+
+    Seeding precedes the export: the first request served may be a
+    retry of a call the old home applied.
+    """
+    seeded = target.dedup.seed(dedup_seed)
+    if plan is not None:
+        target.attach_recovery(service, plan)
+    target.export(service, servant, epoch=epoch)
+    return seeded
 
 
 # ----------------------------------------------------------------------
@@ -541,13 +589,9 @@ class Supervisor:
     The failover sequence (``docs/recovery.md``) is ordered so the
     fence is the linearization point::
 
-        target.expect(service)        # retryable window opens
-        rebind(name, target)          # mints the fencing epoch
-        store.fence(service, epoch)   # zombie writes now rejected
-        recover_service(plan)         # checkpoint + journal replay
-        target.dedup.seed(...)        # retries replay, not re-execute
-        target.attach_recovery(...)
-        target.export(..., epoch=...)
+        take_over(...)          # expect → rebind (epoch) → fence
+        recover_service(plan)   # checkpoint + journal replay
+        install(...)            # seed dedup → attach plan → export
 
     Zombie appends that land *before* the fence are included in the
     journal read during recovery — still exactly-once; appends after it
@@ -607,16 +651,12 @@ class Supervisor:
         its version is the fencing epoch the service now holds — and
         the recovered service it was built from.
         """
-        target.expect(spec.service)
-        binding = self.names.rebind(spec.name, target.node_id,
-                                    spec.service)
-        epoch = binding.epoch
-        spec.plan.store.fence(spec.service, epoch)
+        binding = take_over(self.names, spec.name, spec.service, target,
+                            spec.plan)
         recovered = recover_service(spec.plan, spec.service,
                                     bootstrap=spec.bootstrap)
-        seeded = target.dedup.seed(recovered.dedup_seed)
-        target.attach_recovery(spec.service, spec.plan)
-        target.export(spec.service, recovered.servant, epoch=epoch)
+        seeded = install(target, spec.service, recovered.servant,
+                         recovered.dedup_seed, spec.plan, binding.epoch)
         # Baseline checkpoint at the new home: the replayed journal
         # suffix is folded into durable state and pruned, so the *next*
         # recovery starts from here instead of replaying history.

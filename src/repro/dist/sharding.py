@@ -15,13 +15,14 @@ replication and load balancing:
   through :meth:`~repro.dist.rpc.Client.call_name` to the shard's plain
   binding ``"<name>#<shard>"`` — so the PR-5 retry / re-resolve /
   idempotency machinery applies unchanged, per shard.
-* :class:`Rebalancer` — moves one shard live on top of
-  :class:`~repro.dist.migration.Migrator`: quiesce, drain, capture, and
-  additionally hand off the source node's idempotency-cache entries (and
-  optional aspect state) inside the captured wire-safe dict, seeding the
-  target *before* it starts serving. A client retry that raced the move
-  therefore replays its original reply at the new home instead of
-  re-executing — exactly-once effects survive the rebalance (proved by
+* :class:`Rebalancer` — moves one shard live. It is
+  :meth:`~repro.dist.migration.Migrator.move` with the caller's aspect
+  hooks in the :class:`~repro.dist.recovery.Handoff`: the one move
+  path, which hands the source node's idempotency-cache entries (and
+  optional aspect state) to the target *before* it starts serving. A
+  client retry that raced the move therefore replays its original reply
+  at the new home instead of re-executing — exactly-once effects
+  survive the rebalance (proved by
   ``tests/properties/test_rebalance_chaos.py``).
 
 Unsharded names never touch this module: the naming service keeps the
@@ -32,7 +33,6 @@ path (``benchmarks/bench_sharding.py`` holds the ≤2% line).
 from __future__ import annotations
 
 import hashlib
-import time
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from typing import (
@@ -52,12 +52,8 @@ from repro.obs.metrics import MetricsRegistry
 from .migration import MigrationError, Migrator
 from .naming import NameService, ShardedBinding
 from .node import Node
+from .recovery import Handoff
 from .rpc import Client
-
-#: key the rebalancer smuggles its handoff bundle under inside the
-#: captured state dict (dedup entries + aspect state); stripped before
-#: the user's ``rebuild`` sees the dict
-HANDOFF_KEY = "__handoff__"
 
 #: extracts the shard key from one call's arguments
 ShardKeyFn = Callable[[Tuple[Any, ...], Dict[str, Any]], str]
@@ -245,15 +241,14 @@ class RebalanceReport:
 class Rebalancer:
     """Moves shards between nodes live, on top of the migrator.
 
-    The migrator already gives all-or-nothing moves with a bounded
-    downtime window (withdraw → drain → capture → rebuild → rebind),
-    and the moving-window ``Overloaded`` keeps racing client retries
-    alive through it. What the rebalancer adds is the *handoff*: the
-    source node's completed idempotency-cache entries (and optional
-    aspect state) travel inside the captured wire-safe dict and are
-    seeded into the target's cache before the target serves its first
-    request — a retry of an already-applied call replays instead of
-    re-executing, so effects stay exactly-once across the move.
+    The migrator gives all-or-nothing moves with a bounded downtime
+    window (withdraw → drain → pack → rebuild → rebind → install), the
+    moving-window ``Overloaded`` keeps racing client retries alive
+    through it, and its :class:`~repro.dist.recovery.Handoff` bundle
+    seeds the source's completed idempotency entries into the target's
+    cache before the target serves its first request. What the
+    rebalancer adds is the shard bookkeeping: shard-name resolution,
+    the optional aspect-state hooks, and per-shard metrics.
     """
 
     def __init__(self, names: NameService,
@@ -288,10 +283,9 @@ class Rebalancer:
 
         ``capture`` / ``rebuild`` see only the servant's own state dict;
         the handoff bundle (dedup entries, ``aspect_capture`` output) is
-        added and stripped by the rebalancer. On failure the migrator
-        rolls back (servant re-exported at the source, name untouched,
-        ``resume`` run) and the target cache keeps any seeded entries —
-        replaying a cached reply twice is harmless, re-executing is not.
+        added and stripped by :class:`~repro.dist.recovery.Handoff`. On
+        failure the migrator rolls back (servant re-exported at the
+        source, name untouched, ``resume`` run).
         """
         sharded = self.names.resolve_sharded(name)
         if shard_id not in sharded.shard_ids:
@@ -299,38 +293,10 @@ class Rebalancer:
                 f"{name!r} has no shard {shard_id!r} "
                 f"(shards: {list(sharded.shard_ids)})"
             )
-        shard_name = sharded.shard_name(shard_id)
-        moved = 0
-
-        def capture_with_handoff(servant: Any) -> Dict[str, Any]:
-            state = capture(servant)
-            handoff: Dict[str, Any] = {
-                "dedup": source.dedup.export_completed(),
-            }
-            if aspect_capture is not None:
-                handoff["aspects"] = aspect_capture(servant)
-            state = dict(state)
-            state[HANDOFF_KEY] = handoff
-            return state
-
-        def rebuild_with_handoff(state: Dict[str, Any]) -> Any:
-            nonlocal moved
-            state = dict(state)
-            handoff = state.pop(HANDOFF_KEY, {})
-            # Seed the dedup cache *before* the servant exists on the
-            # target: the first request it serves may already be a
-            # retry of a call the source applied.
-            moved = target.dedup.seed(handoff.get("dedup", {}))
-            servant = rebuild(state)
-            if aspect_restore is not None:
-                aspect_restore(servant, handoff.get("aspects", {}))
-            return servant
-
-        started = time.monotonic()
+        handoff = Handoff(capture, rebuild, aspect_capture, aspect_restore)
         try:
-            report = self.migrator.migrate(
-                shard_name, source, target,
-                capture_with_handoff, rebuild_with_handoff,
+            report, moved = self.migrator.move(
+                sharded.shard_name(shard_id), source, target, handoff,
                 quiesce=quiesce, resume=resume,
                 drain_timeout=drain_timeout,
             )
@@ -345,9 +311,7 @@ class Rebalancer:
             name=name, shard_id=shard_id,
             source=source.node_id, target=target.node_id,
             downtime=report.downtime, dedup_entries_moved=moved,
-            # the handoff key was part of the captured dict; report the
-            # servant's own keys
-            state_keys=max(0, report.state_keys - 1),
+            state_keys=report.state_keys,
         )
         self.history.append(outcome)
         return outcome

@@ -175,6 +175,19 @@ class TestMigration:
             )
         assert events == ["quiesce", "resume"]
 
+    def test_keyed_retry_after_migrate_replays(self, world):
+        # The dedup handoff rides every move, not only a shard
+        # rebalance: a retry of a call the source already applied
+        # replays its reply at the new home instead of re-executing.
+        network, names, source, target, client, migrator = world
+        assert client.call_name("counter", "bump",
+                                idempotency_key="c:1") == 1
+        do_migrate(migrator, source, target)
+        assert client.call_name("counter", "bump",
+                                idempotency_key="c:1") == 1
+        assert target.dedup_hits == 1
+        assert client.call_name("counter", "bump") == 2
+
     def test_drain_barrier_captures_inflight_effects(self, world):
         # A call already executing when the migrator withdraws must
         # land in the captured state: settle() blocks the capture until

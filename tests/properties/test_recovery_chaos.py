@@ -377,6 +377,84 @@ def test_crash_during_rebalance_aborts_cleanly_then_recovers():
         network.close()
 
 
+def test_rebalanced_journaled_shard_is_exactly_once_after_failover():
+    """A rebalance carries the journal with the shard.
+
+    A supervised, journaled shard moves to a new home; puts
+    acknowledged there must hit the durable journal exactly as at the
+    old home, so crashing the new home and failing over loses none of
+    them and applies none twice.
+    """
+    from repro.dist import Rebalancer
+
+    network = Network()
+    names = NameService()
+    nodes = [Node(tag, network).start() for tag in ("n1", "n2", "n3")]
+    n1, n2, _ = nodes
+    store = MemoryStore()
+    plan = RecoveryPlan(store, kv_capture, kv_rebuild, mutating=["put"])
+    detector = HeartbeatDetector(
+        network, "monitor",
+        suspect_after=0.08, dead_after=0.2, confirm_dead=2,
+    )
+    emitters = [
+        HeartbeatEmitter(network, node.node_id, "monitor",
+                         interval=0.02).start()
+        for node in nodes
+    ]
+    supervisor = Supervisor(names, detector)
+    client = Client("client", network, names, default_timeout=2.0)
+    try:
+        names.bind_sharded("kv", ["s0"], vnodes=8)
+        shard_name = names.resolve_sharded("kv").shard_name("s0")
+        spec = supervisor.supervise(
+            shard_name, shard_name, plan, nodes,
+            bootstrap=CountingKV, backoff=0.05,
+        )
+        for node in nodes:
+            assert detector.wait_for_state(node.node_id, "alive",
+                                           timeout=5.0)
+        supervisor.place(spec, n1)
+        supervisor.start(interval=0.02)
+        router = client.shard_router("kv")
+
+        def put(key):
+            return router.put(key, f"v-{key}", timeout=0.1,
+                              retry_policy=POLICY)
+
+        assert put("before") == 1
+        Rebalancer(names).rebalance("kv", "s0", n1, n2,
+                                    kv_capture, kv_rebuild)
+        keys = ("before", "after0", "after1")
+        for key in keys[1:]:
+            assert put(key) == 1
+
+        n2.crash(lose_memory=True)
+        deadline = time.monotonic() + 5.0
+        while names.resolve(shard_name).node_id == "n2":
+            assert time.monotonic() < deadline, "failover never happened"
+            time.sleep(0.01)
+
+        audited = recover_service(plan, shard_name,
+                                  bootstrap=CountingKV).servant
+        for key in keys:
+            live = router.applied(key, timeout=0.1, retry_policy=POLICY)
+            assert live == 1, f"live servant applied {key!r} {live} times"
+            durable = audited.counts.get(key, 0)
+            assert durable == 1, (
+                f"durable view applied {key!r} {durable} times"
+            )
+    finally:
+        supervisor.stop()
+        client.close()
+        for emitter in emitters:
+            emitter.stop()
+        detector.close()
+        for node in nodes:
+            node.stop()
+        network.close()
+
+
 def test_supervisor_gives_up_after_max_failovers():
     """A service that cannot stay up stops bouncing across the cluster."""
     rig = SupervisedRig()

@@ -25,7 +25,7 @@ from repro.dist import (
     recover_service,
 )
 from repro.dist.message import WireFormatError
-from repro.dist.sharding import HANDOFF_KEY
+from repro.dist.recovery import HANDOFF_KEY
 
 
 class CountingKV:
