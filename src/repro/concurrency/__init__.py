@@ -10,10 +10,8 @@ from .buffer import (
 )
 from .executor import WorkerPool
 from .primitives import (
-    CountdownLatch,
     Future,
     FutureError,
-    Latch,
     LockDomain,
     WaitQueue,
 )
@@ -23,10 +21,8 @@ __all__ = [
     "BoundedBuffer",
     "BufferEmpty",
     "BufferFull",
-    "CountdownLatch",
     "Future",
     "FutureError",
-    "Latch",
     "LockDomain",
     "MethodRequest",
     "Ticket",

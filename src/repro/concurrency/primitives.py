@@ -1,8 +1,10 @@
 """Concurrency primitives used by the framework, apps and benchmarks.
 
 Thin, well-tested wrappers over :mod:`threading` with the semantics the
-framework needs: a one-shot :class:`Latch`, a :class:`Future` with
-callbacks, and an inspectable :class:`WaitQueue` (the framework's wait
+framework needs: the moderator's :class:`LockDomain`, a write-once
+:class:`Future` with callbacks (the one completion token of the
+continuation runtime, the RPC client, the worker pool and the active
+object), and an inspectable :class:`WaitQueue` (the framework's wait
 queues live inside the moderator; this standalone variant serves the
 active object and the distributed runtime).
 """
@@ -14,54 +16,6 @@ from collections import deque
 from typing import Callable, Deque, Generic, List, Optional, TypeVar
 
 T = TypeVar("T")
-
-
-class Latch:
-    """One-shot gate: threads wait until someone opens it."""
-
-    def __init__(self) -> None:
-        self._event = threading.Event()
-
-    def open(self) -> None:
-        self._event.set()
-
-    @property
-    def is_open(self) -> bool:
-        return self._event.is_set()
-
-    def wait(self, timeout: Optional[float] = None) -> bool:
-        return self._event.wait(timeout)
-
-
-class CountdownLatch:
-    """Gate that opens after ``count`` arrivals."""
-
-    def __init__(self, count: int) -> None:
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        self._lock = threading.Lock()
-        self._condition = threading.Condition(self._lock)
-        self._count = count
-
-    def count_down(self) -> None:
-        with self._condition:
-            if self._count > 0:
-                self._count -= 1
-                if self._count == 0:
-                    self._condition.notify_all()
-
-    @property
-    def remaining(self) -> int:
-        with self._lock:
-            return self._count
-
-    def wait(self, timeout: Optional[float] = None) -> bool:
-        with self._condition:
-            if self._count == 0:
-                return True
-            return self._condition.wait_for(
-                lambda: self._count == 0, timeout
-            )
 
 
 class LockDomain:
@@ -129,65 +83,85 @@ class FutureError(RuntimeError):
 
 
 class Future(Generic[T]):
-    """A write-once result container with blocking get and callbacks."""
+    """A write-once result container with blocking get and callbacks.
+
+    Lean enough to hold one per parked activation: it carries no private
+    lock. Completion transitions serialize on one class-level lock, which
+    only completers and late waiter registrations touch, and a blocking
+    :meth:`result` creates its :class:`threading.Event` lazily, so a
+    future nobody waits on allocates none.
+    """
+
+    __slots__ = ("_done", "_value", "_exception", "_event", "_callbacks")
+
+    _guard = threading.Lock()
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._condition = threading.Condition(self._lock)
         self._done = False
         self._value: Optional[T] = None
         self._exception: Optional[BaseException] = None
-        self._callbacks: List[Callable[["Future[T]"], None]] = []
+        self._event: Optional[threading.Event] = None
+        self._callbacks: Optional[List[Callable[["Future[T]"], None]]] = None
 
-    def set_result(self, value: T) -> None:
-        self._complete(value=value)
+    @property
+    def done(self) -> bool:
+        return self._done
 
-    def set_exception(self, exc: BaseException) -> None:
-        self._complete(exception=exc)
-
-    def _complete(self, value: Optional[T] = None,
-                  exception: Optional[BaseException] = None) -> None:
-        with self._condition:
+    def _complete(self, value: Optional[T],
+                  exception: Optional[BaseException]) -> None:
+        with Future._guard:
             if self._done:
                 raise FutureError("future already completed")
             self._value = value
             self._exception = exception
             self._done = True
-            callbacks = list(self._callbacks)
-            self._callbacks.clear()
-            self._condition.notify_all()
-        for callback in callbacks:
-            callback(self)
+            event = self._event
+            callbacks = self._callbacks
+            self._callbacks = None
+        if event is not None:
+            event.set()
+        if callbacks:
+            for callback in callbacks:
+                callback(self)
 
-    @property
-    def done(self) -> bool:
-        with self._lock:
-            return self._done
+    def set_result(self, value: T) -> None:
+        self._complete(value, None)
+
+    def set_exception(self, exc: BaseException) -> None:
+        self._complete(None, exc)
+
+    def _wait(self, timeout: Optional[float]) -> None:
+        if self._done:
+            return
+        with Future._guard:
+            if self._done:
+                return
+            if self._event is None:
+                self._event = threading.Event()
+            event = self._event
+        if not event.wait(timeout):
+            raise TimeoutError("future not completed in time")
 
     def result(self, timeout: Optional[float] = None) -> T:
-        with self._condition:
-            if not self._condition.wait_for(lambda: self._done, timeout):
-                raise TimeoutError("future not completed in time")
-            if self._exception is not None:
-                raise self._exception
-            return self._value  # type: ignore[return-value]
+        self._wait(timeout)
+        if self._exception is not None:
+            raise self._exception
+        return self._value  # type: ignore[return-value]
 
-    def exception(self, timeout: Optional[float] = None) -> Optional[BaseException]:
-        with self._condition:
-            if not self._condition.wait_for(lambda: self._done, timeout):
-                raise TimeoutError("future not completed in time")
-            return self._exception
+    def exception(self,
+                  timeout: Optional[float] = None) -> Optional[BaseException]:
+        self._wait(timeout)
+        return self._exception
 
     def add_callback(self, callback: Callable[["Future[T]"], None]) -> None:
         """Run ``callback(self)`` on completion (immediately if done)."""
-        run_now = False
-        with self._condition:
-            if self._done:
-                run_now = True
-            else:
+        with Future._guard:
+            if not self._done:
+                if self._callbacks is None:
+                    self._callbacks = []
                 self._callbacks.append(callback)
-        if run_now:
-            callback(self)
+                return
+        callback(self)
 
 
 class WaitQueue(Generic[T]):

@@ -39,11 +39,7 @@ from .factory import (
     RegistryAspectFactory,
     factory_from_table,
 )
-from .continuation import (
-    ActivationContinuation,
-    CallFuture,
-    ContinuationRuntime,
-)
+from .continuation import ActivationContinuation, ContinuationRuntime
 from .joinpoint import JoinPoint
 from .moderator import AspectModerator, ModerationStats
 from .plan import ActivationPlan, PlanCell, PlanHandle, PlanSegment
@@ -90,7 +86,6 @@ __all__ = [
     "AuthenticationError",
     "AuthorizationError",
     "BLOCK",
-    "CallFuture",
     "Cluster",
     "ComponentProxy",
     "CompositeFactory",

@@ -26,9 +26,9 @@ threaded seam waits on the domain ``Condition`` and loops; this runtime
 table under the domain lock, arms the expiry timer and releases the
 worker. So deadlines, domain moves, the wake-epoch re-check, the
 ``_waiters`` slot, park accounting and every aspect/contract seam are
-shared code; this module owns only suspension, wake and timer routing,
-and futures. ``tests/properties/test_continuation_differential.py``
-holds both runtimes observably identical to the threaded-loop oracle
+shared code; this module owns only suspension, wake and timer
+routing. ``tests/properties/test_continuation_differential.py`` holds
+both runtimes observably identical to the threaded-loop oracle
 (``tests/oracle.py::ThreadedReferenceModerator``) across all 228
 fault-chaos schedules and scripted parking scenarios.
 
@@ -60,104 +60,16 @@ import time
 from contextlib import nullcontext
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
-from repro.concurrency.primitives import WaitQueue
+from repro.concurrency.primitives import Future, WaitQueue
 
 from .joinpoint import JoinPoint
 from .moderator import Activation
 
-__all__ = ["ActivationContinuation", "CallFuture", "ContinuationRuntime"]
+__all__ = ["ActivationContinuation", "ContinuationRuntime"]
 
 
 def _no_body(*args: Any, **kwargs: Any) -> None:
     """Body of an activation submitted without one: moderation only."""
-
-
-class CallFuture:
-    """Write-once completion token for a reactor-submitted activation.
-
-    Deliberately leaner than :class:`repro.concurrency.primitives.Future`:
-    a parked-at-scale workload holds one of these per activation, so it
-    must not carry a private ``Lock``+``Condition`` pair (~that would be
-    two kernel-backed objects per parked call). Completion transitions
-    are serialized on one class-level lock — only completers and late
-    waiter registrations touch it — and a blocking :meth:`result` call
-    materializes an :class:`threading.Event` lazily, so the common
-    fire-and-park case allocates none.
-    """
-
-    __slots__ = ("_done", "_value", "_exception", "_event", "_callbacks")
-
-    _guard = threading.Lock()
-
-    def __init__(self) -> None:
-        self._done = False
-        self._value: Any = None
-        self._exception: Optional[BaseException] = None
-        self._event: Optional[threading.Event] = None
-        self._callbacks: Optional[List[Callable[["CallFuture"], None]]] = None
-
-    @property
-    def done(self) -> bool:
-        return self._done
-
-    def _complete(self, value: Any,
-                  exception: Optional[BaseException]) -> None:
-        with CallFuture._guard:
-            if self._done:
-                raise RuntimeError("future already completed")
-            self._value = value
-            self._exception = exception
-            self._done = True
-            event = self._event
-            callbacks = self._callbacks
-            self._callbacks = None
-        if event is not None:
-            event.set()
-        if callbacks:
-            for callback in callbacks:
-                callback(self)
-
-    def set_result(self, value: Any) -> None:
-        self._complete(value, None)
-
-    def set_exception(self, exc: BaseException) -> None:
-        self._complete(None, exc)
-
-    def _wait(self, timeout: Optional[float]) -> None:
-        if self._done:
-            return
-        with CallFuture._guard:
-            if self._done:
-                return
-            if self._event is None:
-                self._event = threading.Event()
-            event = self._event
-        if not event.wait(timeout):
-            raise TimeoutError("activation not completed in time")
-
-    def result(self, timeout: Optional[float] = None) -> Any:
-        self._wait(timeout)
-        if self._exception is not None:
-            raise self._exception
-        return self._value
-
-    def exception(self,
-                  timeout: Optional[float] = None) -> Optional[BaseException]:
-        self._wait(timeout)
-        return self._exception
-
-    def add_callback(self, callback: Callable[["CallFuture"], None]) -> None:
-        """Run ``callback(self)`` on completion (immediately if done)."""
-        run_now = False
-        with CallFuture._guard:
-            if self._done:
-                run_now = True
-            else:
-                if self._callbacks is None:
-                    self._callbacks = []
-                self._callbacks.append(callback)
-        if run_now:
-            callback(self)
 
 
 class ActivationContinuation(Activation):
@@ -188,7 +100,7 @@ class ActivationContinuation(Activation):
         #: segment run (the dist layer re-activates trace propagation on
         #: whichever worker resumes the suffix)
         self.wrap = wrap
-        self.future = CallFuture()
+        self.future: Future[Any] = Future()
         #: the submitted bounds and clock reading; the entry step
         #: resolves them once the activation leaves the fast path
         self.timeout = timeout
@@ -274,12 +186,12 @@ class ContinuationRuntime:
                component: Any = None, caller: Any = None,
                timeout: Optional[float] = None, deadline: Any = None,
                wrap: Optional[Callable[[], Any]] = None,
-               **kwargs: Any) -> CallFuture:
+               **kwargs: Any) -> Future[Any]:
         """Run ``func(*args, **kwargs)`` as a fully moderated activation.
 
         The reactor analogue of :meth:`AspectModerator.moderate_call` /
         :meth:`ComponentProxy.call`: returns immediately with a
-        :class:`CallFuture` that completes with the body's result, or
+        :class:`~repro.concurrency.primitives.Future` that completes with the body's result, or
         with the same exception the threaded bracket would raise
         (:class:`MethodAborted`, :class:`ActivationTimeout`, aspect
         faults, contract violations, body exceptions).

@@ -24,9 +24,8 @@ import threading
 import time
 from typing import Callable, Dict, Optional
 
-from repro.concurrency.primitives import WaitQueue
 from .message import Message
-from .network import Network
+from .network import Network, Sink
 
 
 class HeartbeatEmitter:
@@ -107,6 +106,10 @@ class HeartbeatDetector:
     ``suspect`` while the verdict is unconfirmed, and any heartbeat
     arriving meanwhile resets the count. The default (1) is the
     legacy no-hysteresis behaviour.
+
+    The detector starts no thread: its inbox is a
+    :class:`~repro.dist.network.Sink`, so heartbeats are stamped, and
+    ``on_error`` is called, on the network's dispatcher thread.
     """
 
     def __init__(self, network: Network, endpoint: str,
@@ -140,37 +143,27 @@ class HeartbeatDetector:
         #: many threads poll ``state_of`` concurrently
         self._emit_lock = threading.Lock()
         self._clock = clock
-        self.inbox = network.register(endpoint)
         self._lock = threading.Lock()
         self._last_seen: Dict[str, float] = {}
         self.heartbeats_received = 0
         self.errors = 0
-        self._running = True
-        self._thread = threading.Thread(
-            target=self._drain, name=f"detector-{endpoint}", daemon=True,
-        )
-        self._thread.start()
+        self.inbox = network.register(endpoint, Sink(self._on_heartbeat))
 
-    def _drain(self) -> None:
-        # Contained like the emitter loop: a malformed heartbeat (or any
-        # other surprise) is reported and skipped — a detector whose
-        # drain thread died silently would degrade every watched node to
-        # "dead" while appearing perfectly healthy itself.
-        while self._running:
-            try:
-                message = self.inbox.get(timeout=0.1)
-            except TimeoutError:
-                continue
-            except WaitQueue.Closed:
-                return
-            try:
-                node_id = message.payload.get("heartbeat")
-                if node_id:
-                    with self._lock:
-                        self._last_seen[node_id] = self._clock()
-                        self.heartbeats_received += 1
-            except Exception as exc:  # noqa: BLE001 - loop must survive
-                self._report(exc)
+    def _on_heartbeat(self, message: Message) -> None:
+        """Stamp the sender's last-seen time (on the network dispatcher).
+
+        Contained like the emitter loop: a malformed heartbeat (or any
+        other surprise) is reported and skipped, never raised into the
+        dispatcher, so one bad message cannot stop later heartbeats.
+        """
+        try:
+            node_id = message.payload.get("heartbeat")
+            if node_id:
+                with self._lock:
+                    self._last_seen[node_id] = self._clock()
+                    self.heartbeats_received += 1
+        except Exception as exc:  # noqa: BLE001 - delivery must survive
+            self._report(exc)
 
     def _report(self, exc: BaseException) -> None:
         with self._lock:
@@ -178,7 +171,7 @@ class HeartbeatDetector:
         if self.on_error is not None:
             try:
                 self.on_error(exc)
-            except Exception:  # noqa: BLE001 - hook must not kill the loop
+            except Exception:  # noqa: BLE001 - hook must not reach delivery
                 pass
 
     # ------------------------------------------------------------------
@@ -242,7 +235,5 @@ class HeartbeatDetector:
         return False
 
     def close(self) -> None:
-        self._running = False
         self.network.unregister(self.endpoint)
-        self._thread.join(timeout=1.0)
 

@@ -20,11 +20,36 @@ import itertools
 import random
 import threading
 import time
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core.errors import NodeUnreachable
 from repro.concurrency.primitives import WaitQueue
 from .message import Message
+
+
+class Sink:
+    """An inbox that handles each message on the dispatcher thread.
+
+    For endpoints that never block on a message: a client completing
+    the waiting caller's reply future, a detector stamping a heartbeat.
+    ``put`` runs ``deliver(message)`` at once, so no thread polls a
+    queue. It is a plain instance, looked up as ``inbox.put`` at every
+    delivery, so a per-instance wrapper of ``put`` sees each message.
+    After :meth:`close` a delivery raises ``WaitQueue.Closed``, which
+    the network counts as a drop.
+    """
+
+    def __init__(self, deliver: Callable[[Message], None]) -> None:
+        self.deliver = deliver
+        self.closed = False
+
+    def put(self, message: Message) -> None:
+        if self.closed:
+            raise WaitQueue.Closed("endpoint is closed")
+        self.deliver(message)
+
+    def close(self) -> None:
+        self.closed = True
 
 
 class Network:
@@ -54,7 +79,7 @@ class Network:
         self.fault_injector: Optional[object] = None
         self._rng = random.Random(seed)
         self._lock = threading.RLock()
-        self._inboxes: Dict[str, "WaitQueue[Message]"] = {}
+        self._inboxes: Dict[str, Any] = {}
         self._partitions: List[Set[str]] = []
         self._down: Set[str] = set()
         self.sent = 0
@@ -72,16 +97,17 @@ class Network:
     # ------------------------------------------------------------------
     # endpoints
     # ------------------------------------------------------------------
-    def register(self, endpoint: str,
-                 inbox: "Optional[WaitQueue[Message]]" = None,
-                 ) -> "WaitQueue[Message]":
-        """Attach an endpoint; returns its inbox queue.
+    def register(self, endpoint: str, inbox: Any = None) -> Any:
+        """Attach an endpoint; returns its inbox.
 
-        ``inbox`` lets the endpoint supply its own queue — e.g. a
-        bounded :class:`~repro.dist.resilience.ShedInbox` for admission
-        control. The dispatcher only calls ``put`` (outside its own
-        lock), so any ``WaitQueue`` subclass whose ``put`` does not
-        block works here.
+        An inbox is any object with a non-blocking ``put`` and a
+        ``close``; the default is an unbounded :class:`WaitQueue`. The
+        dispatcher calls ``put`` outside its own lock, and a ``put``
+        that raises ``WaitQueue.Closed`` counts as a drop. Nodes pass a
+        bounded :class:`~repro.dist.resilience.ShedInbox` that their
+        serve threads drain; clients and failure detectors pass a
+        :class:`Sink`, whose ``put`` handles the message on the
+        dispatcher thread itself.
         """
         with self._lock:
             if endpoint in self._inboxes:

@@ -28,7 +28,7 @@ import time
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.aspects.retry import RetryPolicy
-from repro.concurrency.primitives import Future, FutureError, WaitQueue
+from repro.concurrency.primitives import Future
 from repro.core.errors import (
     CircuitOpen,
     ClientClosed,
@@ -44,7 +44,7 @@ from repro.obs import propagation
 from repro.obs.metrics import MetricsRegistry
 from .message import Message, request
 from .naming import NameService
-from .network import Network
+from .network import Network, Sink
 from .resilience import Deadline, DestinationBreakers
 
 #: jitter seed for client retry loops ("RPCC"); a fixed private seed
@@ -74,6 +74,12 @@ _CLIENT_COUNTERS = (
 
 class Client:
     """A client endpoint: sends requests, demultiplexes replies.
+
+    The caller's thread sends and waits on its reply future; nothing
+    else runs on the client's behalf. The inbox is a
+    :class:`~repro.dist.network.Sink`, so the network's dispatcher
+    thread matches each reply by message id and completes the waiting
+    future itself.
 
     ``retry_policy`` arms the retry loop for every call (overridable
     per call); ``breakers`` arms per-destination circuit breaking;
@@ -105,17 +111,13 @@ class Client:
             "repro_rpc_remaining_budget_seconds",
             help="remaining deadline budget when each attempt is sent",
         ).labels()
-        self.inbox = network.register(client_id)
         self._pending: Dict[int, "Future[Message]"] = {}
         self._lock = threading.Lock()
         self._seq = itertools.count(1)
         self._rng = random.Random(_CLIENT_JITTER_SEED)
         self._sleep: Callable[[float], None] = time.sleep
         self._running = True
-        self._thread = threading.Thread(
-            target=self._reply_loop, name=f"{client_id}-replies", daemon=True
-        )
-        self._thread.start()
+        self.inbox = network.register(client_id, Sink(self._on_reply))
 
     # -- legacy counter facade (exact under the striped registry) ------
     @property
@@ -133,20 +135,16 @@ class Client:
         """Attempts that were retried after a transient failure."""
         return int(self._counters.value("retries"))
 
-    def _reply_loop(self) -> None:
-        while self._running:
-            try:
-                message = self.inbox.get(timeout=0.2)
-            except TimeoutError:
-                continue
-            except WaitQueue.Closed:
-                return
-            if message.reply_to is None:
-                continue
-            with self._lock:
-                future = self._pending.pop(message.reply_to, None)
-            if future is not None and not future.done:
-                future.set_result(message)
+    def _on_reply(self, message: Message) -> None:
+        """Complete the waiting caller's future (on the dispatcher).
+
+        A message nobody waits for (not a reply, or its call timed out
+        or the client closed) finds no pending future and is ignored.
+        """
+        with self._lock:
+            future = self._pending.pop(message.reply_to, None)
+        if future is not None:
+            future.set_result(message)
 
     # ------------------------------------------------------------------
     def call_node(self, node_id: str, service: str, method: str,
@@ -457,11 +455,10 @@ class Client:
     def close(self) -> None:
         """Shut down; in-flight callers fail fast with ClientClosed.
 
-        Idempotent. Unregistering closes the inbox, so the reply loop
-        exits on ``WaitQueue.Closed`` immediately instead of polling
-        out its 0.2s timeout; pending futures are failed so callers
-        blocked in ``call_node`` wake promptly rather than burning
-        their full timeout.
+        Idempotent. Pending futures are failed, so callers blocked in
+        ``call_node`` wake at once instead of burning their timeout.
+        Unregistering closes the inbox sink, so a reply that arrives
+        later is dropped by the network.
         """
         with self._lock:
             if not self._running:
@@ -470,16 +467,12 @@ class Client:
             pending = list(self._pending.values())
             self._pending.clear()
         self.network.unregister(self.client_id)
+        # Only whoever pops a future under the lock completes it (a
+        # reply or this close), so none can be completed twice.
         for future in pending:
-            if not future.done:
-                try:
-                    future.set_exception(
-                        ClientClosed(f"client {self.client_id!r} closed "
-                                     f"with the call in flight")
-                    )
-                except FutureError:
-                    pass  # lost the race to a late reply: caller has it
-        self._thread.join(timeout=1.0)
+            future.set_exception(ClientClosed(
+                f"client {self.client_id!r} closed with the call in flight"
+            ))
 
 
 class RemoteProxy:

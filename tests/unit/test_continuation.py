@@ -3,7 +3,7 @@
 The differential suite proves the reactor indistinguishable from the
 threaded bracket over the chaos schedules; these tests pin the pieces
 that make that possible — the park/wake/timeout lifecycle, plan
-segmentation, the future, runtime attachment, the observability merge
+segmentation, runtime attachment, the observability merge
 (watchdog stalls and blocked spans see continuation parks exactly like
 thread parks), contract re-anchoring across a suspension, and the
 deterministic engine bridge.
@@ -21,7 +21,6 @@ from repro.contracts import ContractRegistry
 from repro.core import (
     ActivationTimeout,
     AspectModerator,
-    CallFuture,
     ComponentProxy,
     ContinuationRuntime,
     MethodAborted,
@@ -69,47 +68,6 @@ def build(*aspects, method="push", **moderator_kwargs):
         moderator.register_aspect(method, name, aspect)
     sink = Sink()
     return moderator, sink
-
-
-class TestCallFuture:
-    def test_result_and_done(self):
-        future = CallFuture()
-        assert not future.done
-        future.set_result(41)
-        assert future.done
-        assert future.result() == 41
-        assert future.exception() is None
-
-    def test_result_timeout_raises(self):
-        future = CallFuture()
-        with pytest.raises(TimeoutError):
-            future.result(timeout=0.01)
-
-    def test_exception_propagates(self):
-        future = CallFuture()
-        future.set_exception(ValueError("boom"))
-        with pytest.raises(ValueError, match="boom"):
-            future.result()
-        assert isinstance(future.exception(), ValueError)
-
-    def test_double_completion_rejected(self):
-        future = CallFuture()
-        future.set_result(1)
-        with pytest.raises(RuntimeError):
-            future.set_result(2)
-
-    def test_callback_before_and_after_completion(self):
-        future = CallFuture()
-        seen = []
-        future.add_callback(lambda fut: seen.append(("pre", fut.result())))
-        future.set_result(7)
-        future.add_callback(lambda fut: seen.append(("post", fut.result())))
-        assert seen == [("pre", 7), ("post", 7)]
-
-    def test_cross_thread_wait(self):
-        future = CallFuture()
-        threading.Timer(0.02, future.set_result, args=("late",)).start()
-        assert future.result(timeout=2.0) == "late"
 
 
 class TestPlanSegments:
