@@ -237,6 +237,15 @@ def test_no_caller_stranded_past_deadline():
         network.close()
 
 
+class SlowKV(CountingKV):
+    """A servant that takes ~50ms per ``put``, so one worker is the
+    bottleneck and the offered load really exceeds the service rate."""
+
+    def put(self, key, value):
+        time.sleep(0.05)
+        return super().put(key, value)
+
+
 @pytest.mark.parametrize("policy", ["reject", "drop_oldest"])
 def test_inbox_depth_bounded_under_10x_load(policy):
     """10x offered load: queue depth never exceeds the admission limit."""
@@ -246,7 +255,7 @@ def test_inbox_depth_bounded_under_10x_load(policy):
     node = Node("server", network, workers=1, inbox_limit=limit,
                 shed_policy=policy, retry_after=0.02)
     node.start()
-    servant = CountingKV()
+    servant = SlowKV()
     node.export("kv", servant)
     names.bind("kv", "server", "kv")
     client = Client("client", network, names, default_timeout=5.0)
