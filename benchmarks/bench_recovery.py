@@ -1,11 +1,10 @@
 """B-RECOV bench: what the recovery plane costs when off — and on.
 
 The plane's contract (``docs/recovery.md``): with no recovery plan
-attached, a node's serving path must stay byte-for-byte the pre-recovery
-one — the only admissible delta on the unarmed fast path is one falsy
-dict-truthiness check (bound: <= 2% round-trip latency). This bench
-measures three configurations of the same end-to-end call — client →
-network → node → servant → reply:
+attached, a node's one serving path must stay within 2% round-trip
+latency of the pre-recovery unarmed serving path, kept below as a
+verbatim control. This bench measures three configurations of the
+same end-to-end call — client → network → node → servant → reply:
 
 * **legacy**      — a node with the recovery deltas removed from the
   serving path verbatim (the pre-recovery control);
@@ -85,12 +84,19 @@ def kv_rebuild(state):
 class LegacyNode(Node):
     """Current :class:`Node` with the recovery deltas removed.
 
-    The unarmed ``_handle_request`` body below is the pre-recovery one
-    verbatim — no journaled-method routing check, which is the only
-    instruction the recovery plane added to the uninstalled fast path.
-    Armed requests (never measured on this control) delegate to the
-    stock handler.
+    The unarmed ``_handle_request`` body below is the pre-recovery
+    inline serving path verbatim: no journaled-method routing, no
+    crash points, no fence/deadline/claim steps. The stock node serves
+    every request on its one path; this control is what that path is
+    bounded against. Armed requests (never measured on this control)
+    delegate to the stock handler.
     """
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
+        # the pre-recovery node's bound single-counter increment, which
+        # the verbatim body below still calls
+        self._inc = self._counters.inc
 
     def _handle_request(self, message: Message) -> None:
         payload = message.payload

@@ -100,9 +100,6 @@ class Node:
         self._counters = self.registry.counter_block(
             _NODE_COUNTERS, prefix="repro_node_"
         )
-        # bound single-counter increment: the unarmed fast path's only
-        # accounting cost, so spare it the attribute chain per call
-        self._inc = self._counters.inc
         self.retry_after = retry_after
         inbox: Optional[ShedInbox] = None
         if inbox_limit is not None:
@@ -117,14 +114,13 @@ class Node:
         #: activation parks as a heap continuation and the server thread
         #: returns to the inbox immediately, so the node holds orders of
         #: magnitude more in-flight requests than it has threads. Empty
-        #: by default — and then every serving path is byte-for-byte the
-        #: threaded one.
+        #: by default — and then every request is served threaded.
         self._runtimes: Dict[str, Any] = {}
         #: service -> attached recovery plan
         #: (:class:`repro.dist.recovery.RecoveryPlan`). Mutations of
         #: such services are journaled to the plan's durable store
         #: before their reply is sent; empty by default — and then
-        #: every serving path is byte-for-byte the legacy one.
+        #: nothing is journaled.
         self._journals: Dict[str, Any] = {}
         #: service -> fencing epoch it was exported at (the binding
         #: version the supervisor minted); armed requests carrying a
@@ -361,67 +357,14 @@ class Node:
             # client endpoint; a serving node ignores stray replies.
 
     def _handle_request(self, message: Message) -> None:
+        """Serve one request: fence → deadline → claim → serve → reply.
+
+        Every request takes this one path. An unarmed one (no fence,
+        budget or idempotency key on the wire) passes the first three
+        steps on a ``None`` test each; the servant call, the crash
+        points, journaling and the reply are the same either way.
+        """
         payload = message.payload
-        budget = payload.get("deadline_budget")
-        key = payload.get("idempotency_key")
-
-        if key is None and budget is None:
-            # Unarmed request: no dedup claim, no deadline check — the
-            # legacy-shaped serving sequence, inline so the fast path
-            # pays no extra call frames.
-            service = payload.get("service", "")
-            method = payload.get("method", "")
-            if self._journals and self._journal_plan(service, method) \
-                    is not None:
-                # A journaled mutation must hit the durable log even
-                # when the caller sent it unarmed: route it through the
-                # armed handler (no key, no deadline) so effect + append
-                # stay one atomic step.
-                self._handle_armed(message, payload, service, method,
-                                   None, None, None)
-                return
-            if self._runtimes and self._serve_on_reactor(
-                message, payload, service, method, None, None, None
-            ):
-                return
-            args = tuple(payload.get("args", ()))
-            kwargs = dict(payload.get("kwargs", {}))
-            caller = payload.get("caller")
-            context = propagation.from_wire(payload.get("trace"))
-            with self._lock:
-                servant = self._servants.get(service)
-                if servant is None:
-                    moving = service in self._moving
-                else:
-                    self._inflight[service] = \
-                        self._inflight.get(service, 0) + 1
-            try:
-                if servant is None:
-                    raise self._unavailable(service, moving)
-                try:
-                    with propagation.activate(context):
-                        if isinstance(servant, ComponentProxy):
-                            result = servant.call(method, *args,
-                                                  caller=caller, **kwargs)
-                        else:
-                            target = getattr(servant, method)
-                            if (caller is not None
-                                    and self._accepts_caller(target)):
-                                kwargs.setdefault("caller", caller)
-                            result = target(*args, **kwargs)
-                finally:
-                    self._release(service)
-                response = reply(message, self._wire_result(result))
-                self._inc("requests_served")
-            except BaseException as exc:  # noqa: BLE001 - to the caller
-                self._inc("requests_failed")
-                response = error_reply(message, exc)
-            try:
-                self.network.send(response)
-            except Exception:  # noqa: BLE001 - reply to a vanished client
-                pass
-            return
-
         service = payload.get("service", "")
         method = payload.get("method", "")
 
@@ -445,33 +388,28 @@ class Node:
                 )))
                 return
 
-        deadline = (Deadline.from_wire(budget, anchor=message.sent_at)
-                    if budget is not None else None)
-
-        # Reject dead work before touching the servant: an expired
-        # request's caller has already given up, so executing it can
-        # only waste capacity (and double-apply if the caller retried).
-        if deadline is not None and deadline.expired:
-            self._counters.bump("requests_failed", "deadline_expired")
-            self._send_response(error_reply(message, DeadlineExceeded(
-                f"request {service}.{method} expired before execution"
-            )))
-            return
+        deadline: Optional[Deadline] = None
+        budget = payload.get("deadline_budget")
+        if budget is not None:
+            deadline = Deadline.from_wire(budget, anchor=message.sent_at)
+            # Reject dead work before touching the servant: an expired
+            # request's caller has already given up, so executing it
+            # can only waste capacity (and double-apply if the caller
+            # retried).
+            if deadline.expired:
+                self._counters.bump("requests_failed", "deadline_expired")
+                self._send_response(error_reply(message, DeadlineExceeded(
+                    f"request {service}.{method} expired before execution"
+                )))
+                return
 
         entry: Optional[DedupEntry] = None
+        key = payload.get("idempotency_key")
         if key is not None:
             entry = self._claim(message, key, deadline)
             if entry is None:
                 return  # duplicate: a cached/parked reply was sent
 
-        self._handle_armed(message, payload, service, method,
-                           deadline, key, entry)
-
-    def _handle_armed(self, message: Message, payload: Dict[str, Any],
-                      service: str, method: str,
-                      deadline: Optional[Deadline], key: Optional[str],
-                      entry: Optional[DedupEntry]) -> None:
-        """Serve a claimed request under its resilience envelope."""
         if self._runtimes and self._serve_on_reactor(
             message, payload, service, method, deadline, key, entry
         ):
@@ -483,7 +421,7 @@ class Node:
             if injector is not None:
                 self._crash_point(injector, "serve")
             if plan is None:
-                result = self._invoke(payload, deadline)
+                result = self._invoke(payload, service, method, deadline)
                 if injector is not None:
                     self._crash_point(injector, "applied")
                 response = reply(message, self._wire_result(result))
@@ -494,7 +432,7 @@ class Node:
                 # after the recorded sequence (which would double-apply
                 # it on recovery).
                 with plan.lock:
-                    result = self._invoke(payload, deadline)
+                    result = self._invoke(payload, service, method, deadline)
                     if injector is not None:
                         self._crash_point(injector, "applied")
                     response = reply(message, self._wire_result(result))
@@ -502,7 +440,7 @@ class Node:
                                          response)
                 if injector is not None:
                     self._crash_point(injector, "journaled")
-            self._counters.bump("requests_served")
+            self._counters.inc("requests_served")
             if entry is not None:
                 # Cache the reply: a retry of this logical call replays
                 # it instead of re-executing (at-most-once effects).
@@ -516,11 +454,9 @@ class Node:
         if injector is not None:
             self._crash_point(injector, "replied")
 
-    def _invoke(self, payload: Dict[str, Any],
+    def _invoke(self, payload: Dict[str, Any], service: str, method: str,
                 deadline: Optional[Deadline]) -> Any:
         """Execute the servant call a request payload describes."""
-        service = payload.get("service", "")
-        method = payload.get("method", "")
         args = tuple(payload.get("args", ()))
         kwargs = dict(payload.get("kwargs", {}))
         caller = payload.get("caller")
@@ -625,15 +561,15 @@ class Node:
                         entry: Optional[DedupEntry]) -> None:
         """Completion callback: reply exactly as the threaded path would.
 
-        A success replies and caches like :meth:`_handle_armed`; a
+        A success replies and caches like :meth:`_handle_request`; a
         failure takes the same :meth:`_failed` step. With no dedup entry
-        (an unarmed request) both reduce to the plain counters.
+        (an unkeyed request) both reduce to the plain counters.
         """
         self._release(service)
         exc = future.exception()
         if exc is None:
             response = reply(message, self._wire_result(future.result()))
-            self._inc("requests_served")
+            self._counters.bump("requests_served")
             if entry is not None:
                 self.dedup.finish(key, response.kind, response.payload)
         else:
@@ -775,8 +711,8 @@ class Node:
         the next request on, every call of a method the plan declares
         mutating is journaled to the plan's store *before* its reply is
         sent — the write-ahead guarantee recovery's exactly-once replay
-        rests on. With no plans attached every serving path stays
-        byte-for-byte the legacy one.
+        rests on. With no plans attached the serving path pays one
+        falsy dict check for journaling.
         """
         with self._lock:
             if service in self._runtimes:

@@ -15,8 +15,9 @@ retried call carries an idempotency key so the server's dedup cache
 replays the original reply instead of re-executing — retries are safe
 even for mutating methods. Deadlines (absolute budgets) ride the wire
 as remaining seconds and bound every wait, sleep, and server-side park.
-An unarmed client (no policy, no breakers, no deadline) takes a fast
-path identical to the pre-resilience call sequence.
+Every call takes the one path through :meth:`Client._call`; unarmed (no
+policy, no breakers, no deadline, no key) it makes a single attempt
+whose request carries none of the resilience fields.
 """
 
 from __future__ import annotations
@@ -104,9 +105,6 @@ class Client:
         self._counters = self.registry.counter_block(
             _CLIENT_COUNTERS, prefix="repro_rpc_"
         )
-        # bound single-counter increment: the unarmed fast path's only
-        # accounting cost, so spare it the attribute chain per call
-        self._inc = self._counters.inc
         self._budget_hist = self.registry.histogram(
             "repro_rpc_remaining_budget_seconds",
             help="remaining deadline budget when each attempt is sent",
@@ -162,41 +160,6 @@ class Client:
         """
         policy = retry_policy if retry_policy is not None \
             else self.retry_policy
-        if (policy is None and deadline is None and idempotency_key is None
-                and self.breakers is None):
-            # Unarmed fast path: the legacy call sequence inline, with
-            # none of the armed path's deadline/key/breaker plumbing.
-            context = propagation.current()
-            message = request(
-                self.client_id, node_id, service, method,
-                args=args, kwargs=kwargs, caller=caller,
-                trace=propagation.to_wire(context)
-                if context is not None else None,
-            )
-            future: "Future[Message]" = Future()
-            with self._lock:
-                if not self._running:
-                    raise ClientClosed(
-                        f"client {self.client_id!r} is closed"
-                    )
-                self._pending[message.msg_id] = future
-            self._inc("calls")
-            self.network.send(message)
-            effective = timeout if timeout is not None \
-                else self.default_timeout
-            try:
-                response = future.result(effective)
-            except TimeoutError:
-                with self._lock:
-                    self._pending.pop(message.msg_id, None)
-                self._inc("timeouts")
-                raise RequestTimeout(
-                    f"no reply from {node_id}/{service}.{method} "
-                    f"within {effective}s"
-                ) from None
-            if response.kind == "error":
-                raise self._error_from_reply(method, response)
-            return response.payload.get("result")
         return self._call(
             lambda: (node_id, service, None), method, args, kwargs,
             caller=caller, timeout=timeout,
@@ -221,12 +184,9 @@ class Client:
             raise NetworkError("client has no naming service configured")
         policy = retry_policy if retry_policy is not None \
             else self.retry_policy
-        if (policy is None and deadline is None and idempotency_key is None
-                and self.breakers is None):
-            binding = self.names.resolve(name)
-            return self._send_once(binding.node_id, binding.service, method,
-                                   args, kwargs, caller, timeout,
-                                   None, None, 1, None)
+        # An unarmed request carries no resilience field, so no fence.
+        fenced = (policy is not None or deadline is not None
+                  or idempotency_key is not None or self.breakers is not None)
 
         def resolve() -> Tuple[str, str, Optional[int]]:
             # The binding's epoch rides the armed request as its fence
@@ -236,7 +196,8 @@ class Client:
             # different epoch rejects the attempt with a retryable
             # FencedOut instead of applying a stale-bound effect.
             binding = self.names.resolve(name)
-            return binding.node_id, binding.service, binding.epoch
+            return (binding.node_id, binding.service,
+                    binding.epoch if fenced else None)
 
         return self._call(
             resolve, method, args, kwargs,
@@ -254,9 +215,8 @@ class Client:
               policy: Optional[RetryPolicy]) -> Any:
         """One logical call: resolve → attempt → classify → retry.
 
-        Callers short-circuit the unarmed case straight to
-        :meth:`_send_once`; this loop only runs when at least one
-        resilience feature is armed.
+        Every call takes this loop. Unarmed (no policy, breakers,
+        deadline or key) it makes one attempt and re-raises its error.
         """
         key = idempotency_key
         if key is None and policy is not None:

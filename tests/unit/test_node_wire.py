@@ -1,8 +1,18 @@
-"""Unit tests for the node's wire-result coercion and caller forwarding."""
+"""Unit tests for the node's wire-result coercion, caller forwarding,
+and the unarmed wire contract (``docs/resilience.md`` § Overhead)."""
 
 import pytest
 
-from repro.dist import Client, NameService, Network, Node
+from repro.core import AspectModerator, ComponentProxy
+from repro.dist import (
+    Client,
+    MemoryStore,
+    NameService,
+    Network,
+    Node,
+    RecoveryPlan,
+)
+from repro.obs import propagation
 
 
 class Shapes:
@@ -101,3 +111,132 @@ class TestCallerForwarding:
     def test_no_caller_no_injection(self, rig):
         _node, client = rig
         assert client.call_name("echo", "with_caller") == "caller=None"
+
+
+class Calculator:
+    def add(self, a, b):
+        return a + b
+
+
+class Faulty:
+    def explode(self):
+        raise ValueError("boom")
+
+
+class Store:
+    def __init__(self, data=None):
+        self.data = dict(data or {})
+
+    def put(self, key, value):
+        self.data[key] = value
+        return value
+
+
+#: the fields of a request that arms nothing
+PLAIN_FIELDS = {"service", "method", "args", "kwargs", "caller"}
+
+
+@pytest.fixture
+def sent(rig, monkeypatch):
+    """Payloads of every request the network carries, in order."""
+    _node, client = rig
+    network = client.network
+    payloads = []
+    send = network.send
+
+    def spy(message):
+        if message.kind == "request":
+            payloads.append(dict(message.payload))
+        send(message)
+
+    monkeypatch.setattr(network, "send", spy)
+    return payloads
+
+
+class TestUnarmedWire:
+    def test_call_node_request_carries_only_the_call(self, rig, sent):
+        _node, client = rig
+        assert client.call_node("server", "echo", "no_caller", 1) == 1
+        assert set(sent[0]) == PLAIN_FIELDS
+
+    def test_call_name_request_carries_no_fence(self, rig, sent):
+        _node, client = rig
+        assert client.call_name("echo", "no_caller", 1) == 1
+        assert set(sent[0]) == PLAIN_FIELDS
+
+    def test_trace_rides_under_an_active_context(self, rig, sent):
+        _node, client = rig
+        with propagation.start_trace():
+            client.call_node("server", "echo", "no_caller", 1)
+            client.call_name("echo", "no_caller", 2)
+        assert [set(payload) for payload in sent] == \
+            [PLAIN_FIELDS | {"trace"}] * 2
+
+
+def _plain(node):
+    return "echo", "no_caller", ("x",), {}
+
+
+def _accepts_caller(node):
+    return "echo", "with_caller", (), {"caller": "alice"}
+
+
+def _proxy(node):
+    node.export("calc", ComponentProxy(Calculator(), AspectModerator()))
+    return "calc", "add", (1, 2), {}
+
+
+def _raising(node):
+    node.export("faulty", Faulty())
+    return "faulty", "explode", (), {}
+
+
+def _unknown(node):
+    return "ghost", "add", (1, 2), {}
+
+
+def _moving(node):
+    node.export("mover", Calculator())
+    node.withdraw("mover", moving=True)
+    return "mover", "add", (1, 2), {}
+
+
+def _journaled(node):
+    store = MemoryStore()
+    node.attach_recovery("kv", RecoveryPlan(
+        store, lambda servant: {"data": dict(servant.data)},
+        lambda state: Store(state.get("data")), mutating=["put"],
+    ))
+    node.export("kv", Store())
+    return "kv", "put", ("k", "v"), {}
+
+
+SERVICES = [_plain, _accepts_caller, _proxy, _raising, _unknown, _moving,
+            _journaled]
+
+
+def _outcome(call):
+    try:
+        return "reply", call()
+    except Exception as exc:  # noqa: BLE001 - compared, not handled
+        return "error", type(exc).__name__, getattr(exc, "error_type", None)
+
+
+@pytest.mark.parametrize("setup", SERVICES,
+                         ids=[setup.__name__.strip("_") for setup in SERVICES])
+def test_unarmed_and_deadline_calls_agree(rig, setup):
+    """Arming a deadline changes neither the answer nor the counters."""
+    node, client = rig
+    service, method, args, kwargs = setup(node)
+    journal = node._journals.get(service)
+    observed = []
+    for arming in ({}, {"deadline": 60}):
+        before = (node.requests_served, node.requests_failed,
+                  journal.store.last_seq(service) if journal else 0)
+        outcome = _outcome(lambda: client.call_node(
+            "server", service, method, *args, **kwargs, **arming))
+        after = (node.requests_served, node.requests_failed,
+                 journal.store.last_seq(service) if journal else 0)
+        observed.append((outcome,
+                         tuple(b - a for a, b in zip(before, after))))
+    assert observed[0] == observed[1]

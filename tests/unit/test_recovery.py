@@ -14,6 +14,7 @@ import pytest
 from repro.core.errors import FencedOut, Overloaded
 from repro.dist import (
     Client,
+    DestinationBreakers,
     FileStore,
     MemoryStore,
     NameService,
@@ -21,11 +22,13 @@ from repro.dist import (
     Node,
     RecoveryError,
     RecoveryPlan,
+    RequestTimeout,
     Supervisor,
     recover_service,
 )
 from repro.dist.message import WireFormatError
 from repro.dist.recovery import HANDOFF_KEY
+from repro.faults import FaultInjector, FaultPlan, FaultSpec
 
 
 class CountingKV:
@@ -383,6 +386,21 @@ class TestNodeFencing:
         assert servant.counts == {}  # the effect never applied
         assert rig.node.dedup.stats()["entries"] == 0  # no slot pinned
 
+    def test_breaker_armed_call_is_fenced_too(self, rig):
+        # breakers alone arm the call: it carries the binding epoch
+        # without a key or deadline, and the node checks that fence
+        servant = CountingKV()
+        rig.node.export("kv", servant, epoch=2)
+        rig.names.bind("kv", "n1", "kv")  # binding epoch is 1
+        client = Client("breakers", rig.network, rig.names,
+                        default_timeout=2.0, breakers=DestinationBreakers())
+        try:
+            with pytest.raises(FencedOut):
+                client.call_name("kv", "put", "k", "v")
+        finally:
+            client.close()
+        assert servant.counts == {}
+
     def test_matching_fence_serves(self, rig):
         rig.names.bind("kv", "n1", "kv")  # epoch 1
         rig.node.export("kv", CountingKV(), epoch=1)
@@ -489,6 +507,29 @@ class TestCrashModel:
         assert node.settle("kv", timeout=0.5)
         node.stop()
         network.close()
+
+    def test_serve_crash_point_fail_stops_an_unarmed_request(self):
+        # crash points are consulted on every threaded-served request,
+        # not only on ones carrying a deadline or an idempotency key
+        network = Network()
+        node = Node("n1", network).start()
+        servant = CountingKV()
+        node.export("kv", servant)
+        FaultInjector(FaultPlan([FaultSpec(
+            phase="crash", method_id="n1", concern="serve",
+        )])).install(node)
+        client = Client("c", network)
+        try:
+            with pytest.raises(RequestTimeout):
+                client.call_node("n1", "kv", "put", "k", "v", timeout=0.3)
+            assert node._crashed
+            assert servant.applied("k") == 0
+            assert node.requests_served == 0
+            assert not network.is_up("n1")
+        finally:
+            client.close()
+            node.stop()
+            network.close()
 
     def test_expect_opens_retryable_window(self, rig):
         from repro.dist import RemoteError

@@ -6,6 +6,7 @@ import time
 import pytest
 
 from repro.core import AspectModerator, ComponentProxy, FunctionAspect, MethodAborted
+from repro.core.errors import NodeUnreachable
 from repro.core.results import ABORT
 from repro.dist import (
     Client,
@@ -87,6 +88,13 @@ class TestClientCalls:
         with pytest.raises(RequestTimeout):
             client.call_name("calculator", "add", 1, 2, timeout=0.2)
         assert client.timeouts == 1
+
+    def test_unreachable_endpoint_leaves_no_pending_future(self, rig):
+        network, names, node, client = rig
+        with pytest.raises(NodeUnreachable):
+            client.call_node("nowhere", "calc", "add", 1, 2)
+        assert client._pending == {}
+        assert client.call_node("server", "calc", "add", 1, 2) == 3
 
     def test_rebind_redirects_subsequent_calls(self, rig):
         network, names, node, client = rig
