@@ -11,8 +11,8 @@ Three configurations over the same moderated call:
   acceptance bound applies here: the plane must leave no residue);
 * **checked**  — a require+ensure+invariant contract declared on the
   method (the price of full checking, reported for EXPERIMENTS.md
-  B-CONTRACT, not bounded — contract methods leave the allocation-free
-  fast executor by design).
+  B-CONTRACT, not bounded — a contract method runs the same executor
+  with the runner's entry, per-RESUME and post-body check points armed).
 
 Baseline and disabled rounds are interleaved and compared within each
 round (median of paired ratios), so clock drift and thermal effects
@@ -91,9 +91,9 @@ def measure(iterations=5_000, rounds=80):
     # warm-up compiles the plans and primes caches in every mode
     for call in (base_call, disabled_call, checked_call):
         mean_call_ns(call, max(iterations // 10, 100))
-    assert base_moderator.plan_for("service").fast_cells
-    assert disabled_moderator.plan_for("service").fast_cells
-    assert not checked_moderator.plan_for("service").fast_cells
+    assert base_moderator.plan_for("service").contract is None
+    assert disabled_moderator.plan_for("service").contract is None
+    assert checked_moderator.plan_for("service").contract is not None
 
     samples = {"baseline": [], "disabled": [], "checked": []}
     disabled_ratios = []
@@ -137,16 +137,16 @@ def test_contracts_off_within_bound():
     )
 
 
-def test_uninstall_restores_the_fast_executor():
+def test_uninstall_disarms_the_contract():
     moderator, proxy = build_fast_path()
     registry = ContractRegistry()
     _declare(registry)
     registry.install(moderator)
     proxy.service(1)
-    assert not moderator.plan_for("service").fast_cells
+    assert moderator.plan_for("service").contract is not None
     registry.uninstall(moderator)
     proxy.service(1)
-    assert moderator.plan_for("service").fast_cells
+    assert moderator.plan_for("service").contract is None
 
 
 def test_bench_contracts_disabled(benchmark):

@@ -56,7 +56,7 @@ class Component:
 
 def build_fast_path():
     """A never-blocking single-aspect composition: the Figure-3
-    full-RESUME fast path (fast executor, no lock domain waits)."""
+    full-RESUME fast path (no lock domain waits)."""
     moderator = AspectModerator()
     moderator.register_aspect("service", "null", NullAspect())
     proxy = ComponentProxy(moderator=moderator, component=Component())

@@ -159,7 +159,7 @@ def test_recompiles_only_on_revision_bumps(benchmark):
 
 
 def test_compiled_call_allocates_less(benchmark):
-    """tracemalloc proof: the fast executor allocates less per call."""
+    """tracemalloc proof: the plan executor allocates less per call."""
 
     def allocations(proxy):
         proxy.service()  # warm caches/compile outside the window

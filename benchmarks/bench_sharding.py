@@ -26,6 +26,7 @@ Run styles::
 from __future__ import annotations
 
 import json
+import os
 import statistics
 import threading
 import time
@@ -112,6 +113,7 @@ def measure_scaling(ops_per_thread: int = 60) -> Dict[str, Any]:
     """Closed-loop throughput at 1 / 2 / 4 shards, disjoint keys."""
     results: Dict[str, Any] = {"service_time": SERVICE_TIME,
                                "client_threads": CLIENT_THREADS,
+                               "cpu_count": os.cpu_count(),
                                "throughput": {}}
     for shard_count in (1, 2, 4):
         rig = ShardedRig(shard_count)
@@ -359,8 +361,9 @@ def measure_unsharded_bounded(iterations: int = 400, rounds: int = 24,
 # ----------------------------------------------------------------------
 def test_scaling_meets_bounds():
     results = measure_scaling_bounded(ops_per_thread=60)
-    assert results["speedup"]["2"] >= SCALE_BOUND_2, results["speedup"]
-    assert results["speedup"]["4"] >= SCALE_BOUND_4, results["speedup"]
+    context = (results["speedup"], f"cpu_count={results['cpu_count']}")
+    assert results["speedup"]["2"] >= SCALE_BOUND_2, context
+    assert results["speedup"]["4"] >= SCALE_BOUND_4, context
 
 
 def test_unsharded_path_within_bound():
@@ -406,7 +409,8 @@ def main(argv=None):
 
     print("B-SHARD: sharded-cluster scaling "
           f"({SERVICE_TIME * 1000:.0f}ms service time, "
-          f"{CLIENT_THREADS} closed-loop clients, disjoint keys)")
+          f"{CLIENT_THREADS} closed-loop clients, disjoint keys, "
+          f"cpu_count={scaling['cpu_count']})")
     print(f"{'shards':<10}{'ops/sec':>12}{'speedup':>10}")
     for n in ("1", "2", "4"):
         row = scaling["throughput"][n]
@@ -438,12 +442,12 @@ def main(argv=None):
     if scaling["speedup"]["2"] < SCALE_BOUND_2:
         failed.append(
             f"2-shard speedup {scaling['speedup']['2']:.2f}x "
-            f"< {SCALE_BOUND_2}x"
+            f"< {SCALE_BOUND_2}x (cpu_count={scaling['cpu_count']})"
         )
     if scaling["speedup"]["4"] < SCALE_BOUND_4:
         failed.append(
             f"4-shard speedup {scaling['speedup']['4']:.2f}x "
-            f"< {SCALE_BOUND_4}x"
+            f"< {SCALE_BOUND_4}x (cpu_count={scaling['cpu_count']})"
         )
     if overhead["overhead"] > OVERHEAD_BOUND:
         failed.append(

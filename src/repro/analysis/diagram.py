@@ -243,8 +243,6 @@ def plan_table(moderator: "object") -> str:
         chain = " -> ".join(report["preactivation_order"]) or "(empty)"
         flags = []
         flags.append("fast" if report["never_blocks"] else "locked")
-        if not report["fast_executor"]:
-            flags.append("generic")
         if report["injector_armed"]:
             flags.append("injected")
         if any(cell["degraded"] for cell in report["cells"]):

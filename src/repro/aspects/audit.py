@@ -21,6 +21,16 @@ from repro.core.joinpoint import JoinPoint
 from repro.core.results import AspectResult
 
 
+def _payload(sequence: int, method_id: str, principal: Optional[str],
+             outcome: str, started_at: float, duration: float,
+             previous_hash: str) -> str:
+    """The hashed form of one record: the only definition of its format."""
+    return (
+        f"{sequence}|{method_id}|{principal}|{outcome}|"
+        f"{started_at:.9f}|{duration:.9f}|{previous_hash}"
+    )
+
+
 @dataclass(frozen=True)
 class AuditRecord:
     """One audited activation."""
@@ -35,10 +45,9 @@ class AuditRecord:
     record_hash: str = field(default="", compare=False)
 
     def payload(self) -> str:
-        return (
-            f"{self.sequence}|{self.method_id}|{self.principal}|"
-            f"{self.outcome}|{self.started_at:.9f}|{self.duration:.9f}|"
-            f"{self.previous_hash}"
+        return _payload(
+            self.sequence, self.method_id, self.principal, self.outcome,
+            self.started_at, self.duration, self.previous_hash,
         )
 
 
@@ -58,18 +67,20 @@ class AuditLog:
                 self._records[-1].record_hash if self._records
                 else self.GENESIS
             )
+            sequence = len(self._records)
+            digest = hashlib.sha256(_payload(
+                sequence, method_id, principal, outcome, started_at,
+                duration, previous,
+            ).encode()).hexdigest()
             record = AuditRecord(
-                sequence=len(self._records),
+                sequence=sequence,
                 method_id=method_id,
                 principal=principal,
                 outcome=outcome,
                 started_at=started_at,
                 duration=duration,
                 previous_hash=previous,
-            )
-            digest = hashlib.sha256(record.payload().encode()).hexdigest()
-            record = AuditRecord(
-                **{**vars(record), "record_hash": digest}
+                record_hash=digest,
             )
             self._records.append(record)
             return record

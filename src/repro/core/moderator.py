@@ -71,7 +71,9 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import (
+    Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple,
+)
 
 from repro.concurrency.primitives import LockDomain
 from repro.obs.metrics import MetricsRegistry
@@ -296,9 +298,8 @@ class AspectModerator:
         #: in production — the hot path pays one attribute read for it
         self.fault_injector = None
         #: contract registry (``repro.contracts``); ``None`` keeps every
-        #: moderation path byte-for-byte the legacy one — the seams are
-        #: single ``is not None`` checks, and compiled fast-path methods
-        #: pay nothing at all (contract methods compile off fast_cells)
+        #: moderation path byte-for-byte the legacy one — each seam is
+        #: a single ``is not None`` check
         self.contracts = None
         #: registry lock: guards the domain maps and the linkage cache,
         #: never held while moderating or notifying a foreign domain.
@@ -944,7 +945,7 @@ class AspectModerator:
 
     def _evaluate_plan(
         self, plan: ActivationPlan, joinpoint: JoinPoint
-    ) -> Tuple[AspectResult, List[Tuple[str, Aspect]], Optional[str]]:
+    ) -> Tuple[AspectResult, Sequence[Tuple[str, Aspect]], Optional[str]]:
         """Run one round of precondition evaluation over ``plan``.
 
         Returns ``(outcome, resumed_pairs, failed_concern)`` where
@@ -958,63 +959,29 @@ class AspectModerator:
         the aspect, ``fail_closed`` turns the round into an ABORT
         attributed to the degraded concern.
 
-        Two executors live here. The *fast* one runs when
-        ``plan.fast_cells`` holds (no quarantined cell, no injector
-        armed): each round is a bare walk over pre-bound callables, and
-        a full RESUME returns ``plan.pairs`` itself — zero allocations,
-        and an identity token post-activation recognizes to take its own
-        compiled unwind. A partial prefix is a slice of ``plan.pairs``,
-        not a rebuilt list of freshly looked-up aspects.
-
-        The *generic* one handles degraded cells, armed injectors and
-        contracts by mirroring the paper's per-call interpreter decision
-        for decision — live quarantine reads, per-site injector visits
-        (pre-bound as ``cell.fire_pre``, still visit-counted every call
-        so chaos-test occurrence coordinates are untouched), skipped
-        aspects excluded from the RESUMEd chain. The differential suites
-        drive both executors against that interpreter, kept as a test
-        oracle, across the whole fault space.
+        One executor for every plan, deciding as the paper's per-call
+        interpreter does: quarantine is read live (``health.active``
+        gates it), each injector site is visited live through
+        ``injector.fire`` (so chaos-test occurrence coordinates match
+        the interpreter's), and a declared contract's runner checkpoints
+        each RESUME. With nothing armed each of those hooks is one
+        ``None``/``False`` test, and the round is a bare walk over
+        pre-bound callables. While no cell was skipped the RESUMEd
+        prefix is a slice of ``plan.pairs``, and a full RESUME returns
+        ``plan.pairs`` itself — zero allocations, and the identity token
+        post-activation recognizes to unwind through the plan's cells.
+        The differential suites drive this executor against that
+        interpreter, kept as a test oracle, across the whole fault space.
         """
         method_id = plan.method_id
         emit = self.events.emit
         activation_id = joinpoint.activation_id
         sampled = joinpoint.sampled
         # Timing gates on listeners, exactly like event construction:
-        # with nobody subscribed the fast executor below stays a bare
-        # walk over pre-bound callables — no clock reads, no floats.
+        # with nobody subscribed the round reads no clock.
         timed = self.events.has_listeners
-        if plan.fast_cells:
-            index = 0
-            for cell in plan.cells:
-                began = time.monotonic() if timed else 0.0
-                try:
-                    result = cell.evaluate(joinpoint)
-                except Exception as exc:  # noqa: BLE001 - contract violation
-                    fault = AspectFault(
-                        method_id, cell.concern, "precondition", exc
-                    )
-                    self._note_fault(method_id, cell.concern,
-                                     "precondition", exc, joinpoint)
-                    joinpoint.context["__compensation__"] = "fault"
-                    comp_faults = self._compensate(
-                        list(plan.pairs[:index]), joinpoint
-                    )
-                    joinpoint.context.pop("__compensation__", None)
-                    self._raise_faults([fault, *comp_faults])
-                emit(
-                    "precondition", method_id, cell.concern,
-                    detail=result.value, activation_id=activation_id,
-                    duration=time.monotonic() - began if timed else 0.0,
-                    sampled=sampled,
-                )
-                if result is AspectResult.RESUME:
-                    index += 1
-                    continue
-                return result, list(plan.pairs[:index]), cell.concern
-            return AspectResult.RESUME, plan.pairs, None
-
-        resumed: List[Tuple[str, Aspect]] = []
         quarantine_active = self.health.active
+        injector = self._fault_injector
         runner = (
             joinpoint.context.get(CONTRACT_KEY)
             if self._contracts is not None else None
@@ -1025,6 +992,10 @@ class AspectModerator:
             # activations mutate shared state, so ``old`` re-captures
             # here, and per-concern interference is judged within-round.
             runner.start_round(joinpoint)
+        # The RESUMEd prefix is ``plan.pairs[:index]`` until a cell is
+        # skipped; from then on it is the explicit ``resumed`` list.
+        index = 0
+        resumed: Optional[List[Tuple[str, Aspect]]] = None
         for cell in plan.cells:
             concern = cell.concern
             if quarantine_active:
@@ -1038,20 +1009,33 @@ class AspectModerator:
                         "degraded_skip", method_id, concern,
                         activation_id=activation_id, sampled=sampled,
                     )
+                    if resumed is None:
+                        resumed = list(plan.pairs[:index])
                     continue
                 if policy == FAIL_CLOSED:
-                    return AspectResult.ABORT, resumed, concern
+                    return (
+                        AspectResult.ABORT,
+                        plan.pairs[:index] if resumed is None else resumed,
+                        concern,
+                    )
             began = time.monotonic() if timed else 0.0
             try:
-                if cell.fire_pre is not None and cell.fire_pre():
-                    continue  # injected no-op crash: aspect never ran
+                if injector is not None and injector.fire(
+                        "precondition", method_id, concern):
+                    # injected no-op crash: the aspect never ran
+                    if resumed is None:
+                        resumed = list(plan.pairs[:index])
+                    continue
                 result = cell.evaluate(joinpoint)
             except Exception as exc:  # noqa: BLE001 - contract violation
                 fault = AspectFault(method_id, concern, "precondition", exc)
                 self._note_fault(method_id, concern, "precondition", exc,
                                  joinpoint)
                 joinpoint.context["__compensation__"] = "fault"
-                comp_faults = self._compensate(resumed, joinpoint)
+                comp_faults = self._compensate(
+                    plan.pairs[:index] if resumed is None else resumed,
+                    joinpoint,
+                )
                 joinpoint.context.pop("__compensation__", None)
                 self._raise_faults([fault, *comp_faults])
             emit(
@@ -1060,15 +1044,25 @@ class AspectModerator:
                 duration=time.monotonic() - began if timed else 0.0,
                 sampled=sampled,
             )
-            if result is AspectResult.RESUME:
+            if result is not AspectResult.RESUME:
+                return (
+                    result,
+                    plan.pairs[:index] if resumed is None else resumed,
+                    concern,
+                )
+            if resumed is None:
+                index += 1
+            else:
                 resumed.append(cell.pair)
-                if runner is not None:
-                    runner.checkpoint("precondition", concern, joinpoint)
-                continue
-            return result, resumed, concern
-        return AspectResult.RESUME, resumed, None
+            if runner is not None:
+                runner.checkpoint("precondition", concern, joinpoint)
+        return (
+            AspectResult.RESUME,
+            plan.pairs if resumed is None else resumed,
+            None,
+        )
 
-    def _compensate(self, resumed: List[Tuple[str, Aspect]],
+    def _compensate(self, resumed: Sequence[Tuple[str, Aspect]],
                     joinpoint: JoinPoint) -> List[AspectFault]:
         """Unwind a RESUMEd prefix; never stops at a raising aspect.
 
@@ -1210,41 +1204,24 @@ class AspectModerator:
         if plan is None or plan.key != self.registration_version:
             # No plan handed in, or the composition changed while the
             # method body ran: fetch the current plan. A recorded chain
-            # from the superseded plan then fails the identity check
-            # below and takes the generic unwind, which reads injector
-            # and health state live.
+            # from the superseded plan then fails the identity check in
+            # :meth:`_run_postactions` and unwinds aspect by aspect.
             plan = self.plan_for(method_id)
         if chain is None:
             # No recorded chain: unwind what the current composition
             # says (the plan was just validated against it).
             chain = plan.pairs
-        # The pre-activation fast executor stashes the plan's own pairs
-        # tuple on a full-chain RESUME; identity implies the plan, hence
-        # the key, is unchanged, so the unwind can dispatch through the
-        # pre-bound cells (no injector armed, no cell degraded, or
-        # fast_cells would be off). Anything else — a partial chain, a
-        # stale stash, degraded cells, an armed injector — unwinds the
-        # recorded chain generically.
-        compiled = chain is plan.pairs and plan.fast_cells
-        never_blocks = plan.never_blocks if compiled else all(
+        never_blocks = plan.never_blocks if chain is plan.pairs else all(
             aspect.never_blocks for _, aspect in chain
         )
         try:
             if never_blocks:
                 self.stats.bump("postactivations")
-                faults = (
-                    self._run_plan_postactions(plan, joinpoint) if compiled
-                    else self._run_postactions(method_id, chain, joinpoint)
-                )
+                faults = self._run_postactions(plan, chain, joinpoint)
             else:
                 with plan.queue:
                     self.stats.bump("postactivations")
-                    faults = (
-                        self._run_plan_postactions(plan, joinpoint)
-                        if compiled
-                        else self._run_postactions(method_id, chain,
-                                                   joinpoint)
-                    )
+                    faults = self._run_postactions(plan, chain, joinpoint)
         finally:
             if never_blocks and not self._waiters:
                 # Wake elided (nothing parked) — but the protocol's
@@ -1272,57 +1249,42 @@ class AspectModerator:
         if runner is not None:
             self._finish_contract(runner, joinpoint)
 
-    def _run_plan_postactions(self, plan: ActivationPlan,
-                              joinpoint: JoinPoint) -> List[AspectFault]:
-        """Compiled reverse unwind; only valid when ``plan.fast_cells``.
+    def _run_postactions(self, plan: ActivationPlan,
+                         chain: Sequence[Tuple[str, Aspect]],
+                         joinpoint: JoinPoint) -> List[AspectFault]:
+        """Reverse unwind; continues past raising aspects (faults returned).
 
-        No injector sites are consulted — the plan could not have
-        ``fast_cells`` with an injector armed, and an injector installed
-        since invalidated the plan before this activation fetched it.
+        A full-chain RESUME stashed ``plan.pairs`` itself; identity
+        implies the current plan, so the unwind dispatches through its
+        cells' bound ``postaction`` (profiler shims included). Any other
+        chain — partial, stale, or an overriding executor's — runs each
+        aspect's own ``postaction``. Injector sites and contract check
+        points are the same live hooks either way.
         """
         faults: List[AspectFault] = []
         method_id = plan.method_id
         emit = self.events.emit
         activation_id = joinpoint.activation_id
         sampled = joinpoint.sampled
-        timed = self.events.has_listeners
-        for cell in reversed(plan.cells):
-            began = time.monotonic() if timed else 0.0
-            try:
-                cell.postaction(joinpoint)
-            except Exception as exc:  # noqa: BLE001 - keep unwinding
-                self._note_fault(method_id, cell.concern, "postaction",
-                                 exc, joinpoint)
-                faults.append(AspectFault(
-                    method_id, cell.concern, "postaction", exc,
-                ))
-                continue
-            emit(
-                "postaction", method_id, cell.concern,
-                activation_id=activation_id,
-                duration=time.monotonic() - began if timed else 0.0,
-                sampled=sampled,
-            )
-        return faults
-
-    def _run_postactions(self, method_id: str,
-                         chain: List[Tuple[str, Aspect]],
-                         joinpoint: JoinPoint) -> List[AspectFault]:
-        """Reverse unwind; continues past raising aspects (faults returned)."""
-        faults: List[AspectFault] = []
-        injector = self.fault_injector
+        injector = self._fault_injector
         runner = (
             joinpoint.context.get(CONTRACT_KEY)
             if self._contracts is not None else None
         )
         timed = self.events.has_listeners
-        for concern, aspect in reversed(chain):
+        compiled = chain is plan.pairs
+        for step in reversed(plan.cells if compiled else chain):
+            if compiled:
+                concern, postaction = step.concern, step.postaction
+            else:
+                concern, aspect = step
+                postaction = aspect.postaction
             began = time.monotonic() if timed else 0.0
             try:
                 if injector is not None and injector.fire(
                         "postaction", method_id, concern):
                     continue
-                aspect.postaction(joinpoint)
+                postaction(joinpoint)
             except Exception as exc:  # noqa: BLE001 - keep unwinding
                 self._note_fault(method_id, concern, "postaction", exc,
                                  joinpoint)
@@ -1330,11 +1292,11 @@ class AspectModerator:
                     method_id, concern, "postaction", exc,
                 ))
                 continue
-            self.events.emit(
+            emit(
                 "postaction", method_id, concern,
-                activation_id=joinpoint.activation_id,
+                activation_id=activation_id,
                 duration=time.monotonic() - began if timed else 0.0,
-                sampled=joinpoint.sampled,
+                sampled=sampled,
             )
             if runner is not None:
                 # Re-verify the clauses that held at post-body: one that

@@ -32,12 +32,16 @@ profiler install / refresh      bumps the version
 
 A plan holds, per cell: the pre-bound ``evaluate_precondition`` /
 ``postaction`` / ``on_abort`` callables (no attribute chase per round),
-the quarantine-policy snapshot (``degraded``), and the pre-resolved
-fault-injection site callables. Plan-level it resolves the
-``never_blocks`` fast-path flag, the lock-domain handle and the
-method's wait queue. :meth:`ActivationPlan.explain` renders the whole
-composed contract for diagrams (:mod:`repro.analysis.diagram`) and the
-static linter (:mod:`repro.verify.lint`).
+the quarantine-policy snapshot (``degraded``), and the descriptions of
+the fault-injection specs planned at its sites. Plan-level it resolves
+the ``never_blocks`` fast-path flag, the lock-domain handle and the
+method's wait queue. Quarantine, injector sites and contract check
+points are *not* compiled into the executor: every plan runs the one
+round and the one unwind, which read them live and skip each with a
+single ``None``/``False`` test when nothing is armed. The snapshots are
+for :meth:`ActivationPlan.explain`, which renders the whole composed
+contract for diagrams (:mod:`repro.analysis.diagram`) and the static
+linter (:mod:`repro.verify.lint`).
 
 Plans are *immutable*: executors never mutate one, so a stale plan is
 simply abandoned at the next key check. A torn compile (constituents
@@ -58,23 +62,21 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 class PlanCell:
     """One compiled cell of an activation plan.
 
-    Carries everything one evaluation round needs for its concern,
-    resolved at compile time: bound protocol callables, the quarantine
-    snapshot, and the pre-resolved injector site hooks (``None`` when no
-    injector is armed — the executor then skips the site entirely).
+    Carries its concern's bound protocol callables, resolved at compile
+    time (a clause profiler may replace ``evaluate`` / ``postaction``
+    with instrumented shims), plus report-only snapshots: the
+    quarantine policy and the injector specs planned at its sites.
     """
 
     __slots__ = (
         "concern", "aspect", "pair", "evaluate", "postaction", "on_abort",
         "never_blocks", "degraded", "policy", "threshold",
-        "fire_pre", "fire_post", "fire_abort", "injection_sites",
+        "injection_sites",
     )
 
     def __init__(self, concern: str, aspect: Aspect,
                  degraded: Optional[str],
                  policy: Optional[str], threshold: Optional[int],
-                 fire_pre: Optional[Any], fire_post: Optional[Any],
-                 fire_abort: Optional[Any],
                  injection_sites: Tuple[str, ...]) -> None:
         self.concern = concern
         self.aspect = aspect
@@ -86,9 +88,6 @@ class PlanCell:
         self.degraded = degraded
         self.policy = policy
         self.threshold = threshold
-        self.fire_pre = fire_pre
-        self.fire_post = fire_post
-        self.fire_abort = fire_abort
         self.injection_sites = injection_sites
 
     def describe(self) -> str:
@@ -154,8 +153,8 @@ class ActivationPlan:
     """
 
     __slots__ = (
-        "method_id", "cells", "pairs", "never_blocks", "has_degraded",
-        "injector_armed", "fast_cells", "key", "domain", "_queue",
+        "method_id", "cells", "pairs", "never_blocks", "injector_armed",
+        "key", "domain", "_queue",
         "domain_name", "ordering_name", "compile_seconds", "contract",
         "profile", "_segments",
     )
@@ -163,35 +162,29 @@ class ActivationPlan:
     def __init__(self, method_id: str, cells: Tuple[PlanCell, ...],
                  key: int, domain: Any,
                  ordering_name: str, contract: Optional[Any] = None,
-                 profile: Optional[Dict[str, Any]] = None) -> None:
+                 profile: Optional[Dict[str, Any]] = None,
+                 injector_armed: bool = False) -> None:
         self.method_id = method_id
         self.cells = cells
         #: raw ordered (concern, aspect) pairs — the executor stashes
         #: this exact tuple on the join point between phases, so the
         #: post-activation side can recognize a full-plan chain by
-        #: identity and take its own compiled path
+        #: identity and unwind through these cells
         self.pairs: Tuple[Tuple[str, Aspect], ...] = tuple(
             cell.pair for cell in cells
         )
         self.never_blocks = all(cell.never_blocks for cell in cells)
-        self.has_degraded = any(cell.degraded is not None for cell in cells)
-        self.injector_armed = any(
-            cell.fire_pre is not None for cell in cells
-        )
+        #: whether a fault injector was installed at compile time
+        #: (report-only: the executor visits the live injector's sites)
+        self.injector_armed = injector_armed
         #: the method's declared contract snapshot
-        #: (:class:`repro.contracts.MethodContract`), or ``None`` — plans
-        #: of contract-bearing methods take the generic executors, whose
-        #: checkpoint seams the contract runner hooks into
+        #: (:class:`repro.contracts.MethodContract`), or ``None``
+        #: (report-only: the executor checkpoints the live runner)
         self.contract = contract
         #: the clause profiler's compile-time decision report
         #: (``elided`` / ``memoized`` / ``reordered`` / ``order``), or
         #: ``None`` when no profiler was installed at compile time
         self.profile = profile
-        #: whether the allocation-free prefix executor applies: no
-        #: quarantined cell to skip, no injector site to visit, no
-        #: contract check points to capture
-        self.fast_cells = (not self.has_degraded and not self.injector_armed
-                           and contract is None)
         #: the moderator's ``registration_version`` at compile time
         self.key = key
         self.domain = domain
@@ -264,7 +257,6 @@ class ActivationPlan:
         return {
             "method_id": self.method_id,
             "never_blocks": self.never_blocks,
-            "fast_executor": self.fast_cells,
             "lock_domain": self.domain_name,
             "injector_armed": self.injector_armed,
             "compile_seconds": self.compile_seconds,
@@ -398,31 +390,24 @@ def compile_plan(
     ``pairs`` must already be in effective composition order (the
     moderator applies its ordering policy — or the policy's ``compile``
     hook — before calling here). ``health`` supplies the per-cell
-    quarantine snapshot, ``injector`` (when armed) the pre-resolved
-    site callables via :meth:`repro.faults.injector.FaultInjector.resolve`,
-    ``contract`` the method's declared
-    :class:`~repro.contracts.MethodContract` (disables ``fast_cells`` so
-    the generic executors' check-point seams run).
+    quarantine snapshot, ``injector`` (when armed) the specs planned at
+    each cell's sites, ``contract`` the method's declared
+    :class:`~repro.contracts.MethodContract`. All three are report
+    data; the executor reads their live state every round.
     """
     cells = []
     for concern, aspect in pairs:
         degraded = health.quarantine_policy(method_id, concern)
         policy, threshold = health.declared_policy(method_id, concern)
-        if injector is not None:
-            fire_pre = injector.resolve("precondition", method_id, concern)
-            fire_post = injector.resolve("postaction", method_id, concern)
-            fire_abort = injector.resolve("on_abort", method_id, concern)
-            sites = tuple(
-                spec.describe()
-                for phase in ("precondition", "postaction", "on_abort")
-                for spec in injector.site_specs(phase, method_id, concern)
-            )
-        else:
-            fire_pre = fire_post = fire_abort = None
-            sites = ()
+        sites = () if injector is None else tuple(
+            spec.describe()
+            for phase in ("precondition", "postaction", "on_abort")
+            for spec in injector.site_specs(phase, method_id, concern)
+        )
         cells.append(PlanCell(
-            concern, aspect, degraded, policy, threshold,
-            fire_pre, fire_post, fire_abort, sites,
+            concern, aspect, degraded, policy, threshold, sites,
         ))
-    return ActivationPlan(method_id, tuple(cells), key, domain,
-                          ordering_name, contract, profile)
+    return ActivationPlan(
+        method_id, tuple(cells), key, domain, ordering_name, contract,
+        profile, injector_armed=injector is not None and bool(cells),
+    )

@@ -132,19 +132,6 @@ class Cluster:
         unsubscribe = self.events.subscribe(tracer)
         return tracer, unsubscribe
 
-    def plans(self) -> Dict[str, Any]:
-        """Current compiled :class:`ActivationPlan` per bound method
-        (the input to lint and plan diagrams)."""
-        return {
-            method_id: self.moderator.plan_for(method_id)
-            for method_id in self.bank.methods()
-        }
-
-    def explain_plans(self) -> Dict[str, Dict[str, Any]]:
-        """``plan.explain()`` for every bound method — the composed
-        contracts of the whole cluster as plain data."""
-        return self.moderator.explain()
-
     def architecture(self) -> Dict[str, Any]:
         """Describe the cluster in the vocabulary of the paper's Figure 1."""
         return {

@@ -10,8 +10,9 @@ moderation seams, not inside components). Four pieces
 * **A real crash model** — ``Node.crash(lose_memory=True)`` discards
   every piece of volatile state (servants, runtimes, idempotency cache,
   epochs, journal attachments), and the faults plane gains ``"crash"``
-  sites (:func:`repro.faults.crash_sites`) so chaos schedules can kill
-  a node at a named point *inside* one request's serving sequence.
+  sites (node id × :data:`repro.faults.CRASH_POINTS`) so chaos
+  schedules can kill a node at a named point *inside* one request's
+  serving sequence.
 * **Durability** — a write-ahead effect journal plus periodic
   checkpoints behind a pluggable :class:`RecoveryStore`
   (:class:`MemoryStore` for tests/simulation, :class:`FileStore` for

@@ -25,7 +25,6 @@ from .plan import (
     FaultPlan,
     FaultSpec,
     InjectedFault,
-    crash_sites,
     delivery_sites,
     double_fault_plans,
     protocol_sites,
@@ -40,7 +39,6 @@ __all__ = [
     "FaultPlan",
     "FaultSpec",
     "InjectedFault",
-    "crash_sites",
     "delivery_sites",
     "double_fault_plans",
     "protocol_sites",

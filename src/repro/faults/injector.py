@@ -11,7 +11,6 @@ serializes the code paths it perturbs beyond one counter increment.
 
 from __future__ import annotations
 
-import functools
 import threading
 import time
 from typing import Callable, List, Optional, Tuple
@@ -90,18 +89,6 @@ class FaultInjector:
         if spec.action == "skip":
             return True
         raise InjectedFault(spec)
-
-    def resolve(self, phase: str, method_id: str,
-                concern: str = "") -> Callable[[], bool]:
-        """Pre-resolve one site: a zero-arg form of :meth:`fire`.
-
-        Compile-time hook for activation plans: the site coordinates are
-        bound once at plan-compile time, so the hot loop pays a bare
-        call instead of rebuilding the coordinate per round. Semantics
-        are exactly :meth:`fire` — the site is still visit-counted on
-        every call, so chaos-test occurrence coordinates stay stable.
-        """
-        return functools.partial(self.fire, phase, method_id, concern)
 
     def site_specs(self, phase: str, method_id: str,
                    concern: str = "") -> List[FaultSpec]:

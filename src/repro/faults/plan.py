@@ -205,21 +205,6 @@ def delivery_sites(endpoints: Sequence[str]) -> List[Site]:
     return [("delivery", endpoint, "") for endpoint in endpoints]
 
 
-def crash_sites(node_ids: Sequence[str],
-                points: Sequence[str] = CRASH_POINTS) -> List[Site]:
-    """Enumerate the crash fault sites of some nodes.
-
-    A crash site is keyed by node id (the ``method_id`` coordinate) and
-    crash point (the ``concern`` coordinate) — see
-    :meth:`FaultInjector.crash_due`. The crash-chaos suite sweeps the
-    product of these sites against the message-loss space.
-    """
-    return [
-        ("crash", node_id, point)
-        for node_id in node_ids for point in points
-    ]
-
-
 def single_loss_plans(endpoints: Sequence[str],
                       occurrences: Sequence[int] = (1,),
                       ) -> List[FaultPlan]:

@@ -24,7 +24,6 @@ from .metrics import (
 from .propagation import (
     TraceContext,
     activate,
-    child_context,
     current,
     from_wire,
     new_span_id,
@@ -56,7 +55,6 @@ __all__ = [
     "TraceContext",
     "WakeEdge",
     "activate",
-    "child_context",
     "current",
     "from_wire",
     "histogram_quantile",

@@ -33,7 +33,6 @@ from typing import Any, Dict, Iterator, Optional, Tuple
 __all__ = [
     "TraceContext",
     "activate",
-    "child_context",
     "current",
     "from_wire",
     "new_span_id",
@@ -72,11 +71,6 @@ class TraceContext:
     #: omitted from the wire form when empty, so the common path pays
     #: nothing.
     baggage: Tuple[Tuple[str, str], ...] = ()
-
-    def child(self) -> "TraceContext":
-        """A context for work nested under a fresh child span."""
-        return TraceContext(self.trace_id, new_span_id(), self.epoch,
-                            self.baggage)
 
 
 def current() -> Optional[TraceContext]:
@@ -117,12 +111,6 @@ def start_trace(trace_id: Optional[str] = None) -> Iterator[TraceContext]:
     )
     with activate(context):
         yield context
-
-
-def child_context() -> Optional[TraceContext]:
-    """A child of the current context, or ``None`` when no trace runs."""
-    context = current()
-    return context.child() if context is not None else None
 
 
 def to_wire(context: TraceContext) -> Dict[str, Any]:

@@ -17,11 +17,9 @@ from .explorer import (
 )
 from .model import ActivationSpec, ClientState, ModelState, initial_state
 from .properties import (
-    all_of,
     aspect_invariant,
     concurrency_bound,
     mutual_exclusion,
-    never_aborts,
     occupancy_bound,
 )
 
@@ -33,7 +31,6 @@ __all__ = [
     "Explorer",
     "ModelState",
     "Violation",
-    "all_of",
     "aspect_invariant",
     "concurrency_bound",
     "initial_state",
@@ -41,7 +38,6 @@ __all__ = [
     "lint_cluster",
     "lint_plan",
     "mutual_exclusion",
-    "never_aborts",
     "occupancy_bound",
     "verify",
 ]

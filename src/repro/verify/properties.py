@@ -109,31 +109,3 @@ def occupancy_bound(method: str, capacity: int,
         return None
 
     return check
-
-
-def never_aborts() -> Property:
-    """No scripted client ever observes an ABORT."""
-
-    def check(state: ModelState) -> Optional[str]:
-        aborted = [
-            client.spec.client for client in state.clients
-            if client.status == "aborted"
-        ]
-        if aborted:
-            return f"clients aborted: {aborted}"
-        return None
-
-    return check
-
-
-def all_of(*properties: Property) -> Property:
-    """Conjunction: first failing property reports."""
-
-    def check(state: ModelState) -> Optional[str]:
-        for prop in properties:
-            error = prop(state)
-            if error:
-                return error
-        return None
-
-    return check

@@ -110,14 +110,14 @@ class TestProxyVisibility:
         for _ in range(2):
             with pytest.raises(Exception):
                 proxy.bump()
-        assert moderator.plan_for("bump").has_degraded
+        assert moderator.plan_for("bump").cells[0].degraded == "fail_open"
 
         # ...after which activations silently proceed without it
         assert proxy.bump() == 1
 
         # reinstatement restores the (still faulty) aspect immediately
         assert moderator.reinstate_aspect("bump", "gate")
-        assert not moderator.plan_for("bump").has_degraded
+        assert moderator.plan_for("bump").cells[0].degraded is None
         with pytest.raises(Exception):
             proxy.bump()
 

@@ -8,14 +8,14 @@ is :meth:`_evaluate_plan`, re-deciding each round the way the paper's
 
 * it reads the aspect bank afresh,
 * it calls the ordering policy on what it read,
-* it visits each fault-injection site through the injector's live
-  ``fire()`` rather than the plan's pre-resolved hooks.
+* it runs each aspect's own ``evaluate_precondition`` rather than the
+  plan cells' pre-bound callables.
 
 The plan is used only for its method id. Because the round returns a
 fresh chain and never ``plan.pairs``, post-activation cannot recognize a
-compiled full-chain RESUME and unwinds through the generic
-``_run_postactions`` — the interpreter's unwind. Everything else
-(parking, compensation, stats, events, wakes) is the production code.
+full-chain RESUME of the plan, and ``_run_postactions`` unwinds aspect
+by aspect — the interpreter's unwind. Everything else (parking,
+compensation, stats, events, wakes) is the production code.
 
 The oracle counts its own rounds in :attr:`interpreted_rounds`;
 :func:`count_rounds` counts a production moderator's, so a suite can

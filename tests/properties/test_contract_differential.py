@@ -10,9 +10,9 @@ space (imported, not re-derived — the suites can never drift apart):
   identical whether the moderator runs compiled activation plans or the
   paper's per-call interpreter (:class:`tests.oracle
   .InterpretingModerator`, which also counts its rounds: nonzero and
-  equal to the compiled run's). Contract methods force the generic
-  executor, so this is the proof that the seam placement matches in
-  both pipelines.
+  equal to the compiled run's). Contract methods run the one plan
+  executor with the runner's check points armed, so this is the proof
+  that the seam placement matches in both pipelines.
 * **recording on vs off**: subscribing a span recorder must not change
   a single verdict, outcome or counter — observation is passive even
   when the observed run is busy convicting aspects.
@@ -311,14 +311,12 @@ class TestContractsOffIsLegacy:
             "accepted": sink.accepted,
             "stats": moderator.stats.as_dict(),
             "runner_seen": any(probe_context),
-            "fast_cells": moderator.plan_for("push").fast_cells,
             "contract": moderator.plan_for("push").contract,
         }
 
     def test_never_installed_never_allocates(self):
         observation = self._legacy_observe(lambda moderator: None)
         assert observation["runner_seen"] is False
-        assert observation["fast_cells"] is True
         assert observation["contract"] is None
 
     def test_uninstalled_registry_restores_legacy(self):
@@ -341,6 +339,6 @@ class TestContractsOffIsLegacy:
         baseline = self._legacy_observe(lambda moderator: None)
         installed = self._legacy_observe(mutate)
         assert installed["runner_seen"] is False
-        assert installed["fast_cells"] is True
+        assert installed["contract"] is None
         assert installed["accepted"] == baseline["accepted"]
         assert installed["stats"] == baseline["stats"]

@@ -122,9 +122,8 @@ def _observe(interpreted, plan):
     """One sequential run; everything an observer could compare."""
     moderator, aspects, sink, proxy = _build(interpreted)
     rounds = None if interpreted else count_rounds(moderator)
-    # plan=None installs no injector at all: only then do the compiled
-    # fast executors (fast_cells) run, so that run holds them to the
-    # oracle too
+    # plan=None installs no injector at all, so the run with nothing
+    # armed is held to the oracle too
     injector = FaultInjector(plan) if plan is not None else None
     if injector is not None:
         injector.install(moderator)

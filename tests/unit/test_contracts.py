@@ -284,25 +284,23 @@ class TestEpochsAndPlans:
         proxy.deposit(1)
         plan_before = moderator.plan_for("deposit")
         assert plan_before.contract is None
-        assert plan_before.fast_cells
         registry.declare("deposit", ensure=[GROWS],
                          observables=("balance",))
         proxy.deposit(1)
         plan_after = moderator.plan_for("deposit")
         assert plan_after is not plan_before
         assert plan_after.contract is not None
-        assert not plan_after.fast_cells
 
-    def test_drop_restores_the_fast_path(self):
+    def test_drop_disarms_the_contract(self):
         moderator, proxy, account, registry = build(
             ensure=[GROWS], observables=("balance",),
         )
         moderator.register_aspect("deposit", "audit", NullAspect())
         proxy.deposit(1)
-        assert not moderator.plan_for("deposit").fast_cells
+        assert moderator.plan_for("deposit").contract is not None
         registry.drop("deposit")
         proxy.deposit(1)
-        assert moderator.plan_for("deposit").fast_cells
+        assert moderator.plan_for("deposit").contract is None
 
     def test_uninstall_disarms_all_checks(self):
         moderator, proxy, account, registry = build(

@@ -5,7 +5,9 @@ suite in ``tests/properties/test_plan_differential.py`` proves runtime
 equivalence; this file proves the *compile-time* promises):
 
 * compilation correctness — cell order, pre-bound callables, the
-  ``never_blocks`` / ``fast_cells`` routing flags;
+  ``never_blocks`` routing flag, and the one executor every plan runs
+  (a full RESUME stashes ``plan.pairs`` itself; injector and quarantine
+  are read live);
 * the invalidation matrix — every composition mutator, across all nine
   mutation families, moves ``registration_version`` (the plan key) and
   forces exactly one recompile, and nothing else does;
@@ -24,11 +26,13 @@ from repro.contracts import ContractRegistry
 from repro.core import (
     AspectModerator,
     FunctionAspect,
+    JoinPoint,
     PlanHandle,
     TraceEvent,
     Tracer,
 )
-from repro.faults import FaultInjector, FaultPlan
+from repro.core.moderator import CHAIN_KEY
+from repro.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.obs import ClauseProfiler
 from repro.verify import lint_chain, lint_plan
 
@@ -64,14 +68,20 @@ class TestCompile:
     def test_routing_flags_never_blocks_chain(self):
         plan = _moderator(never_blocks=True).plan_for("m")
         assert plan.never_blocks
-        assert plan.fast_cells
-        assert not plan.has_degraded
+        assert all(cell.degraded is None for cell in plan.cells)
         assert not plan.injector_armed
+        assert plan.contract is None
 
     def test_routing_flags_blocking_chain(self):
-        plan = _moderator(never_blocks=False).plan_for("m")
+        moderator = _moderator(never_blocks=False)
+        plan = moderator.plan_for("m")
         assert not plan.never_blocks
-        assert plan.fast_cells  # fast cells != fast path: healthy chain
+        # fast path != executor: a healthy locked chain's full RESUME
+        # still stashes the plan's own pairs for the cell-wise unwind
+        joinpoint = JoinPoint(method_id="m")
+        moderator.preactivation("m", joinpoint, plan=plan)
+        assert joinpoint.context[CHAIN_KEY] is plan.pairs
+        moderator.postactivation("m", joinpoint, plan=plan)
 
     def test_one_blocking_cell_poisons_never_blocks(self):
         moderator = _moderator(aspects=1, never_blocks=True)
@@ -79,16 +89,31 @@ class TestCompile:
             "m", "blocking", FunctionAspect(concern="blocking"))
         assert not moderator.plan_for("m").never_blocks
 
-    def test_injector_disables_fast_cells(self):
+    def test_injector_sites_are_visited_live(self):
         moderator = _moderator()
         injector = FaultInjector(FaultPlan())
         injector.install(moderator)
         plan = moderator.plan_for("m")
         assert plan.injector_armed
-        assert not plan.fast_cells
-        assert all(cell.fire_pre is not None for cell in plan.cells)
+        joinpoint = JoinPoint(method_id="m")
+        moderator.preactivation("m", joinpoint, plan=plan)
+        assert joinpoint.context[CHAIN_KEY] is plan.pairs
+        moderator.postactivation("m", joinpoint, plan=plan)
+        for concern in ("c0", "c1"):
+            assert injector.visits("precondition", "m", concern) == 1
+            assert injector.visits("postaction", "m", concern) == 1
 
-    def test_quarantine_disables_fast_cells(self):
+    def test_injected_skip_leaves_the_aspect_out_of_the_chain(self):
+        moderator = _moderator()
+        FaultInjector(FaultPlan([FaultSpec(
+            "precondition", "m", "c0", 1, "skip",
+        )])).install(moderator)
+        joinpoint = JoinPoint(method_id="m")
+        moderator.preactivation("m", joinpoint)
+        plan = moderator.plan_for("m")
+        assert list(joinpoint.context[CHAIN_KEY]) == [plan.pairs[1]]
+
+    def test_quarantine_is_snapshotted_and_skipped_live(self):
         moderator = _moderator(fault_threshold=1)
         moderator.bank.swap(
             "m", "c0", FunctionAspect(concern="c0", never_blocks=True))
@@ -96,9 +121,12 @@ class TestCompile:
         moderator.health.record_fault("m", "c0", "precondition",
                                       RuntimeError("boom"))
         plan = moderator.plan_for("m")
-        assert plan.has_degraded
-        assert not plan.fast_cells
         assert plan.cells[0].degraded == "fail_open"
+        assert any(cell["degraded"] for cell in plan.explain()["cells"])
+        joinpoint = JoinPoint(method_id="m")
+        moderator.preactivation("m", joinpoint, plan=plan)
+        assert list(joinpoint.context[CHAIN_KEY]) == [plan.pairs[1]]
+        assert moderator.stats.degraded_skips == 1
 
     def test_fast_path_plan_does_not_materialize_queue(self):
         plan = _moderator(never_blocks=True).plan_for("m")
@@ -116,7 +144,6 @@ class TestExplain:
         report = moderator.plan_for("m").explain()
         assert report["method_id"] == "m"
         assert report["never_blocks"] is True
-        assert report["fast_executor"] is True
         assert report["injector_armed"] is False
         assert report["revision"] == moderator.registration_version
         assert report["preactivation_order"] == ["c0", "c1"]
@@ -186,10 +213,10 @@ MUTATIONS = [
      lambda m: m.health.set_policy("m", "c0", "fail_open", threshold=1),
      lambda m: m.health.record_fault(
          "m", "c0", "precondition", RuntimeError("boom")),
-     lambda plan: plan.has_degraded),
+     lambda plan: plan.cells[0].degraded == "fail_open"),
     ("quarantine flip / reinstate", _quarantine_c0,
      lambda m: m.reinstate_aspect("m", "c0"),
-     lambda plan: not plan.has_degraded),
+     lambda plan: plan.cells[0].degraded is None),
     ("set_policy / drop", None,
      lambda m: m.health.set_policy("m", "c0", "fail_closed", threshold=4),
      lambda plan: plan.cells[0].policy == "fail_closed"),
@@ -212,7 +239,7 @@ MUTATIONS = [
      lambda plan: plan.contract is None),
     ("contract declare / install", _install_contracts,
      lambda m: m.contracts.declare("m", observables=("value",)),
-     lambda plan: plan.contract is not None and not plan.fast_cells),
+     lambda plan: plan.contract is not None),
     ("profiler install / refresh", None,
      _install_profiler,
      lambda plan: plan.profile is not None),

@@ -21,9 +21,11 @@ the profiler's own contracts in isolation:
 import pytest
 
 from repro.analysis import plan_table
+from repro.contracts import ContractRegistry
 from repro.core import AspectModerator, ComponentProxy, FunctionAspect
 from repro.core.errors import AspectFault, MethodAborted
 from repro.core.results import AspectResult
+from repro.faults import FaultInjector, FaultPlan
 from repro.obs import ClauseProfiler, MemoCache
 from repro.obs.export import to_prometheus
 
@@ -110,6 +112,24 @@ class TestRecording:
         state = profiler._cells[("tick", "a")]
         assert state.evals_post.value == 4
         assert state.cost_post.value.count == 4
+
+    @pytest.mark.parametrize("armed", ["nothing", "injector", "contract"])
+    def test_postactions_profiled_whatever_is_armed(self, armed):
+        # One executor for every plan: arming an injector (even with an
+        # empty plan) or declaring a contract must not route the unwind
+        # around the plan cells' profiled postactions.
+        moderator, proxy, profiler = _rig(_aspect("a"))
+        if armed == "injector":
+            FaultInjector(FaultPlan()).install(moderator)
+        elif armed == "contract":
+            registry = ContractRegistry()
+            registry.declare("tick", observables=("total",))
+            registry.install(moderator)
+        for _ in range(5):
+            proxy.tick()
+        state = profiler._cells[("tick", "a")]
+        assert state.evals_pre.value == 5
+        assert state.evals_post.value == state.evals_pre.value
 
 
 # ----------------------------------------------------------------------
