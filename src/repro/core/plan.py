@@ -31,9 +31,9 @@ profiler install / refresh      bumps the version
 =============================  =======================================
 
 A plan holds, per cell: the pre-bound ``evaluate_precondition`` /
-``postaction`` / ``on_abort`` callables (no attribute chase per round),
-the quarantine-policy snapshot (``degraded``), and the descriptions of
-the fault-injection specs planned at its sites. Plan-level it resolves
+``postaction`` callables (no attribute chase per round), the
+quarantine-policy snapshot (``degraded``), and the descriptions of the
+fault-injection specs planned at its sites. Plan-level it resolves
 the ``never_blocks`` fast-path flag, the lock-domain handle and the
 method's wait queue. Quarantine, injector sites and contract check
 points are *not* compiled into the executor: every plan runs the one
@@ -69,7 +69,7 @@ class PlanCell:
     """
 
     __slots__ = (
-        "concern", "aspect", "pair", "evaluate", "postaction", "on_abort",
+        "concern", "aspect", "pair", "evaluate", "postaction",
         "never_blocks", "degraded", "policy", "threshold",
         "injection_sites",
     )
@@ -83,7 +83,6 @@ class PlanCell:
         self.pair = (concern, aspect)
         self.evaluate = aspect.evaluate_precondition
         self.postaction = aspect.postaction
-        self.on_abort = aspect.on_abort
         self.never_blocks = aspect.never_blocks
         self.degraded = degraded
         self.policy = policy

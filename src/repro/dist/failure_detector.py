@@ -109,7 +109,8 @@ class HeartbeatDetector:
 
     The detector starts no thread: its inbox is a
     :class:`~repro.dist.network.Sink`, so heartbeats are stamped, and
-    ``on_error`` is called, on the network's dispatcher thread.
+    ``on_error`` is called, on the sender's thread when the heartbeat
+    is due now, else on the network's dispatcher thread.
     """
 
     def __init__(self, network: Network, endpoint: str,
@@ -150,11 +151,13 @@ class HeartbeatDetector:
         self.inbox = network.register(endpoint, Sink(self._on_heartbeat))
 
     def _on_heartbeat(self, message: Message) -> None:
-        """Stamp the sender's last-seen time (on the network dispatcher).
+        """Stamp the sender's last-seen time.
 
-        Contained like the emitter loop: a malformed heartbeat (or any
-        other surprise) is reported and skipped, never raised into the
-        dispatcher, so one bad message cannot stop later heartbeats.
+        Runs on the sender's thread when the heartbeat is due now, else
+        on the network dispatcher. Contained like the emitter loop: a
+        malformed heartbeat (or any other surprise) is reported and
+        skipped, never raised into the delivering thread, so one bad
+        message cannot stop later heartbeats.
         """
         try:
             node_id = message.payload.get("heartbeat")

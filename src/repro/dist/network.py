@@ -8,9 +8,11 @@ partitions — so the distributed examples and benches exercise the same
 code paths (marshalling, timeouts, retries, failover) a deployment
 would.
 
-Delivery runs on a single dispatcher thread draining a timed heap, which
-keeps per-link FIFO ordering for equal latencies and makes delivered /
-dropped counts deterministic for a fixed seed and send sequence.
+A message due now with nothing queued ahead is put into its inbox on the
+sender's thread; the rest wait on a timed heap for a single dispatcher
+thread. Either way per-link FIFO ordering holds for equal latencies, and
+delivered / dropped counts are deterministic for a fixed seed and send
+sequence.
 """
 
 from __future__ import annotations
@@ -28,15 +30,16 @@ from .message import Message
 
 
 class Sink:
-    """An inbox that handles each message on the dispatcher thread.
+    """An inbox that handles each message on the delivering thread.
 
     For endpoints that never block on a message: a client completing
     the waiting caller's reply future, a detector stamping a heartbeat.
-    ``put`` runs ``deliver(message)`` at once, so no thread polls a
-    queue. It is a plain instance, looked up as ``inbox.put`` at every
-    delivery, so a per-instance wrapper of ``put`` sees each message.
-    After :meth:`close` a delivery raises ``WaitQueue.Closed``, which
-    the network counts as a drop.
+    ``put`` runs ``deliver(message)`` at once, on the sender's thread
+    when the message is due now, else on the dispatcher, so no thread
+    polls a queue. It is a plain instance, looked up as ``inbox.put`` at
+    every delivery, so a per-instance wrapper of ``put`` sees each
+    message. After :meth:`close` a delivery raises
+    ``WaitQueue.Closed``, which the network counts as a drop.
     """
 
     def __init__(self, deliver: Callable[[Message], None]) -> None:
@@ -60,8 +63,9 @@ class Network:
         jitter: uniform +/- fraction applied to the latency.
         loss: probability a message is silently dropped.
         seed: RNG seed for jitter and loss decisions.
-        on_error: callback invoked with any exception the dispatcher
-            thread survives (it never dies silently; without a callback
+        on_error: callback invoked with any exception a delivery
+            raises, on the delivering thread (the dispatcher never dies
+            silently and a sender never sees it; without a callback
             errors are only counted in ``dispatch_errors``).
     """
 
@@ -86,6 +90,9 @@ class Network:
         self.delivered = 0
         self.dropped = 0
         self._heap: List[Tuple[float, int, Message]] = []
+        #: the dispatcher is handing a popped message over: a due-now
+        #: send must queue behind it
+        self._delivering = False
         self._sequence = itertools.count()
         self._wakeup = threading.Condition(self._lock)
         self._closed = False
@@ -102,12 +109,14 @@ class Network:
 
         An inbox is any object with a non-blocking ``put`` and a
         ``close``; the default is an unbounded :class:`WaitQueue`. The
-        dispatcher calls ``put`` outside its own lock, and a ``put``
-        that raises ``WaitQueue.Closed`` counts as a drop. Nodes pass a
-        bounded :class:`~repro.dist.resilience.ShedInbox` that their
-        serve threads drain; clients and failure detectors pass a
+        network calls ``put`` outside its own lock, on the sender's
+        thread when the message is due now, else on the dispatcher; a
+        ``put`` that raises counts as a drop and never reaches the
+        sender. Nodes pass a bounded
+        :class:`~repro.dist.resilience.ShedInbox` that their serve
+        threads drain; clients and failure detectors pass a
         :class:`Sink`, whose ``put`` handles the message on the
-        dispatcher thread itself.
+        delivering thread itself.
         """
         with self._lock:
             if endpoint in self._inboxes:
@@ -166,7 +175,7 @@ class Network:
     # sending
     # ------------------------------------------------------------------
     def send(self, message: Message) -> None:
-        """Queue a message for delivery, applying faults and latency.
+        """Deliver or queue a message, applying faults and latency.
 
         Unknown destinations raise :class:`NodeUnreachable` immediately
         (the simulated analogue of a connection refusal); loss and
@@ -206,17 +215,24 @@ class Network:
             delay = self.latency
             if delay > 0 and self.jitter > 0:
                 delay *= 1.0 + self.jitter * (2 * self._rng.random() - 1)
-            deliver_at = time.monotonic() + max(0.0, delay) + extra_delay
-            heapq.heappush(
-                self._heap,
-                (deliver_at, next(self._sequence), message),
-            )
-            self._wakeup.notify()
+            delay = max(0.0, delay) + extra_delay
+            if delay > 0 or self._heap or self._delivering:
+                heapq.heappush(
+                    self._heap,
+                    (time.monotonic() + delay, next(self._sequence),
+                     message),
+                )
+                self._wakeup.notify()
+                return
+            # Due now with nothing queued ahead: deliver on this thread.
+            inbox = self._inboxes[message.dest]
+            self.delivered += 1
+        self._put(inbox, message)
 
     def _dispatch_loop(self) -> None:
-        # The dispatcher is the single point every delivery flows
-        # through: if it died on one bad message the whole network would
-        # silently stop. Each step is therefore contained — errors are
+        # Every delayed delivery flows through the dispatcher: if it
+        # died on one bad message the whole network would silently
+        # stop. Each step is therefore contained — errors are
         # counted, reported through on_error, and the loop continues.
         while True:
             try:
@@ -247,20 +263,27 @@ class Network:
                 return False
             inbox = self._inboxes[message.dest]
             self.delivered += 1
+            self._delivering = True
+        self._put(inbox, message)
+        self._delivering = False
+        return False
+
+    def _put(self, inbox: Any, message: Message) -> None:
+        """Hand a counted delivery over; a put that raises is a drop.
+
+        ``inbox.put`` is looked up per delivery, so a per-instance
+        wrapper sees every message. A poisoned message (bad payload
+        copy, broken inbox) is reported, never raised: it must neither
+        reach the sender nor take the dispatcher down.
+        """
         try:
             inbox.put(message.copy_for_delivery())
-        except WaitQueue.Closed:
+        except Exception as exc:  # noqa: BLE001 - must not propagate
             with self._lock:
                 self.delivered -= 1
                 self.dropped += 1
-        except Exception:
-            # A poisoned message (bad payload copy, broken inbox) is
-            # dropped and reported; it must not take the dispatcher down.
-            with self._lock:
-                self.delivered -= 1
-                self.dropped += 1
-            raise
-        return False
+            if not isinstance(exc, WaitQueue.Closed):
+                self._report_error(exc)
 
     def _report_error(self, exc: BaseException) -> None:
         with self._lock:

@@ -145,6 +145,8 @@ class Node:
         #: call — what a migrator's drain (:meth:`settle`) waits on
         self._inflight: Dict[str, int] = {}
         self._idle = threading.Condition(self._lock)
+        #: threads waiting in :meth:`settle`; kept under ``_idle``
+        self._settlers = 0
         self._threads: List[threading.Thread] = []
         self._running = False
         self._workers = workers
@@ -262,11 +264,13 @@ class Node:
         work that was in flight when it died.
         """
         with self._idle:
+            self._settlers += 1
             drained = self._idle.wait_for(
                 lambda: (self._crashed
                          or self._inflight.get(service, 0) == 0),
                 timeout,
             )
+            self._settlers -= 1
             return drained and not self._crashed
 
     def _release(self, service: str) -> None:
@@ -277,7 +281,8 @@ class Node:
                 self._inflight[service] = count
             else:
                 self._inflight.pop(service, None)
-                self._idle.notify_all()
+                if self._settlers:
+                    self._idle.notify_all()
 
     def _unavailable(self, service: str, moving: bool) -> BaseException:
         """The right rejection for a request naming no local servant."""
@@ -305,7 +310,8 @@ class Node:
     def _on_shed(self, message: Message, action: str) -> None:
         """A request was shed at admission; tell its caller.
 
-        Runs on the network dispatcher thread, outside the inbox lock.
+        Runs on the sender's thread when the request was due now, else
+        on the network dispatcher, outside the inbox lock either way.
         Both policies answer the shed request's caller with
         ``Overloaded`` so it wakes promptly and backs off, instead of
         burning its full timeout (under ``drop_oldest`` the *evicted*

@@ -392,8 +392,9 @@ class ShedInbox(WaitQueue):
       make room (its caller times out and retries); the arriving
       request enqueues. With nothing evictable the arrival is rejected.
 
-    ``put`` never blocks: the dispatcher thread calling it must keep
-    delivering to every other endpoint regardless of this node's load.
+    ``put`` never blocks: the thread calling it (the sender's when the
+    request is due now, else the dispatcher) must keep delivering to
+    every other endpoint regardless of this node's load.
     """
 
     POLICIES = ("reject", "drop_oldest")

@@ -78,8 +78,9 @@ class Client:
 
     The caller's thread sends and waits on its reply future; nothing
     else runs on the client's behalf. The inbox is a
-    :class:`~repro.dist.network.Sink`, so the network's dispatcher
-    thread matches each reply by message id and completes the waiting
+    :class:`~repro.dist.network.Sink`, so whichever thread delivers a
+    reply (the replier's when it is due now, else the network's
+    dispatcher) matches it by message id and completes the waiting
     future itself.
 
     ``retry_policy`` arms the retry loop for every call (overridable
@@ -134,10 +135,12 @@ class Client:
         return int(self._counters.value("retries"))
 
     def _on_reply(self, message: Message) -> None:
-        """Complete the waiting caller's future (on the dispatcher).
+        """Complete the waiting caller's future.
 
-        A message nobody waits for (not a reply, or its call timed out
-        or the client closed) finds no pending future and is ignored.
+        Runs on the replier's thread when the reply is due now, else on
+        the network dispatcher. A message nobody waits for (not a reply,
+        or its call timed out or the client closed) finds no pending
+        future and is ignored.
         """
         with self._lock:
             future = self._pending.pop(message.reply_to, None)

@@ -167,6 +167,8 @@ class ShardRouter:
             help="calls routed per (name, shard)",
             labelnames=("name", "shard"),
         )
+        #: shard id -> (shard name, its route counter child)
+        self._shard_routes: Dict[str, Tuple[str, Any]] = {}
         self._ring: Optional[HashRing] = None
         self._ring_version = -1
 
@@ -193,23 +195,25 @@ class ShardRouter:
              **kwargs: Any) -> Any:
         """Route one invocation to its shard and dispatch it."""
         shard = self.shard_for(method, args, kwargs)
-        self._routes.labels(self.name, shard).inc()
-        shard_name = f"{self.name}#{shard}"
+        route = self._shard_routes.get(shard)
+        if route is None:
+            route = self._shard_routes[shard] = (
+                f"{self.name}#{shard}", self._routes.labels(self.name, shard),
+            )
+        shard_name, routes = route
+        routes.inc()
+        kwargs.update(caller=caller, timeout=timeout, deadline=deadline,
+                      idempotency_key=idempotency_key,
+                      retry_policy=retry_policy)
         context = propagation.current()
-        if context is not None:
-            # Stamp the shard into the trace baggage: the server-side
-            # span recorder annotates the activation root with it.
-            context = replace(
-                context,
-                baggage=context.baggage + (("shard", shard),),
-            )
-        with propagation.activate(context):
-            return self.client.call_name(
-                shard_name, method, *args,
-                caller=caller, timeout=timeout, deadline=deadline,
-                idempotency_key=idempotency_key,
-                retry_policy=retry_policy, **kwargs,
-            )
+        if context is None:
+            return self.client.call_name(shard_name, method, *args, **kwargs)
+        # Stamp the shard into the trace baggage: the server-side span
+        # recorder annotates the activation root with it.
+        with propagation.activate(replace(
+            context, baggage=context.baggage + (("shard", shard),),
+        )):
+            return self.client.call_name(shard_name, method, *args, **kwargs)
 
     def __getattr__(self, method: str) -> Callable[..., Any]:
         if method.startswith("_"):

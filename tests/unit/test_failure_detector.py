@@ -103,28 +103,33 @@ class TestDetection:
         finally:
             network.close()
 
-    def test_heartbeat_stamped_on_the_dispatcher_thread(self):
-        network = Network()
-        stamped_on = []
+    def test_heartbeat_stamped_on_the_sender_when_due_now_else_the_dispatcher(
+            self):
+        sender = threading.current_thread().name
+        for latency, thread in ((0.0, sender),
+                                (0.005, "network-dispatch")):
+            network = Network(latency=latency)
+            stamped_on = []
 
-        def clock():
-            stamped_on.append(threading.current_thread().name)
-            return time.monotonic()
+            def clock():
+                stamped_on.append(threading.current_thread().name)
+                return time.monotonic()
 
-        detector = HeartbeatDetector(network, "m", clock=clock)
-        network.register("node-1")
-        try:
-            network.send(Message(source="node-1", dest="m", kind="event",
-                                 payload={"heartbeat": "node-1"}))
-            deadline = time.monotonic() + 2.0
-            while detector.heartbeats_received < 1 and \
-                    time.monotonic() < deadline:
-                time.sleep(0.01)
-            assert detector.heartbeats_received == 1
-            assert stamped_on == ["network-dispatch"]
-        finally:
-            detector.close()
-            network.close()
+            detector = HeartbeatDetector(network, "m", clock=clock)
+            network.register("node-1")
+            try:
+                network.send(Message(source="node-1", dest="m",
+                                     kind="event",
+                                     payload={"heartbeat": "node-1"}))
+                deadline = time.monotonic() + 2.0
+                while detector.heartbeats_received < 1 and \
+                        time.monotonic() < deadline:
+                    time.sleep(0.01)
+                assert detector.heartbeats_received == 1
+                assert stamped_on == [thread]
+            finally:
+                detector.close()
+                network.close()
 
     def test_validation(self, world):
         network, _detector, _emit = world

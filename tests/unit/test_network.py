@@ -194,20 +194,29 @@ class TestDispatcherSurvival:
 
 
 class TestSink:
-    """An inbox whose ``put`` handles the message on the dispatcher."""
+    """An inbox whose ``put`` handles the message on the delivering thread."""
 
-    def test_sink_runs_on_the_dispatcher_thread(self, network):
-        seen = []
-        network.register("b", Sink(lambda message: seen.append(
-            (message.payload["tag"], threading.current_thread().name))))
-        network.register("a")
-        for tag in range(3):
-            network.send(msg("a", "b", tag))
-        deadline = time.monotonic() + 2.0
-        while len(seen) < 3 and time.monotonic() < deadline:
-            time.sleep(0.01)
-        assert seen == [(tag, "network-dispatch") for tag in range(3)]
-        assert network.stats()["delivered"] == 3
+    def test_sink_runs_on_the_sender_when_due_now_else_the_dispatcher(
+            self, network):
+        sender = threading.current_thread().name
+        delayed = Network(latency=0.005)
+        try:
+            for net, thread in ((network, sender),
+                                (delayed, "network-dispatch")):
+                seen = []
+                net.register("b", Sink(lambda message: seen.append(
+                    (message.payload["tag"],
+                     threading.current_thread().name))))
+                net.register("a")
+                for tag in range(3):
+                    net.send(msg("a", "b", tag))
+                deadline = time.monotonic() + 2.0
+                while len(seen) < 3 and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                assert seen == [(tag, thread) for tag in range(3)]
+                assert net.stats()["delivered"] == 3
+        finally:
+            delayed.close()
 
     def test_raising_deliver_is_reported_and_delivery_continues(self):
         errors = []
@@ -252,6 +261,111 @@ class TestSink:
         assert seen == []
         assert stats["dropped"] == 1 and stats["delivered"] == 0
         assert stats["dispatch_errors"] == 0
+
+
+class PoisonedCopy(Message):
+    def copy_for_delivery(self):
+        raise ValueError("payload does not copy")
+
+
+class TestDirectDelivery:
+    """A due-now send runs the inbox's ``put`` on the sender's thread."""
+
+    def test_due_now_send_never_overtakes_the_dispatchers_put(self):
+        from repro.faults import FaultInjector, FaultPlan, FaultSpec
+        net = Network()
+        FaultInjector(FaultPlan([FaultSpec(
+            phase="delivery", method_id="b", occurrence=1,
+            action="delay", arg=0.01,
+        )])).install(net)
+        handing_over, release = threading.Event(), threading.Event()
+        seen = []
+
+        def deliver(message):
+            if message.payload["tag"] == "A":
+                handing_over.set()
+                release.wait(2.0)
+            seen.append((message.payload["tag"],
+                         threading.current_thread().name))
+
+        try:
+            net.register("b", Sink(deliver))
+            net.register("a")
+            net.send(msg("a", "b", "A"))  # delayed: the dispatcher's job
+            assert handing_over.wait(2.0)
+            # the heap is empty, but A is still being handed over
+            net.send(msg("a", "b", "B"))
+            release.set()
+            deadline = time.monotonic() + 2.0
+            while len(seen) < 2 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert seen == [("A", "network-dispatch"),
+                            ("B", "network-dispatch")]
+        finally:
+            release.set()
+            net.close()
+
+    @pytest.mark.parametrize("poison", ["put", "copy"])
+    def test_raising_put_is_a_reported_drop_not_the_senders(self, poison):
+        errors = []
+        net = Network(on_error=errors.append)
+
+        def deliver(message):
+            if poison == "put":
+                raise ValueError("poisoned")
+
+        try:
+            net.register("b", Sink(deliver))
+            net.register("a")
+            message = (msg("a", "b") if poison == "put"
+                       else PoisonedCopy(source="a", dest="b", kind="event"))
+            net.send(message)  # returns: the error is not the sender's
+            # handled on this thread, before send returned
+            stats = net.stats()
+            assert [type(exc) for exc in errors] == [ValueError]
+            assert stats["dispatch_errors"] == 1
+            assert stats["dropped"] == 1 and stats["delivered"] == 0
+        finally:
+            net.close()
+
+    def test_closed_inbox_is_a_drop(self, network):
+        inbox = network.register("b")
+        network.register("a")
+        inbox.close()
+        network.send(msg("a", "b"))
+        stats = network.stats()
+        assert stats["dropped"] == 1 and stats["delivered"] == 0
+        assert stats["dispatch_errors"] == 0
+
+    def test_loss_and_partition_drop_at_send_as_on_the_dispatcher(self):
+        def run(latency):
+            net = Network(latency=latency, loss=0.3, seed=11)
+            try:
+                inbox = net.register("b")
+                net.register("a")
+                net.register("c")
+                for tag in range(40):
+                    if tag == 10:
+                        net.partition({"a"}, {"b", "c"})
+                    if tag == 20:
+                        net.heal()
+                    net.send(msg("a", "b", tag))
+                deadline = time.monotonic() + 2.0
+                while net.stats()["in_flight"] and \
+                        time.monotonic() < deadline:
+                    time.sleep(0.01)
+                received = [inbox.get(2.0).payload["tag"]
+                            for _ in range(net.stats()["delivered"])]
+                return net.stats(), received
+            finally:
+                net.close()
+
+        direct, dispatched = run(0.0), run(1e-6)
+        assert direct == dispatched
+        stats, received = direct
+        assert stats["in_flight"] == 0
+        assert stats["dropped"] >= 10  # the partitioned stretch at least
+        assert not set(received) & set(range(10, 20))
 
 
 class TestDeliveryInjection:

@@ -63,7 +63,6 @@ class TestCompile:
             # pre-bound protocol callables — no per-round attribute chase
             assert cell.evaluate == cell.aspect.evaluate_precondition
             assert cell.postaction == cell.aspect.postaction
-            assert cell.on_abort == cell.aspect.on_abort
 
     def test_routing_flags_never_blocks_chain(self):
         plan = _moderator(never_blocks=True).plan_for("m")

@@ -139,21 +139,35 @@ class TestReplyDelivery:
                            for index in range(6)}
         assert client._pending == {}
 
-    def test_reply_completes_on_the_dispatcher_thread(self, rig):
+    def test_reply_completes_on_the_sender_when_due_now_else_the_dispatcher(
+            self, rig):
         # the network looks up ``inbox.put`` per delivery, so a wrapper
-        # set on the instance sees every reply, on the dispatcher
+        # set on the instance sees every reply: on the replying node's
+        # worker when due now, else on the dispatcher
         network, names, node, client = rig
-        seen = []
-        put = client.inbox.put
+        delayed = Network(latency=0.005)
+        far = Node("far", delayed).start()
+        far.export("calc", Calculator())
+        far_client = Client("client", delayed, default_timeout=2.0)
+        try:
+            for rpc, server, thread in (
+                    (client, "server", "server-worker-0"),
+                    (far_client, "far", "network-dispatch")):
+                seen = []
+                put = rpc.inbox.put
 
-        def traced(message):
-            seen.append(threading.current_thread().name)
-            put(message)
+                def traced(message, put=put, seen=seen):
+                    seen.append(threading.current_thread().name)
+                    put(message)
 
-        client.inbox.put = traced
-        assert client.call_node("server", "calc", "add", 1, 2) == 3
-        assert client.call_node("server", "calc", "add", 3, 4) == 7
-        assert seen == ["network-dispatch"] * 2
+                rpc.inbox.put = traced
+                assert rpc.call_node(server, "calc", "add", 1, 2) == 3
+                assert rpc.call_node(server, "calc", "add", 3, 4) == 7
+                assert seen == [thread] * 2
+        finally:
+            far_client.close()
+            far.stop()
+            delayed.close()
 
     def test_reply_after_timeout_is_ignored(self):
         network = Network(latency=0.1)
