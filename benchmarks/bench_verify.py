@@ -27,6 +27,16 @@ from repro.verify import (
 )
 
 
+#: exact (states, transitions) per case; a change to how the explorer
+#: executes a composition must not move them
+BUFFER_COUNTS = {1: (21, 30), 2: (801, 2146), 3: (25_882, 98_274)}
+MUTEX_COUNTS = {2: (37, 52), 3: (249, 492), 4: (1545, 3880)}
+
+
+def counts(report):
+    return report.states_explored, report.transitions_taken
+
+
 class _Sized:
     def __init__(self, capacity):
         self.capacity = capacity
@@ -55,6 +65,7 @@ def test_verify_buffer_scaling(benchmark, pairs):
 
     report = benchmark.pedantic(check, rounds=3, iterations=1)
     assert report.ok, report.summary()
+    assert counts(report) == BUFFER_COUNTS[pairs]
     benchmark.extra_info["pairs"] = pairs
     benchmark.extra_info["states"] = report.states_explored
     benchmark.extra_info["transitions"] = report.transitions_taken
@@ -73,6 +84,7 @@ def test_verify_mutex_scaling(benchmark, clients):
 
     report = benchmark.pedantic(check, rounds=3, iterations=1)
     assert report.ok, report.summary()
+    assert counts(report) == MUTEX_COUNTS[clients]
     benchmark.extra_info["clients"] = clients
     benchmark.extra_info["states"] = report.states_explored
 
@@ -89,6 +101,7 @@ def test_verify_finds_deadlock_fast(benchmark):
     report = benchmark(check)
     assert not report.ok
     assert report.violations[0].kind == "deadlock"
+    assert counts(report) == (4, 3)
 
 
 def test_verify_semaphore_stack(benchmark):
@@ -106,3 +119,4 @@ def test_verify_semaphore_stack(benchmark):
 
     report = benchmark.pedantic(check, rounds=3, iterations=1)
     assert report.ok, report.summary()
+    assert counts(report) == (47, 78)
