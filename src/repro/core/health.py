@@ -11,9 +11,10 @@ rather than silently wave it through — ``fail_closed``.
 
 :class:`HealthTracker` is the moderator-side bookkeeping: it counts
 faults per bank cell and flips a cell to *quarantined* once the count
-reaches the cell's threshold. The hot path pays one truthiness check on
-:attr:`HealthTracker.active` per round — the tracker only grows state
-after the first fault, so healthy systems never touch a dict here.
+reaches the cell's threshold. The hot path pays one lock-free
+``degraded.get(method_id)`` per round: :attr:`HealthTracker.degraded`
+maps only methods with a quarantined cell, so a healthy method's round
+never looks at a cell, whatever is quarantined elsewhere.
 """
 
 from __future__ import annotations
@@ -70,9 +71,10 @@ class HealthTracker:
     """Fault accounting and quarantine state for a moderator's bank cells.
 
     Thread safety: all mutation happens under an internal leaf lock that
-    is never held while calling aspect or listener code. ``active`` is a
-    bare boolean read — stale reads are harmless (a racing reader merely
-    checks, or skips checking, a quarantine map one round late).
+    is never held while calling aspect or listener code. ``degraded`` is
+    copy-on-write — replaced whole, never mutated — so a bare read is a
+    consistent snapshot; a stale one merely applies a quarantine flip
+    one round late.
     """
 
     def __init__(self, default_threshold: int = 3) -> None:
@@ -82,15 +84,17 @@ class HealthTracker:
         self._lock = threading.Lock()
         self._cells: Dict[Tuple[str, str], AspectHealth] = {}
         self._policies: Dict[Tuple[str, str], Tuple[Optional[str], int]] = {}
-        #: True as soon as any cell is quarantined; hot-path guard.
-        self.active = False
+        #: method -> {concern: policy} of every quarantined cell,
+        #: rebuilt under the lock at each flip, reinstate or drop
+        self.degraded: Dict[str, Dict[str, str]] = {}
         #: Monotonic counter bumped by every change that could alter
         #: what a compiled plan snapshots: a policy (re)declaration, a
         #: cell being dropped, a quarantine flip, a reinstatement.
         #: It is one part of the moderator's ``registration_version``,
         #: the key every activation plan is cached under, so quarantine
-        #: transitions invalidate compiled plans. Bare reads are safe (int reads are atomic; a stale
-        #: read merely revalidates one round late, like ``active``).
+        #: transitions invalidate compiled plans. Bare reads are safe
+        #: (int reads are atomic; a stale read merely revalidates one
+        #: round late, like ``degraded``).
         self.epoch = 0
 
     # ------------------------------------------------------------------
@@ -115,7 +119,7 @@ class HealthTracker:
                 else self.default_threshold,
             )
             self._cells.pop(key, None)
-            self._refresh_active_locked()
+            self._refresh_degraded_locked()
             self.epoch += 1
 
     def drop(self, method_id: str, concern: str) -> None:
@@ -124,7 +128,7 @@ class HealthTracker:
         with self._lock:
             self._policies.pop(key, None)
             self._cells.pop(key, None)
-            self._refresh_active_locked()
+            self._refresh_degraded_locked()
             self.epoch += 1
 
     def declared_policy(
@@ -177,7 +181,7 @@ class HealthTracker:
             if (cell.policy is not None and not cell.quarantined
                     and cell.faults >= cell.threshold):
                 cell.quarantined = True
-                self.active = True
+                self._refresh_degraded_locked()
                 self.epoch += 1
                 return True
             return False
@@ -201,19 +205,26 @@ class HealthTracker:
             cell.quarantined = False
             cell.faults = 0
             cell.phases.clear()
-            self._refresh_active_locked()
+            self._refresh_degraded_locked()
             if was:
                 self.epoch += 1
             return was
 
-    def _refresh_active_locked(self) -> None:
-        self.active = any(
-            cell.quarantined for cell in self._cells.values()
-        )
+    def _refresh_degraded_locked(self) -> None:
+        degraded: Dict[str, Dict[str, str]] = {}
+        for (method_id, concern), cell in self._cells.items():
+            if cell.quarantined:
+                degraded.setdefault(method_id, {})[concern] = cell.policy
+        self.degraded = degraded
 
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
+    @property
+    def active(self) -> bool:
+        """Whether any cell is quarantined."""
+        return bool(self.degraded)
+
     def snapshot(self) -> Dict[Tuple[str, str], Dict[str, object]]:
         """Copy of every cell's health record (cells with faults only)."""
         with self._lock:

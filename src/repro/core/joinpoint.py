@@ -26,17 +26,7 @@ from .results import Phase
 _joinpoint_ids = itertools.count(1)
 
 class _Unset:
-    """Sentinel distinguishing "no result yet" from "returned None".
-
-    Copy/deepcopy return the singleton so identity checks survive the
-    state cloning done by :mod:`repro.verify`.
-    """
-
-    def __copy__(self) -> "_Unset":
-        return self
-
-    def __deepcopy__(self, memo: dict) -> "_Unset":
-        return self
+    """Sentinel distinguishing "no result yet" from "returned None"."""
 
     def __repr__(self) -> str:
         return "<unset>"

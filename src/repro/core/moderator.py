@@ -960,8 +960,9 @@ class AspectModerator:
         attributed to the degraded concern.
 
         One executor for every plan, deciding as the paper's per-call
-        interpreter does: quarantine is read live (``health.active``
-        gates it), each injector site is visited live through
+        interpreter does: quarantine is read once per round (the
+        method's entry in ``health.degraded``, absent while all of its
+        cells are healthy), each injector site is visited live through
         ``injector.fire`` (so chaos-test occurrence coordinates match
         the interpreter's), and a declared contract's runner checkpoints
         each RESUME. With nothing armed each of those hooks is one
@@ -980,7 +981,7 @@ class AspectModerator:
         # Timing gates on listeners, exactly like event construction:
         # with nobody subscribed the round reads no clock.
         timed = self.events.has_listeners
-        quarantine_active = self.health.active
+        degraded = self.health.degraded.get(method_id)
         injector = self._fault_injector
         runner = (
             joinpoint.context.get(CONTRACT_KEY)
@@ -998,11 +999,11 @@ class AspectModerator:
         resumed: Optional[List[Tuple[str, Aspect]]] = None
         for cell in plan.cells:
             concern = cell.concern
-            if quarantine_active:
-                # Live read, not the compiled ``cell.degraded`` snapshot:
-                # a flip mid-round must act on later cells of this very
-                # round.
-                policy = self.health.quarantine_policy(method_id, concern)
+            if degraded is not None:
+                # This round's map, not the compiled ``cell.degraded``
+                # snapshot: a flip acts from the next round on, whether
+                # or not the plan has recompiled yet.
+                policy = degraded.get(concern)
                 if policy == FAIL_OPEN:
                     self.stats.bump("degraded_skips")
                     emit(

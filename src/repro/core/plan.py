@@ -395,8 +395,9 @@ def compile_plan(
     data; the executor reads their live state every round.
     """
     cells = []
+    quarantined = health.degraded.get(method_id, {})
     for concern, aspect in pairs:
-        degraded = health.quarantine_policy(method_id, concern)
+        degraded = quarantined.get(concern)
         policy, threshold = health.declared_policy(method_id, concern)
         sites = () if injector is None else tuple(
             spec.describe()

@@ -2,10 +2,11 @@
 
 "Should it further enable formal verification of system properties?"
 (Section 1). This subpackage provides an explicit-state model checker
-over compositions of real aspect objects: every interleaving of a set
-of scripted activations is explored, safety properties are evaluated in
-every state, and deadlocks are reported with shortest counterexample
-traces.
+over compositions of real aspect objects, executed by the production
+:class:`~repro.core.moderator.AspectModerator`: every interleaving of a
+set of scripted activations is explored, safety properties are
+evaluated in every state, and deadlocks are reported with shortest
+counterexample traces.
 """
 
 from .lint import Finding, lint_chain, lint_cluster, lint_plan

@@ -13,7 +13,9 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from .model import ActivationSpec, ChainBuilder, ModelState, initial_state
+from .model import (
+    ActivationSpec, ChainBuilder, ModelState, Transition, replay,
+)
 
 #: A safety property: state -> error string or None.
 Property = Callable[[ModelState], Optional[str]]
@@ -80,7 +82,9 @@ class Explorer:
     """Breadth-first explorer over the activation model.
 
     Args:
-        build_chains: fresh method -> aspect-chain mapping per path root.
+        build_chains: a fresh composition per replay — method ->
+            aspect chains, or a wired moderator; called once per
+            explored transition.
         specs: the scripted clients.
         properties: safety checks run in every state.
         max_states: exploration budget; exceeding it sets ``truncated``
@@ -104,14 +108,16 @@ class Explorer:
             collect_graph: bool = False) -> ExplorationReport:
         """Explore all interleavings; returns the exploration report.
 
-        With ``collect_graph`` every transition (including those into
-        already-visited states) is recorded for :meth:`ExplorationReport.to_dot`.
+        Every successor is a replay of its parent's path plus one
+        transition on a fresh composition. With ``collect_graph`` every
+        transition (including those into already-visited states) is
+        recorded for :meth:`ExplorationReport.to_dot`.
         """
-        root = initial_state(self.build_chains, self.specs)
+        root = replay(self.build_chains, self.specs, ())
         root_fingerprint = root.fingerprint()
-        visited = {root_fingerprint}
-        state_ids = {root_fingerprint: 0}
-        frontier: deque = deque([(root, ())])
+        #: fingerprint -> state id, in discovery order
+        visited = {root_fingerprint: 0}
+        frontier: deque = deque([((), 0, root.candidate_transitions())])
         report = ExplorationReport(states_explored=1, transitions_taken=0)
 
         self._check_state(root, (), report)
@@ -119,47 +125,55 @@ class Explorer:
             return report
 
         while frontier:
-            state, trace = frontier.popleft()
-            transitions = state.enabled_transitions()
-            if not transitions and state.has_pending_work():
-                report.violations.append(Violation(
-                    kind="deadlock",
-                    detail=self._describe_deadlock(state),
-                    trace=trace,
-                ))
-                if stop_at_first:
-                    return report
-                continue
-            for transition in transitions:
-                successor = state.apply(transition)
+            path, state_id, candidates = frontier.popleft()
+            enabled = 0
+            for transition in candidates:
+                successor_path = path + (transition,)
+                successor = replay(self.build_chains, self.specs,
+                                   successor_path)
+                if successor is None:
+                    continue  # the retry parks again: not enabled
+                enabled += 1
                 report.transitions_taken += 1
                 fingerprint = successor.fingerprint()
                 kind, index = transition
-                client_name = state.clients[index].spec.client
+                client_name = self.specs[index].client
                 if collect_graph:
-                    source_id = state_ids[state.fingerprint()]
-                    target_id = state_ids.setdefault(
-                        fingerprint, len(state_ids)
-                    )
+                    target_id = visited.get(fingerprint, len(visited))
                     report.edges.append(
-                        (source_id, f"{kind}({client_name})", target_id)
+                        (state_id, f"{kind}({client_name})", target_id)
                     )
                 if fingerprint in visited:
                     continue
-                visited.add(fingerprint)
+                visited[fingerprint] = successor_id = len(visited)
                 report.states_explored += 1
-                step = (kind, client_name)
-                successor_trace = trace + (step,)
-                self._check_state(successor, successor_trace, report)
+                self._check_state(successor, self._trace(successor_path),
+                                  report)
                 if report.violations and stop_at_first:
                     return report
-                frontier.append((successor, successor_trace))
+                frontier.append((successor_path, successor_id,
+                                 successor.candidate_transitions()))
                 if report.states_explored >= self.max_states:
                     report.truncated = True
+                    return report
+            if candidates and not enabled:
+                # pending work, no enabled transition
+                report.violations.append(Violation(
+                    kind="deadlock",
+                    detail=self._describe_deadlock(
+                        replay(self.build_chains, self.specs, path)
+                    ),
+                    trace=self._trace(path),
+                ))
+                if stop_at_first:
                     return report
         return report
 
     # ------------------------------------------------------------------
+    def _trace(self, path: Sequence[Transition]) -> Trace:
+        return tuple((kind, self.specs[index].client)
+                     for kind, index in path)
+
     def _check_state(self, state: ModelState, trace: Trace,
                      report: ExplorationReport) -> None:
         for check in self.properties:

@@ -1,4 +1,4 @@
-"""Abstract model of moderated activations for exhaustive exploration.
+"""Model of moderated activations, executed by the production moderator.
 
 The paper's open-questions list asks whether an aspect-oriented
 architecture should "enable formal verification of system properties".
@@ -8,38 +8,52 @@ protocol confines all concurrency decisions to ``precondition`` /
 finite transition system that can be explored exhaustively.
 
 The model: a set of :class:`ActivationSpec` (client, method, how many
-repetitions), a chain of real :class:`~repro.core.aspect.Aspect`
-objects per method (via a builder so every exploration path gets fresh
-state), and the moderator's small-step semantics:
+repetitions), a composition from a builder — method -> [aspects]
+chains, or a wired :class:`~repro.core.moderator.AspectModerator` —
+and a real moderator driving it through a park seam of the explorer's
+own (:class:`ExplorerSeam`), the way the continuation runtime does:
 
-* ``start``: an idle client begins an activation (evaluates the chain
-  under the moderator lock — atomically in the model, exactly as the
-  real moderator serializes chain evaluation);
+* ``start``: an idle client begins an activation — the moderator's
+  entry step (:meth:`AspectModerator._enter`) with its compiled plan,
+  ordering policy, compensation, quarantine and contracts;
 * on RESUME the activation enters its *critical* region (body running);
-* ``finish``: a running activation completes (postactions in reverse
-  order, wakes every blocked activation — modelled implicitly: blocked
-  activations simply retry, since exploration tries every enabled
-  transition anyway);
-* on ABORT the activation terminates without running.
+  on ABORT it terminates without running; on BLOCK the seam suspends
+  it (the client is *waiting*);
+* ``retry``: a wake re-enters Figure 11's round loop
+  (:meth:`AspectModerator._rounds`); it is enabled only when that round
+  does not park again (no-progress wakeups revisit the same state);
+* ``finish``: a running activation completes through
+  :meth:`AspectModerator.postactivation`.
 
-State is captured by snapshotting aspect attributes plus each client's
-program counter, so the explorer can detect revisits and report
-deadlocks (states with pending work and no enabled transition).
+States are never copied. A state is the trace that reaches it: a fresh
+composition from the builder with the trace's transitions replayed, so
+the builder must build fresh state on every call. It is captured for the
+visited set by digesting aspect attributes, each client's program
+counter and its activation's join-point context.
 """
 
 from __future__ import annotations
 
-import copy
 import threading
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Dict, List, Optional, Sequence, Tuple, Union,
+)
 
 from repro.core.aspect import Aspect
 from repro.core.joinpoint import JoinPoint
+from repro.core.moderator import Activation, AspectModerator
 from repro.core.results import AspectResult
 
-#: builder returning fresh method -> [aspects] chains for one path
-ChainBuilder = Callable[[], Dict[str, List[Aspect]]]
+#: builder returning a fresh composition for one replay: method ->
+#: [aspects] chains (registered in list order into a default moderator),
+#: or a wired moderator
+ChainBuilder = Callable[
+    [], Union[Dict[str, List[Aspect]], AspectModerator]
+]
+
+#: one transition: (kind, client index)
+Transition = Tuple[str, int]
 
 
 @dataclass(frozen=True)
@@ -52,14 +66,36 @@ class ActivationSpec:
     kwargs: Tuple[Tuple[str, Any], ...] = ()
 
 
+class ExplorerSeam:
+    """The explorer's park seam: a BLOCKed round suspends the activation.
+
+    Time stands still, so runs replay identically; nothing is filed on a
+    park, because the explorer itself decides when a waiting client is
+    retried.
+    """
+
+    @staticmethod
+    def now() -> float:
+        return 0.0
+
+    def register_park(self, activation: Activation) -> None:
+        pass
+
+    def park(self, activation: Activation, queue: Any) -> bool:
+        return False
+
+
+_SEAM = ExplorerSeam()
+
+
 @dataclass
 class ClientState:
     """Program counter of one scripted client.
 
-    ``joinpoint`` and ``resumed_indices`` persist the in-flight
-    activation across state clones so post-activation unwinds exactly
-    the chain that resumed, with the same join point (aspects keep
-    per-activation data in ``joinpoint.context``).
+    ``activation`` is the in-flight activation while the client is
+    waiting or running: its join point carries the per-activation
+    context aspects keep (barrier generation, scheduler registration)
+    and the chain post-activation unwinds.
     """
 
     spec: ActivationSpec
@@ -67,55 +103,37 @@ class ClientState:
     completed: int = 0
     #: "idle" | "waiting" | "running"
     status: str = "idle"
-    joinpoint: Optional[JoinPoint] = None
-    resumed_indices: Optional[List[int]] = None
+    activation: Optional[Activation] = None
 
     def fingerprint(self) -> Tuple:
         context = ()
-        if self.joinpoint is not None \
-                and self.status in ("running", "waiting"):
-            context = _freeze(dict(self.joinpoint.context))
+        if self.activation is not None:
+            # The moderator's own ``__...__`` keys (the RESUMEd chain, a
+            # contract runner) are its bookkeeping, not client state.
+            context = _freeze({
+                key: value
+                for key, value in self.activation.joinpoint.context.items()
+                if not (key.startswith("__") and key.endswith("__"))
+            })
         return (self.spec.client, self.completed, self.status, context)
 
 
 class ModelState:
-    """One concrete state: aspect objects + client program counters."""
+    """One concrete state: a moderator plus client program counters.
 
-    def __init__(self, chains: Dict[str, List[Aspect]],
+    ``chains`` maps each registered method to its aspects in the
+    moderator's plan order; properties read them.
+    """
+
+    def __init__(self, moderator: AspectModerator,
                  clients: List[ClientState]) -> None:
-        self.chains = chains
+        self.moderator = moderator
         self.clients = clients
-
-    # ------------------------------------------------------------------
-    def clone(self) -> "ModelState":
-        """Deep copy: exploration branches must not share aspect state.
-
-        Aspect identity is preserved within one clone (an aspect shared
-        by two methods stays shared); locks are re-created rather than
-        copied; ``component`` references are shared (the model verifies
-        aspect-held state — components in the model must be passive).
-        """
-        identity: Dict[int, Aspect] = {}
-        chains = {
-            method: [_clone_aspect(aspect, identity) for aspect in chain]
-            for method, chain in self.chains.items()
+        self.chains: Dict[str, List[Aspect]] = {
+            method: [aspect for _concern, aspect
+                     in moderator.plan_for(method).pairs]
+            for method in moderator.bank.methods()
         }
-        clients = [
-            ClientState(
-                spec=c.spec, index=c.index, completed=c.completed,
-                status=c.status,
-                joinpoint=(
-                    _lockaware_copy(c.joinpoint, identity)
-                    if c.joinpoint is not None else None
-                ),
-                resumed_indices=(
-                    list(c.resumed_indices)
-                    if c.resumed_indices is not None else None
-                ),
-            )
-            for c in self.clients
-        ]
-        return ModelState(chains, clients)
 
     def fingerprint(self) -> Tuple:
         """Hashable digest of the state for the visited set."""
@@ -128,20 +146,20 @@ class ModelState:
         return (aspect_part, client_part)
 
     # ------------------------------------------------------------------
-    def enabled_transitions(self) -> List[Tuple[str, int]]:
-        """All (kind, client_index) transitions enabled in this state.
+    def candidate_transitions(self) -> List[Transition]:
+        """Every transition that may be enabled here, by client index.
 
         * ``("finish", i)`` for every running client;
         * ``("start", i)`` for every idle client with repetitions left —
-          always enabled, because the *first* chain evaluation runs even
-          when it ends in BLOCK (and may register state: barrier
-          arrivals, writer-waiting flags, scheduler queue entries);
-        * ``("retry", i)`` for every waiting client whose re-evaluation
-          would not immediately BLOCK again (the real moderator's wakeup
-          loop, with no-progress wakeups elided since they revisit the
-          same state).
+          always enabled, because the *first* round runs even when it
+          ends in BLOCK (and may register state: barrier arrivals,
+          writer-waiting flags, scheduler queue entries);
+        * ``("retry", i)`` for every waiting client — enabled only when
+          :meth:`apply` finds that its round does not park again.
+
+        Empty exactly when no work is pending.
         """
-        transitions: List[Tuple[str, int]] = []
+        transitions: List[Transition] = []
         for index, client in enumerate(self.clients):
             if client.status == "running":
                 transitions.append(("finish", index))
@@ -149,137 +167,90 @@ class ModelState:
                     and client.completed < client.spec.repeat:
                 transitions.append(("start", index))
             elif client.status == "waiting":
-                if self._probe(client) is not AspectResult.BLOCK:
-                    transitions.append(("retry", index))
+                transitions.append(("retry", index))
         return transitions
 
-    def has_pending_work(self) -> bool:
-        return any(
-            client.status in ("running", "waiting")
-            or (client.status == "idle"
-                and client.completed < client.spec.repeat)
-            for client in self.clients
-        )
+    def apply(self, transition: Transition) -> bool:
+        """Take ``transition`` in place; ``False`` when a retry re-parked.
 
-    # ------------------------------------------------------------------
-    def _joinpoint(self, client: ClientState) -> JoinPoint:
-        joinpoint = JoinPoint(
-            method_id=client.spec.method,
-            caller=client.spec.client,
-            kwargs=dict(client.spec.kwargs),
-        )
-        # Deterministic identity per (client, attempt): equivalent states
-        # must fingerprint identically even when aspects record the
-        # activation id (e.g. MutexAspect.holder).
-        joinpoint.activation_id = (
-            (client.index + 1) * 1_000_000 + client.completed
-        )
-        return joinpoint
-
-    def _probe(self, client: ClientState) -> AspectResult:
-        """Evaluate the chain on a scratch copy (no state mutation)."""
-        scratch = self.clone()
-        scratch_client = scratch.clients[client.index]
-        outcome, _jp, _resumed = scratch._evaluate(scratch_client)
-        return outcome
-
-    def _evaluate(
-        self, client: ClientState
-    ) -> Tuple[AspectResult, JoinPoint, List[int]]:
-        chain = self.chains.get(client.spec.method, [])
-        joinpoint = (
-            client.joinpoint if client.joinpoint is not None
-            else self._joinpoint(client)
-        )
-        resumed: List[int] = []
-        for position, aspect in enumerate(chain):
-            result = aspect.evaluate_precondition(joinpoint)
-            if result is AspectResult.RESUME:
-                resumed.append(position)
-                continue
-            for done in reversed(resumed):
-                chain[done].on_abort(joinpoint)
-            return result, joinpoint, []
-        return AspectResult.RESUME, joinpoint, resumed
-
-    def apply(self, transition: Tuple[str, int]) -> "ModelState":
-        """Successor state after one transition (pure: returns a copy)."""
+        A re-parked retry leaves the state mid-round: discard it.
+        """
         kind, index = transition
-        successor = self.clone()
-        client = successor.clients[index]
-        if kind in ("start", "retry"):
-            outcome, joinpoint, resumed = successor._evaluate(client)
-            if outcome is AspectResult.RESUME:
-                client.status = "running"
-                client.joinpoint = joinpoint
-                client.resumed_indices = resumed
-            elif outcome is AspectResult.ABORT:
-                client.status = "idle"
-                client.completed += 1  # an aborted attempt consumes a turn
-                client.joinpoint = None
-            else:  # BLOCK: park; keep the join point so per-activation
-                # context (barrier generation, scheduler registration)
-                # survives re-evaluation, as in the real wait loop
-                client.status = "waiting"
-                client.joinpoint = joinpoint
+        client = self.clients[index]
+        method = client.spec.method
+        if kind == "start":
+            joinpoint = JoinPoint(
+                method_id=method,
+                caller=client.spec.client,
+                kwargs=dict(client.spec.kwargs),
+                # Deterministic identity per (client, attempt):
+                # equivalent states must fingerprint identically even
+                # when aspects record the activation id (e.g.
+                # MutexAspect.holder).
+                activation_id=(index + 1) * 1_000_000 + client.completed,
+                created_at=0.0,
+            )
+            client.activation = Activation(method, joinpoint)
+            outcome = self.moderator._enter(
+                method, joinpoint, None, None, None, _SEAM,
+                activation=client.activation,
+            )
+        elif kind == "retry":
+            client.activation.woken = True
+            outcome = self.moderator._rounds(client.activation, _SEAM)
+            if outcome is None:
+                return False
         elif kind == "finish":
-            chain = successor.chains.get(client.spec.method, [])
-            joinpoint = (
-                client.joinpoint if client.joinpoint is not None
-                else successor._joinpoint(client)
-            )
-            resumed = (
-                client.resumed_indices
-                if client.resumed_indices is not None
-                else list(range(len(chain)))
-            )
-            for position in reversed(resumed):
-                chain[position].postaction(joinpoint)
-            client.status = "idle"
-            client.completed += 1
-            client.joinpoint = None
-            client.resumed_indices = None
+            self.moderator.postactivation(method,
+                                          client.activation.joinpoint)
+            outcome = AspectResult.ABORT
         else:
             raise ValueError(f"unknown transition kind {kind!r}")
-        return successor
+        if outcome is AspectResult.RESUME:
+            client.status = "running"
+        elif outcome is None:
+            client.status = "waiting"
+        else:  # finished, or aborted: an aborted attempt consumes a turn
+            client.status = "idle"
+            client.completed += 1
+            client.activation = None
+        return True
+
+
+def initial_state(build_chains: ChainBuilder,
+                  specs: Sequence[ActivationSpec]) -> ModelState:
+    """The exploration root: a fresh composition, every client idle."""
+    built = build_chains()
+    if isinstance(built, AspectModerator):
+        moderator = built
+    else:
+        moderator = AspectModerator()
+        for method, chain in built.items():
+            for position, aspect in enumerate(chain):
+                moderator.register_aspect(
+                    method, f"{position}:{aspect.concern}", aspect,
+                )
+    return ModelState(moderator, [
+        ClientState(spec=spec, index=index)
+        for index, spec in enumerate(specs)
+    ])
+
+
+def replay(build_chains: ChainBuilder, specs: Sequence[ActivationSpec],
+           path: Sequence[Transition]) -> Optional[ModelState]:
+    """The state ``path`` reaches from a fresh root.
+
+    ``None`` when its last transition is a retry that parks again.
+    """
+    state = initial_state(build_chains, specs)
+    for transition in path:
+        if not state.apply(transition):
+            return None
+    return state
 
 
 _LOCK_TYPES = (type(threading.Lock()), type(threading.RLock()),
                threading.Condition, threading.Event)
-
-
-def _clone_aspect(aspect: Aspect, identity: "Dict[int, Any]") -> Aspect:
-    """Copy one aspect: deep state, fresh locks, shared components."""
-    return _lockaware_copy(aspect, identity)
-
-
-def _lockaware_copy(obj: Any, identity: "Dict[int, Any]") -> Any:
-    """Deep copy that replaces locks and preserves sharing by identity.
-
-    Objects shared between aspects (e.g. the paper's ``TicketSyncState``)
-    stay shared *within* one clone but are independent across clones.
-    ``component``/``sessions``/``registry`` attributes are environment
-    references and stay shared across clones by design.
-    """
-    existing = identity.get(id(obj))
-    if existing is not None:
-        return existing
-    cloned = copy.copy(obj)
-    identity[id(obj)] = cloned
-    for key, value in vars(obj).items():
-        if isinstance(value, _LOCK_TYPES):
-            cloned.__dict__[key] = threading.RLock()
-        elif key in ("component", "sessions", "registry"):
-            cloned.__dict__[key] = value  # shared environment
-        elif hasattr(value, "__dict__") and not isinstance(value, type) \
-                and not callable(value):
-            cloned.__dict__[key] = _lockaware_copy(value, identity)
-        else:
-            try:
-                cloned.__dict__[key] = copy.deepcopy(value)
-            except TypeError:
-                cloned.__dict__[key] = value
-    return cloned
 
 
 def _aspect_fingerprint(aspect: Aspect) -> Tuple:
@@ -303,7 +274,11 @@ def _freeze(value: Any) -> Any:
         return tuple(_freeze(v) for v in value)
     if isinstance(value, _LOCK_TYPES):
         return "<lock>"
-    if hasattr(value, "__dict__") and not callable(value):
+    if callable(value):
+        # by name: every replay builds its own functions, and a repr
+        # carries the address
+        return getattr(value, "__qualname__", type(value).__qualname__)
+    if hasattr(value, "__dict__"):
         # plain state holder (e.g. TicketSyncState): digest by content,
         # never by identity — reprs with addresses would defeat the
         # visited-set and blow up the exploration
@@ -314,15 +289,3 @@ def _freeze(value: Any) -> Any:
             and not isinstance(attr, _LOCK_TYPES)
         ))
     return repr(value)
-
-
-def initial_state(build_chains: ChainBuilder,
-                  specs: Sequence[ActivationSpec]) -> ModelState:
-    """Construct the exploration root."""
-    return ModelState(
-        chains=build_chains(),
-        clients=[
-            ClientState(spec=spec, index=index)
-            for index, spec in enumerate(specs)
-        ],
-    )

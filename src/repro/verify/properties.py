@@ -2,10 +2,12 @@
 
 Each factory returns a ``Property`` (state -> error-or-None) the
 explorer evaluates in every reached state. The predicates read the
-aspect objects' public attributes — the same counters the real
-moderator mutates — so a property proven in the model holds for the
-real composition by construction (the model executes the *actual*
-aspect code).
+aspect objects' public attributes in ``state.chains`` (each method's
+aspects in the moderator's plan order). Every state is reached by a
+real :class:`~repro.core.moderator.AspectModerator` running the
+composition — its compiled plans, ordering policy, compensation,
+quarantine and contracts — so a property proven here is proven of what
+production runs.
 """
 
 from __future__ import annotations

@@ -56,7 +56,7 @@ class InterpretingModerator(AspectModerator):
         method_id = plan.method_id
         pairs = self.ordering(method_id, self.bank.aspects_for(method_id))
         resumed: List[Tuple[str, Aspect]] = []
-        quarantine_active = self.health.active
+        quarantine_active = self.health.degraded.get(method_id)
         injector = self.fault_injector
         runner = (
             joinpoint.context.get(CONTRACT_KEY)

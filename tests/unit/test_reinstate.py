@@ -15,7 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import AspectFault, AspectModerator, FunctionAspect
-from repro.core.health import FAIL_OPEN, HealthTracker
+from repro.core.health import FAIL_CLOSED, FAIL_OPEN, HealthTracker
+from repro.core.joinpoint import JoinPoint
+from repro.core.results import AspectResult
 
 
 def _flaky(concern="flaky"):
@@ -92,6 +94,55 @@ class TestReinstateResets:
             "last_fault_info"]
         assert info["exception"] == "OSError"
         assert info["phase"] == "precondition"
+
+
+class TestQuarantineMap:
+    def test_healthy_round_reads_no_cell_while_another_is_quarantined(
+            self, monkeypatch):
+        moderator = AspectModerator()
+        moderator.register_aspect("sick", "flaky", _flaky(),
+                                  fault_policy=FAIL_OPEN, fault_threshold=1)
+        for concern in ("a", "b", "c"):
+            moderator.register_aspect("well", concern, FunctionAspect(
+                concern=concern, precondition=lambda _jp: True,
+            ))
+        _fault_times(moderator, 1, method="sick")
+        moderator.plan_for("well")  # compiled after the flip
+        calls = []
+        lookup = moderator.health.quarantine_policy
+        monkeypatch.setattr(
+            moderator.health, "quarantine_policy",
+            lambda *cell: calls.append(cell) or lookup(*cell),
+        )
+        joinpoint = JoinPoint(method_id="well")
+        assert moderator.preactivation("well", joinpoint) \
+            is AspectResult.RESUME
+        moderator.postactivation("well", joinpoint)
+        assert calls == []
+        # the quarantined method still skips its degraded cell
+        assert moderator.preactivation("sick") is AspectResult.RESUME
+        assert moderator.stats.degraded_skips == 1
+
+    def test_map_is_rebuilt_at_flip_reinstate_and_drop(self):
+        tracker = HealthTracker()
+        tracker.set_policy("op", "a", FAIL_OPEN, threshold=1)
+        tracker.set_policy("op", "b", FAIL_CLOSED, threshold=1)
+        tracker.set_policy("other", "c", FAIL_OPEN, threshold=1)
+        assert tracker.degraded == {}
+        for method, concern in (("op", "a"), ("op", "b"), ("other", "c")):
+            tracker.record_fault(method, concern, "precondition",
+                                 OSError("x"))
+        held = tracker.degraded
+        assert held == {"op": {"a": FAIL_OPEN, "b": FAIL_CLOSED},
+                        "other": {"c": FAIL_OPEN}}
+        tracker.reinstate("op", "a")
+        assert tracker.degraded == {"op": {"b": FAIL_CLOSED},
+                                    "other": {"c": FAIL_OPEN}}
+        tracker.drop("other", "c")
+        assert tracker.degraded == {"op": {"b": FAIL_CLOSED}}
+        # copy-on-write: a map already read is never mutated
+        assert held == {"op": {"a": FAIL_OPEN, "b": FAIL_CLOSED},
+                        "other": {"c": FAIL_OPEN}}
 
 
 class TestReinstateProperties:
