@@ -48,7 +48,7 @@ from repro.dist import (
     RecoveryPlan,
     Supervisor,
 )
-from repro.dist.message import Message, error_reply, reply
+from repro.dist.message import Message, check_wire_safe, error_reply, reply
 from repro.obs import propagation
 
 from harness import floor_pair_ns, mean_call_ns
@@ -143,6 +143,21 @@ class LegacyNode(Node):
             self.network.send(response)
         except Exception:  # noqa: BLE001 - reply to a vanished client
             pass
+
+    @staticmethod
+    def _wire_result(result: Any) -> Any:
+        """The pre-recovery result coercion, verbatim: a check here,
+        then the reply's own (the stock node checks once)."""
+        if check_wire_safe(result):
+            return result
+        if hasattr(result, "__dict__"):
+            flat = {
+                key: value for key, value in vars(result).items()
+                if check_wire_safe(value)
+            }
+            flat["__type__"] = type(result).__name__
+            return flat
+        return repr(result)
 
 
 # ----------------------------------------------------------------------

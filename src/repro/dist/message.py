@@ -1,45 +1,61 @@
-"""Messages for the simulated distributed runtime.
+"""Messages for the simulated distributed runtime, and its one codec.
 
-Messages are value objects copied on delivery (no shared mutable state
-between "hosts" — the property a real wire gives you). Payloads must be
-plain data (the :func:`check_wire_safe` predicate enforces the subset a
-JSON-ish wire format could carry), which keeps the in-process simulation
-honest: anything that wouldn't survive serialization is rejected at send
-time, not silently shared by reference.
+A :class:`Message` is encoded (:func:`encode`: one check, then
+``marshal``) when built and decoded at delivery, so the receiver sees
+the payload as it was at send time. The wire takes what ``marshal``
+round-trips as itself: ``None``/``bool``/``int``/``float``/``str``/
+``bytes`` in ``list``, ``tuple`` and ``str``-keyed ``dict``, at most 16
+deep. Anything else, subclasses (``IntEnum``, ``OrderedDict``) too, is
+rejected at send time.
 """
 
 from __future__ import annotations
 
-import copy
 import itertools
+import marshal
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
 _message_ids = itertools.count(1)
-
-#: Types allowed on the simulated wire.
-WIRE_SAFE_TYPES = (type(None), bool, int, float, str, bytes)
+_LEAVES = frozenset((type(None), bool, int, float, str, bytes))
+_MAX_DEPTH = 16
 
 
 def check_wire_safe(value: Any, depth: int = 0) -> bool:
-    """Whether ``value`` could survive a real serialization boundary."""
-    if depth > 16:
+    """Whether :func:`encode` would accept ``value``."""
+    kind = type(value)
+    if depth > _MAX_DEPTH or kind in _LEAVES:
+        return depth <= _MAX_DEPTH
+    if kind is not dict and kind is not list and kind is not tuple:
         return False
-    if isinstance(value, WIRE_SAFE_TYPES):
-        return True
-    if isinstance(value, (list, tuple)):
-        return all(check_wire_safe(item, depth + 1) for item in value)
-    if isinstance(value, dict):
-        return all(
-            isinstance(key, str) and check_wire_safe(item, depth + 1)
-            for key, item in value.items()
-        )
-    return False
+    depth += 1
+    if value and depth > _MAX_DEPTH:
+        return False
+    if kind is dict:
+        for key, item in value.items():
+            if type(key) is not str or (type(item) not in _LEAVES
+                                        and not check_wire_safe(item, depth)):
+                return False
+    else:
+        for item in value:
+            if type(item) not in _LEAVES and not check_wire_safe(item, depth):
+                return False
+    return True
 
 
 class WireFormatError(TypeError):
     """Raised when a payload is not wire-safe."""
+
+
+def encode(value: Any) -> bytes:
+    """Check ``value`` once and marshal it for the wire."""
+    if not check_wire_safe(value):
+        raise WireFormatError(f"{type(value).__name__} value is not wire-safe")
+    return marshal.dumps(value)
+
+
+decode = marshal.loads
 
 
 @dataclass(frozen=True)
@@ -53,25 +69,17 @@ class Message:
     msg_id: int = field(default_factory=lambda: next(_message_ids))
     reply_to: Optional[int] = None
     sent_at: float = field(default_factory=time.monotonic)
+    #: the payload as encoded at construction (not compared)
+    wire: bytes = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not check_wire_safe(self.payload):
-            raise WireFormatError(
-                f"payload of {self.kind} message {self.source}->{self.dest} "
-                f"is not wire-safe"
-            )
+        object.__setattr__(self, "wire", encode(self.payload))
 
     def copy_for_delivery(self) -> "Message":
-        """Deep-copied message, simulating deserialization at the receiver."""
-        return Message(
-            source=self.source,
-            dest=self.dest,
-            kind=self.kind,
-            payload=copy.deepcopy(self.payload),
-            msg_id=self.msg_id,
-            reply_to=self.reply_to,
-            sent_at=self.sent_at,
-        )
+        """The receiver's message, its payload decoded from ``wire``."""
+        delivered = object.__new__(Message)
+        delivered.__dict__.update(self.__dict__, payload=decode(self.wire))
+        return delivered
 
 
 def request(source: str, dest: str, service: str, method: str,

@@ -34,7 +34,9 @@ from repro.core.errors import (
 from repro.core.proxy import ComponentProxy
 from repro.obs import propagation
 from repro.obs.metrics import MetricsRegistry
-from .message import Message, check_wire_safe, error_reply, reply
+from .message import (
+    Message, WireFormatError, check_wire_safe, decode, error_reply, reply,
+)
 from .network import Network
 from .resilience import (
     Deadline,
@@ -430,7 +432,7 @@ class Node:
                 result = self._invoke(payload, service, method, deadline)
                 if injector is not None:
                     self._crash_point(injector, "applied")
-                response = reply(message, self._wire_result(result))
+                response = self._reply(message, result)
             else:
                 # Effect and journal append are one atomic step under
                 # the plan lock: a concurrent checkpoint can therefore
@@ -441,16 +443,16 @@ class Node:
                     result = self._invoke(payload, service, method, deadline)
                     if injector is not None:
                         self._crash_point(injector, "applied")
-                    response = reply(message, self._wire_result(result))
+                    response = self._reply(message, result)
                     self._journal_effect(plan, service, payload, key,
                                          response)
                 if injector is not None:
                     self._crash_point(injector, "journaled")
             self._counters.inc("requests_served")
             if entry is not None:
-                # Cache the reply: a retry of this logical call replays
-                # it instead of re-executing (at-most-once effects).
-                self.dedup.finish(key, response.kind, response.payload)
+                # Cache the reply as sent: a retry of this logical call
+                # replays it instead of re-executing (at-most-once effects).
+                self.dedup.finish(key, response.kind, decode(response.wire))
         except _NodeCrashed:
             raise
         except BaseException as exc:  # noqa: BLE001 - marshalled to caller
@@ -574,10 +576,10 @@ class Node:
         self._release(service)
         exc = future.exception()
         if exc is None:
-            response = reply(message, self._wire_result(future.result()))
+            response = self._reply(message, future.result())
             self._counters.bump("requests_served")
             if entry is not None:
-                self.dedup.finish(key, response.kind, response.payload)
+                self.dedup.finish(key, response.kind, decode(response.wire))
         else:
             response = self._failed(message, exc, service, method,
                                     deadline, key, entry)
@@ -694,18 +696,19 @@ class Node:
         )
 
     @staticmethod
-    def _wire_result(result: Any) -> Any:
-        """Coerce servant results into wire-safe data."""
-        if check_wire_safe(result):
-            return result
-        if hasattr(result, "__dict__"):
-            flat = {
-                key: value for key, value in vars(result).items()
-                if check_wire_safe(value)
-            }
-            flat["__type__"] = type(result).__name__
-            return flat
-        return repr(result)
+    def _reply(to: Message, result: Any) -> Message:
+        """Reply with ``result``; if the wire refuses it, with its
+        wire-safe attributes (two levels deep) or else its ``repr``."""
+        try:
+            return reply(to, result)
+        except WireFormatError:
+            pass
+        if not hasattr(result, "__dict__"):
+            return reply(to, repr(result))
+        flat = {key: value for key, value in vars(result).items()
+                if check_wire_safe(value, 2)}
+        flat["__type__"] = type(result).__name__
+        return reply(to, flat)
 
     # ------------------------------------------------------------------
     # recovery plane (docs/recovery.md)

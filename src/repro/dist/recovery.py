@@ -51,7 +51,6 @@ non-blocking mutators and checkpoint around the rest.
 
 from __future__ import annotations
 
-import copy
 import json
 import os
 import threading
@@ -62,7 +61,7 @@ from urllib.parse import quote
 
 from repro.core.errors import FencedOut, NameNotFound, NetworkError
 from repro.obs.metrics import MetricsRegistry
-from .message import WireFormatError, check_wire_safe
+from .message import WireFormatError, check_wire_safe, decode, encode
 from .naming import Binding, NameService
 from .node import Node
 
@@ -131,18 +130,9 @@ class RecoveryStore:
 
     # shared guards -----------------------------------------------------
     @staticmethod
-    def _check_record(service: str, record: Dict[str, Any]) -> None:
-        if not check_wire_safe(record):
-            raise WireFormatError(
-                f"journal record for {service!r} is not wire-safe"
-            )
-
-    @staticmethod
-    def _check_checkpoint(service: str, checkpoint: Dict[str, Any]) -> None:
-        if not check_wire_safe(checkpoint):
-            raise WireFormatError(
-                f"checkpoint for {service!r} is not wire-safe"
-            )
+    def _check(what: str, service: str, value: Dict[str, Any]) -> None:
+        if not check_wire_safe(value):
+            raise WireFormatError(f"{what} for {service!r} is not wire-safe")
 
     @staticmethod
     def _check_fence(service: str, epoch: int, fence: int) -> None:
@@ -159,37 +149,37 @@ class MemoryStore(RecoveryStore):
 
     "Durable" here means: survives :meth:`Node.crash` with
     ``lose_memory=True`` — the store object lives outside any node, the
-    way a disk outlives a process. Everything is deep-copied on the way
-    in and out, keeping the serialization boundary honest.
+    way a disk outlives a process. Records and checkpoints are kept
+    encoded (:func:`~repro.dist.message.encode`) and decoded on the way
+    out, so nothing is shared with the writer or the reader.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._journals: Dict[str, List[Dict[str, Any]]] = {}
-        self._checkpoints: Dict[str, Dict[str, Any]] = {}
+        #: per service: ``(seq, epoch, encoded record)``, oldest first
+        self._journals: Dict[str, List[Tuple[int, int, bytes]]] = {}
+        self._checkpoints: Dict[str, bytes] = {}
         self._fences: Dict[str, int] = {}
         self._seqs: Dict[str, int] = {}
 
     def append(self, service: str, record: Dict[str, Any],
                epoch: int = 0) -> int:
-        self._check_record(service, record)
+        data = encode(record)
         with self._lock:
             self._check_fence(service, epoch,
                               self._fences.get(service, 0))
             seq = self._seqs.get(service, 0) + 1
             self._seqs[service] = seq
-            self._journals.setdefault(service, []).append({
-                "seq": seq, "epoch": int(epoch),
-                "record": copy.deepcopy(record),
-            })
+            self._journals.setdefault(service, []).append(
+                (seq, int(epoch), data))
             return seq
 
     def entries(self, service: str, after: int = 0) -> List[Dict[str, Any]]:
         with self._lock:
             return [
-                copy.deepcopy(entry)
-                for entry in self._journals.get(service, ())
-                if entry["seq"] > after
+                {"seq": seq, "epoch": epoch, "record": decode(data)}
+                for seq, epoch, data in self._journals.get(service, ())
+                if seq > after
             ]
 
     def last_seq(self, service: str) -> int:
@@ -198,17 +188,16 @@ class MemoryStore(RecoveryStore):
 
     def save_checkpoint(self, service: str, checkpoint: Dict[str, Any],
                         epoch: int = 0) -> None:
-        self._check_checkpoint(service, checkpoint)
+        data = encode(checkpoint)
         with self._lock:
             self._check_fence(service, epoch,
                               self._fences.get(service, 0))
-            self._checkpoints[service] = copy.deepcopy(checkpoint)
+            self._checkpoints[service] = data
 
     def load_checkpoint(self, service: str) -> Optional[Dict[str, Any]]:
         with self._lock:
-            checkpoint = self._checkpoints.get(service)
-            return copy.deepcopy(checkpoint) if checkpoint is not None \
-                else None
+            data = self._checkpoints.get(service)
+        return decode(data) if data is not None else None
 
     def fence(self, service: str, epoch: int) -> int:
         with self._lock:
@@ -223,7 +212,7 @@ class MemoryStore(RecoveryStore):
     def prune(self, service: str, upto: int) -> int:
         with self._lock:
             journal = self._journals.get(service, [])
-            kept = [e for e in journal if e["seq"] > upto]
+            kept = [entry for entry in journal if entry[0] > upto]
             dropped = len(journal) - len(kept)
             self._journals[service] = kept
             return dropped
@@ -300,7 +289,7 @@ class FileStore(RecoveryStore):
 
     def append(self, service: str, record: Dict[str, Any],
                epoch: int = 0) -> int:
-        self._check_record(service, record)
+        self._check("journal record", service, record)
         with self._lock:
             self._check_fence(service, epoch, self._ensure_fence(service))
             seq = self._ensure_seq(service) + 1
@@ -326,7 +315,7 @@ class FileStore(RecoveryStore):
 
     def save_checkpoint(self, service: str, checkpoint: Dict[str, Any],
                         epoch: int = 0) -> None:
-        self._check_checkpoint(service, checkpoint)
+        self._check("checkpoint", service, checkpoint)
         with self._lock:
             self._check_fence(service, epoch, self._ensure_fence(service))
             self._write_atomic(self._path(service, "checkpoint"),
@@ -399,10 +388,9 @@ class Handoff:
 
     def unpack(self, packed: Dict[str, Any],
                ) -> Tuple[Any, Dict[str, Dict[str, Any]]]:
-        """Check wire-safety, rebuild; returns servant and dedup seed."""
-        if not check_wire_safe(packed):
-            raise WireFormatError("captured state is not wire-safe")
-        state = dict(packed)
+        """Copy through the wire codec, rebuild; returns servant and
+        dedup seed."""
+        state = decode(encode(packed))
         bundle = state.pop(HANDOFF_KEY, None) or {}
         servant = self.rebuild(state)
         if self.aspect_restore is not None:

@@ -32,7 +32,6 @@ recorded reply (``docs/recovery.md``).
 
 from __future__ import annotations
 
-import copy
 import threading
 import time
 from collections import OrderedDict
@@ -44,6 +43,7 @@ from repro.core.errors import CircuitOpen
 from repro.core.joinpoint import JoinPoint
 from repro.core.results import AspectResult
 from repro.concurrency.primitives import WaitQueue
+from .message import decode, encode
 
 __all__ = [
     "Deadline",
@@ -230,12 +230,13 @@ class IdempotencyCache:
         originals drain on the source before capture).
         """
         with self._lock:
-            return {
-                key: {"kind": entry.kind,
-                      "payload": copy.deepcopy(entry.payload)}
+            completed = {
+                key: {"kind": entry.kind, "payload": entry.payload}
                 for key, entry in self._entries.items()
                 if entry.done and entry.payload is not None
             }
+        # a finished entry's payload is never replaced: copy unlocked
+        return decode(encode(completed))
 
     def seed(self, exported: Dict[str, Dict[str, Any]]) -> int:
         """Install entries exported from another cache; returns how many.

@@ -256,10 +256,13 @@ class CounterBlock:
                  prefix: str = "", help: str = "") -> None:
         self._registry = registry
         self.names = tuple(names)
-        self._keys: Dict[str, Tuple[str, Tuple[str, ...]]] = {}
-        for name in self.names:
-            family = registry.counter(prefix + name, help=help or name)
-            self._keys[name] = family.labels()._key
+        #: each name's unlabelled cell key, the one ``labels()`` makes
+        self._keys: Dict[str, Tuple[str, Tuple[str, ...]]] = {
+            name: (prefix + name, ()) for name in self.names
+        }
+        with registry._lock:
+            for name, (family, _labels) in self._keys.items():
+                registry._declare("counter", family, help or name, (), None)
         #: per-thread cache of name -> (stripe counters dict, cell key)
         self._cells = threading.local()
 
@@ -378,16 +381,23 @@ class MetricsRegistry:
                   labelnames: Tuple[str, ...],
                   buckets: Optional[Tuple[float, ...]]) -> _FamilyHandle:
         with self._lock:
-            family = self._families.get(name)
-            if family is None:
-                family = _Family(kind, name, help, labelnames, buckets)
-                self._families[name] = family
-            elif family.kind != kind or family.labelnames != labelnames:
-                raise ValueError(
-                    f"metric {name!r} already registered as "
-                    f"{family.kind} with labels {family.labelnames}"
-                )
+            family = self._declare(kind, name, help, labelnames, buckets)
         return _FamilyHandle(self, family)
+
+    def _declare(self, kind: str, name: str, help: str,
+                 labelnames: Tuple[str, ...],
+                 buckets: Optional[Tuple[float, ...]]) -> _Family:
+        """The family ``name``, added if new; the caller holds ``_lock``."""
+        family = self._families.get(name)
+        if family is None:
+            family = _Family(kind, name, help, labelnames, buckets)
+            self._families[name] = family
+        elif family.kind != kind or family.labelnames != labelnames:
+            raise ValueError(
+                f"metric {name!r} already registered as "
+                f"{family.kind} with labels {family.labelnames}"
+            )
+        return family
 
     def counter(self, name: str, help: str = "",
                 labelnames: Iterable[str] = ()) -> _FamilyHandle:

@@ -24,6 +24,11 @@ prove every round of the reference run was interpreted.
 :class:`ThreadedReferenceModerator` is the second oracle: Figure 11's
 loop as the threaded runtime wrote it before both runtimes came to share
 one loop (``AspectModerator._rounds``). It overrides only that loop.
+
+:func:`legacy_check_wire_safe` is the third: the recursive wire-safety
+predicate ``repro.dist.message`` used before its codec, verbatim but for
+its name. On values built from exact wire types the codec's
+``check_wire_safe`` must agree with it.
 """
 
 from __future__ import annotations
@@ -220,3 +225,23 @@ def count_rounds(moderator: AspectModerator) -> List[int]:
 
     moderator._evaluate_plan = counting  # type: ignore[method-assign]
     return counter
+
+
+#: Types allowed on the simulated wire.
+WIRE_SAFE_TYPES = (type(None), bool, int, float, str, bytes)
+
+
+def legacy_check_wire_safe(value: Any, depth: int = 0) -> bool:
+    """Whether ``value`` could survive a real serialization boundary."""
+    if depth > 16:
+        return False
+    if isinstance(value, WIRE_SAFE_TYPES):
+        return True
+    if isinstance(value, (list, tuple)):
+        return all(legacy_check_wire_safe(item, depth + 1) for item in value)
+    if isinstance(value, dict):
+        return all(
+            isinstance(key, str) and legacy_check_wire_safe(item, depth + 1)
+            for key, item in value.items()
+        )
+    return False

@@ -240,3 +240,32 @@ def test_unarmed_and_deadline_calls_agree(rig, setup):
         observed.append((outcome,
                          tuple(b - a for a, b in zip(before, after))))
     assert observed[0] == observed[1]
+
+
+class Box:
+    def __init__(self):
+        self.items = []
+
+    def add(self, item):
+        self.items.append(item)
+        return self.items  # the servant's live list
+
+
+def test_a_replayed_reply_is_the_reply_as_sent():
+    network = Network()
+    names = NameService()
+    node = Node("server", network).start()
+    box = Box()
+    node.export("box", box)
+    names.bind("box", "server", "box")
+    client = Client("client", network, names, default_timeout=2.0)
+    try:
+        assert client.call_name("box", "add", 1, idempotency_key="k") == [1]
+        box.items.append(99)  # the servant moves on after replying
+        assert client.call_name("box", "add", 1,
+                                idempotency_key="k") == [1]
+        assert box.items == [1, 99]  # replayed, not re-executed
+    finally:
+        client.close()
+        node.stop()
+        network.close()

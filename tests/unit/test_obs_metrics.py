@@ -140,6 +140,26 @@ class TestCounterBlock:
             thread.join()
         assert torn == []
 
+    def test_keys_are_the_unlabelled_family_cells(self):
+        registry = MetricsRegistry()
+        block = registry.counter_block(("a", "b"), prefix="m_")
+        for name in block.names:
+            family = registry.counter("m_" + name)
+            assert block._keys[name] == family.labels()._key
+        # a block and a family handle bump the same cell
+        block.inc("a")
+        registry.counter("m_a").labels().inc(2)
+        assert block.value("a") == 3
+
+    def test_a_name_registered_as_another_kind_is_refused(self):
+        registry = MetricsRegistry()
+        registry.gauge("m_b")
+        with pytest.raises(ValueError):
+            registry.counter_block(("a", "b"), prefix="m_")
+        registry.counter("m_c", labelnames=("shard",))
+        with pytest.raises(ValueError):
+            registry.counter_block(("c",), prefix="m_")
+
 
 class TestHistograms:
     def test_observe_buckets_sum_count(self):
