@@ -14,29 +14,22 @@ Three configurations over the same moderated call:
   B-CONTRACT, not bounded — a contract method runs the same executor
   with the runner's entry, per-RESUME and post-body check points armed).
 
-Baseline and disabled rounds are interleaved and compared within each
-round (median of paired ratios), so clock drift and thermal effects
-cancel instead of biasing one side.
-
-Run styles::
-
-    pytest benchmarks/bench_contracts.py --benchmark-only   # archival
-    python benchmarks/bench_contracts.py                    # full table
-    python benchmarks/bench_contracts.py --smoke            # CI: quick
-                                                            # + BENCH_CONTRACTS.json
+``python benchmarks/bench_contracts.py [--smoke]`` writes
+``BENCH_CONTRACTS.json`` (see ``harness.run``); ``pytest
+--benchmark-only`` archives the two single-configuration timings.
 """
 
 from __future__ import annotations
 
-import json
-import statistics
+import contextlib
 
 from repro.contracts import ContractRegistry
 from repro.core import AspectModerator, ComponentProxy, NullAspect
 
-from harness import mean_call_ns
+import harness
 
 OVERHEAD_BOUND = 0.02  # contracts-off mean-latency bound (2%)
+SMOKE = dict(iterations=2_000, rounds=60)  # --smoke and the pytest gate
 
 
 class Component:
@@ -69,8 +62,9 @@ def _declare(registry):
     )
 
 
-def measure(iterations=5_000, rounds=80):
-    """Interleaved measurement of baseline/disabled/checked."""
+@contextlib.contextmanager
+def compositions(facts):
+    """The three configurations; on exit, the baseline's fast paths."""
     base_moderator, base_proxy = build_fast_path()
 
     disabled_moderator, disabled_proxy = build_fast_path()
@@ -84,57 +78,48 @@ def measure(iterations=5_000, rounds=80):
     _declare(registry)
     registry.install(checked_moderator)
 
-    base_call = lambda: base_proxy.service(1)          # noqa: E731
-    disabled_call = lambda: disabled_proxy.service(1)  # noqa: E731
-    checked_call = lambda: checked_proxy.service(1)    # noqa: E731
-
-    # warm-up compiles the plans and primes caches in every mode
-    for call in (base_call, disabled_call, checked_call):
-        mean_call_ns(call, max(iterations // 10, 100))
+    calls = {
+        "baseline": lambda: base_proxy.service(1),
+        "disabled": lambda: disabled_proxy.service(1),
+        "checked": lambda: checked_proxy.service(1),
+    }
+    # the first call compiles each plan
+    for call in calls.values():
+        call()
     assert base_moderator.plan_for("service").contract is None
     assert disabled_moderator.plan_for("service").contract is None
     assert checked_moderator.plan_for("service").contract is not None
+    yield calls
+    facts["fastpaths"] = base_moderator.stats.fastpaths
 
-    samples = {"baseline": [], "disabled": [], "checked": []}
-    disabled_ratios = []
-    checked_ratios = []
-    # full checking costs a multiple of the bare call: a shorter chunk
-    # keeps the unbounded configuration from starving the paired rounds
-    checked_iterations = max(iterations // 5, 200)
-    for round_index in range(rounds):
-        if round_index % 2 == 0:
-            base_ns = mean_call_ns(base_call, iterations)
-            disabled_ns = mean_call_ns(disabled_call, iterations)
-        else:
-            disabled_ns = mean_call_ns(disabled_call, iterations)
-            base_ns = mean_call_ns(base_call, iterations)
-        checked_ns = mean_call_ns(checked_call, checked_iterations)
-        samples["baseline"].append(base_ns)
-        samples["disabled"].append(disabled_ns)
-        samples["checked"].append(checked_ns)
-        disabled_ratios.append(disabled_ns / base_ns)
-        checked_ratios.append(checked_ns / base_ns)
 
-    best = {name: min(values) for name, values in samples.items()}
-    return {
-        "iterations": iterations,
-        "rounds": rounds,
-        "ns_per_call": best,
-        "disabled_overhead": statistics.median(disabled_ratios) - 1.0,
-        "checked_overhead": statistics.median(checked_ratios) - 1.0,
-        "fastpaths": base_moderator.stats.fastpaths,
-    }
+def measure(iterations=5_000, rounds=80):
+    """Paired rounds of baseline/disabled, plus the checked contract.
+
+    Full checking costs a multiple of the bare call: a shorter chunk
+    keeps the unbounded configuration from starving the paired rounds.
+    """
+    return harness.paired_rounds(
+        compositions, "baseline", "disabled", extras=("checked",),
+        rounds=rounds, iterations=iterations,
+        extra_iterations=max(iterations // 5, 200),
+        warm_iterations=max(iterations // 10, 100),
+    )
+
+
+def check_overhead(overhead):
+    return harness.overhead_failures(overhead, {"disabled": OVERHEAD_BOUND})
+
+
+def measure_all(smoke):
+    return {"overhead": measure(**SMOKE) if smoke else measure()}
 
 
 # ----------------------------------------------------------------------
 # pytest entry points
 # ----------------------------------------------------------------------
 def test_contracts_off_within_bound():
-    results = measure(iterations=2_000, rounds=60)
-    assert results["disabled_overhead"] <= OVERHEAD_BOUND, (
-        f"contracts-off costs {results['disabled_overhead'] * 100:.2f}% "
-        f"(bound {OVERHEAD_BOUND * 100:.0f}%): {results['ns_per_call']}"
-    )
+    assert not check_overhead(measure(**SMOKE))
 
 
 def test_uninstall_disarms_the_contract():
@@ -170,54 +155,10 @@ def test_bench_contracts_checked(benchmark):
     assert moderator.stats.contract_violations == 0
 
 
-# ----------------------------------------------------------------------
-# script mode
-# ----------------------------------------------------------------------
 def main(argv=None):
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="CI-sized run (fewer iterations), still asserts the bound",
-    )
-    parser.add_argument(
-        "--json", default="BENCH_CONTRACTS.json",
-        help="output path for the measured table "
-             "(default BENCH_CONTRACTS.json)",
-    )
-    arguments = parser.parse_args(argv)
-
-    if arguments.smoke:
-        results = measure(iterations=2_000, rounds=60)
-    else:
-        results = measure()
-
-    print("B-CONTRACT: contract-plane overhead "
-          "(Figure-3 full-RESUME fast path)")
-    print(f"{'configuration':<16}{'ns/call':>12}{'overhead':>12}")
-    overhead_pct = {
-        "baseline": 0.0,
-        "disabled": results["disabled_overhead"] * 100.0,
-        "checked": results["checked_overhead"] * 100.0,
-    }
-    for name in ("baseline", "disabled", "checked"):
-        ns = results["ns_per_call"][name]
-        print(f"{name:<16}{ns:>12.0f}{overhead_pct[name]:>11.1f}%")
-
-    document = {"overhead": results, "bound": OVERHEAD_BOUND}
-    with open(arguments.json, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-    print(f"wrote {arguments.json}")
-
-    if results["disabled_overhead"] > OVERHEAD_BOUND:
-        print(
-            f"FAIL: contracts-off overhead "
-            f"{results['disabled_overhead'] * 100:.2f}% exceeds "
-            f"{OVERHEAD_BOUND * 100:.0f}% bound"
-        )
-        return 1
-    return 0
+    return harness.run(argv, __doc__, "BENCH_CONTRACTS.json", measure_all,
+                       {"overhead": check_overhead},
+                       {"disabled_overhead": OVERHEAD_BOUND})
 
 
 if __name__ == "__main__":

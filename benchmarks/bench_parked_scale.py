@@ -14,23 +14,22 @@ can hold ~10^6 parked activations. This bench measures both sides:
   or a ceiling is hit, read RSS per thread, and extrapolate what the
   target would cost: the number that motivates the reactor.
 
-Run styles::
-
-    python benchmarks/bench_parked_scale.py            # full: 1M parked
-    python benchmarks/bench_parked_scale.py --smoke    # CI-sized
-                                                       # + BENCH_ASYNC.json
+``python benchmarks/bench_parked_scale.py [--smoke]`` (1M parked, or
+2*10^4 with ``--smoke``) writes ``BENCH_ASYNC.json`` (see
+``harness.run``).
 """
 
 from __future__ import annotations
 
 import gc
-import json
 import threading
 import time
 
 from repro.core import AspectModerator, ComponentProxy, ContinuationRuntime
 from repro.core.aspect import NullAspect
 from repro.core.results import BLOCK, RESUME
+
+import harness
 
 #: a parked continuation must stay far below any thread's footprint
 BYTES_PER_PARKED_BOUND = 16 * 1024
@@ -162,75 +161,40 @@ def measure_threaded_collapse(ceiling, batch=64):
     }
 
 
+def check_continuation(continuation):
+    gates = [
+        (continuation["completed"] != continuation["target"],
+         f"drain incomplete: {continuation['completed']:,} of "
+         f"{continuation['target']:,} activations completed"),
+        (continuation["parked_after_drain"] != 0,
+         f"{continuation['parked_after_drain']} continuations still "
+         "parked after drain"),
+        (continuation["waits"] < continuation["target"],
+         "some activations never actually parked"),
+        (continuation["bytes_per_parked"] > BYTES_PER_PARKED_BOUND,
+         f"parked continuation costs {continuation['bytes_per_parked']:,}"
+         f" bytes, over the {BYTES_PER_PARKED_BOUND:,} bound"),
+    ]
+    return [message for failed, message in gates if failed]
+
+
+def check_threaded(threaded):
+    stragglers = threaded["stragglers_after_release"]
+    return ([f"{stragglers} reference threads never released"]
+            if stragglers else [])
+
+
+def measure_all(smoke):
+    target, ceiling = (20_000, 256) if smoke else (1_000_000, 4_096)
+    return {"continuation": measure_continuation_scale(target),
+            "threaded": measure_threaded_collapse(ceiling)}
+
+
 def main(argv=None):
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="CI-sized run (2*10^4 parked, 256 threads), same assertions",
-    )
-    parser.add_argument(
-        "--json", default="BENCH_ASYNC.json",
-        help="output path for the measurements (default BENCH_ASYNC.json)",
-    )
-    arguments = parser.parse_args(argv)
-
-    if arguments.smoke:
-        target, ceiling = 20_000, 256
-    else:
-        target, ceiling = 1_000_000, 4_096
-
-    continuation = measure_continuation_scale(target)
-    threaded = measure_threaded_collapse(ceiling)
-
-    print(f"B-ASYNC: {continuation['target']:,} parked continuations")
-    print(f"  bytes/parked:   {continuation['bytes_per_parked']:>12,.1f}"
-          f"  (bound {BYTES_PER_PARKED_BOUND:,})")
-    print(f"  park rate:      {continuation['park_rate_per_s']:>12,.1f}/s")
-    print(f"  drain rate:     {continuation['drain_rate_per_s']:>12,.1f}/s")
-    print(f"threaded reference: {threaded['threads']:,} parked threads "
-          f"({threaded['collapse']})")
-    print(f"  rss/thread:     {threaded['rss_per_thread_bytes']:>12,.1f}")
-    print(f"  1M extrapolates to ~{threaded['extrapolated_gb_for_1m']} GB "
-          f"RSS (plus ~8 MB stack address space per thread)")
-
-    document = {
-        "continuation": continuation,
-        "threaded": threaded,
-        "bytes_per_parked_bound": BYTES_PER_PARKED_BOUND,
-        "smoke": arguments.smoke,
-    }
-    with open(arguments.json, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-    print(f"wrote {arguments.json}")
-
-    failed = []
-    if continuation["completed"] != continuation["target"]:
-        failed.append(
-            f"drain incomplete: {continuation['completed']:,} of "
-            f"{continuation['target']:,} activations completed"
-        )
-    if continuation["parked_after_drain"] != 0:
-        failed.append(
-            f"{continuation['parked_after_drain']} continuations still "
-            "parked after drain"
-        )
-    if continuation["waits"] < continuation["target"]:
-        failed.append("some activations never actually parked")
-    if continuation["bytes_per_parked"] > BYTES_PER_PARKED_BOUND:
-        failed.append(
-            f"parked continuation costs {continuation['bytes_per_parked']:,}"
-            f" bytes, over the {BYTES_PER_PARKED_BOUND:,} bound"
-        )
-    if threaded["stragglers_after_release"]:
-        failed.append(
-            f"{threaded['stragglers_after_release']} reference threads "
-            "never released"
-        )
-    for message in failed:
-        print(f"FAIL: {message}")
-    return 1 if failed else 0
+    return harness.run(argv, __doc__, "BENCH_ASYNC.json", measure_all,
+                       {"continuation": check_continuation,
+                        "threaded": check_threaded},
+                       {"bytes_per_parked": BYTES_PER_PARKED_BOUND})
 
 
 if __name__ == "__main__":

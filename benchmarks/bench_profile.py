@@ -15,23 +15,14 @@ The clause profiler's contract (ISSUE 9):
 The *installed* cost (eval counters always, 1-in-64 sampled timing) is
 reported for EXPERIMENTS.md B-PROFILE but not bounded.
 
-Both comparisons run as paired rounds, alternating which side goes
-first, with the median of within-round ratios — the same drift-immune
-protocol as ``bench_obs_overhead.py``.
-
-Run styles::
-
-    pytest benchmarks/bench_profile.py                  # asserts bounds
-    python benchmarks/bench_profile.py                  # full table
-    python benchmarks/bench_profile.py --smoke          # CI: quick
-                                                        # + BENCH_PROFILE.json
+``python benchmarks/bench_profile.py [--smoke]`` writes
+``BENCH_PROFILE.json`` (see ``harness.run``); pytest asserts the bounds.
 """
 
 from __future__ import annotations
 
-import json
-import statistics
-import time
+import contextlib
+import itertools
 
 from repro.core import (
     AspectModerator,
@@ -43,7 +34,7 @@ from repro.core import (
 from repro.core.results import AspectResult
 from repro.obs import ClauseProfiler
 
-from harness import mean_call_ns
+import harness
 
 SPEEDUP_BOUND = 1.3   # reordered stack must beat the seed by this much
 OVERHEAD_BOUND = 0.02  # uninstalled-profiler fast-path bound (2%)
@@ -97,15 +88,18 @@ def build_veto_stack():
     return moderator, profiler, proxy
 
 
-def _round_ns(proxy, calls):
-    """ns/call over one chunk of the modular veto workload."""
-    started = time.perf_counter_ns()
-    for value in range(calls):
+def veto_workload(proxy):
+    """One call of the modular veto workload per invocation: values
+    count up, so two calls in three are vetoed."""
+    values = itertools.count()
+
+    def post():
         try:
-            proxy.post(value)
+            proxy.post(next(values))
         except MethodAborted:
             pass
-    return (time.perf_counter_ns() - started) / calls
+
+    return post
 
 
 def measure_speedup(calls=300, rounds=40):
@@ -113,40 +107,28 @@ def measure_speedup(calls=300, rounds=40):
 
     Two identical compositions warm up on the same workload; only one
     refreshes its profile. The within-round ratio seed/optimized is the
-    speedup the feedback bought.
+    speedup the feedback bought, so the optimized plan is the control.
+    ``calls`` is a multiple of three, so every chunk sees the same veto
+    mix.
     """
     _seed_mod, _seed_prof, seed_proxy = build_veto_stack()
     tuned_mod, tuned_prof, tuned_proxy = build_veto_stack()
+    seed = veto_workload(seed_proxy)
+    tuned = veto_workload(tuned_proxy)
 
     # identical warm-up feeds both profiles; only one acts on it
-    _round_ns(seed_proxy, calls)
-    _round_ns(tuned_proxy, calls)
+    harness.mean_call_ns(seed, calls)
+    harness.mean_call_ns(tuned, calls)
     tuned_prof.refresh()
     order = [cell.concern for cell in tuned_mod.plan_for("post").cells]
     assert order == ["gate", "deep"], order
 
-    ratios = []
-    samples = {"seed": [], "optimized": []}
-    for round_index in range(rounds):
-        if round_index % 2 == 0:
-            seed_ns = _round_ns(seed_proxy, calls)
-            tuned_ns = _round_ns(tuned_proxy, calls)
-        else:
-            tuned_ns = _round_ns(tuned_proxy, calls)
-            seed_ns = _round_ns(seed_proxy, calls)
-        samples["seed"].append(seed_ns)
-        samples["optimized"].append(tuned_ns)
-        ratios.append(seed_ns / tuned_ns)
-
-    return {
-        "calls": calls,
-        "rounds": rounds,
-        "ns_per_call": {
-            name: min(values) for name, values in samples.items()
-        },
-        "speedup": statistics.median(ratios),
-        "order_after_refresh": order,
-    }
+    workloads = {"optimized": tuned, "seed": seed}
+    results = harness.paired_rounds(
+        lambda facts: contextlib.nullcontext(workloads), "optimized",
+        "seed", rounds=rounds, iterations=calls,
+    )
+    return {**results, "order_after_refresh": order}
 
 
 def build_fast_path(profiler=None):
@@ -168,121 +150,54 @@ def measure_overhead(iterations=5_000, rounds=60):
     installed_mod, installed_proxy = build_fast_path(
         profiler=ClauseProfiler()  # default 1-in-64 sampled timing
     )
-
-    base_call = lambda: base_proxy.service()          # noqa: E731
-    idle_call = lambda: idle_proxy.service()          # noqa: E731
-    installed_call = lambda: installed_proxy.service()  # noqa: E731
-
-    for call in (base_call, idle_call, installed_call):
-        mean_call_ns(call, max(iterations // 10, 100))
-
-    idle_ratios = []
-    installed_ratios = []
-    for round_index in range(rounds):
-        if round_index % 2 == 0:
-            base_ns = mean_call_ns(base_call, iterations)
-            idle_ns = mean_call_ns(idle_call, iterations)
-        else:
-            idle_ns = mean_call_ns(idle_call, iterations)
-            base_ns = mean_call_ns(base_call, iterations)
-        installed_ns = mean_call_ns(installed_call,
-                                max(iterations // 5, 200))
-        idle_ratios.append(idle_ns / base_ns)
-        installed_ratios.append(installed_ns / base_ns)
-
-    return {
-        "iterations": iterations,
-        "rounds": rounds,
-        "disabled_overhead": statistics.median(idle_ratios) - 1.0,
-        "installed_overhead":
-            statistics.median(installed_ratios) - 1.0,
+    calls = {
+        "baseline": lambda: base_proxy.service(),
+        "uninstalled": lambda: idle_proxy.service(),
+        "installed": lambda: installed_proxy.service(),
     }
+    return harness.paired_rounds(
+        lambda facts: contextlib.nullcontext(calls), "baseline",
+        "uninstalled", extras=("installed",), rounds=rounds,
+        iterations=iterations,
+        extra_iterations=max(iterations // 5, 200),
+        warm_iterations=max(iterations // 10, 100),
+    )
+
+
+def check_speedup(speedup):
+    ratio = speedup["ratio"]["seed"]
+    return ([f"speedup {ratio:.2f}x below {SPEEDUP_BOUND}x bound"]
+            if ratio < SPEEDUP_BOUND else [])
+
+
+def check_overhead(overhead):
+    return harness.overhead_failures(overhead,
+                                     {"uninstalled": OVERHEAD_BOUND})
+
+
+def measure_all(smoke):
+    if smoke:
+        return {"speedup": measure_speedup(calls=150, rounds=20),
+                "overhead": measure_overhead(iterations=2_000, rounds=40)}
+    return {"speedup": measure_speedup(), "overhead": measure_overhead()}
 
 
 # ----------------------------------------------------------------------
 # pytest entry points
 # ----------------------------------------------------------------------
 def test_reordered_stack_meets_speedup_bound():
-    results = measure_speedup(calls=150, rounds=20)
-    assert results["speedup"] >= SPEEDUP_BOUND, (
-        f"profile feedback bought only {results['speedup']:.2f}x "
-        f"(bound {SPEEDUP_BOUND}x): {results['ns_per_call']}"
-    )
+    assert not check_speedup(measure_speedup(calls=150, rounds=20))
 
 
 def test_uninstalled_profiler_within_bound():
-    results = measure_overhead(iterations=2_000, rounds=40)
-    assert results["disabled_overhead"] <= OVERHEAD_BOUND, (
-        f"uninstalled profiler costs "
-        f"{results['disabled_overhead'] * 100:.2f}% "
-        f"(bound {OVERHEAD_BOUND * 100:.0f}%)"
-    )
+    assert not check_overhead(measure_overhead(iterations=2_000, rounds=40))
 
 
-# ----------------------------------------------------------------------
-# script mode
-# ----------------------------------------------------------------------
 def main(argv=None):
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="CI-sized run (fewer rounds), still asserts both bounds",
-    )
-    parser.add_argument(
-        "--json", default="BENCH_PROFILE.json",
-        help="output path for the measured table "
-             "(default BENCH_PROFILE.json)",
-    )
-    arguments = parser.parse_args(argv)
-
-    if arguments.smoke:
-        speedup = measure_speedup(calls=150, rounds=20)
-        overhead = measure_overhead(iterations=2_000, rounds=40)
-    else:
-        speedup = measure_speedup()
-        overhead = measure_overhead()
-
-    print("B-PROFILE: clause-profiler feedback "
-          "(veto-heavy commutative stack, worst-order seed)")
-    print(f"{'plan':<12}{'ns/call':>12}")
-    for name in ("seed", "optimized"):
-        print(f"{name:<12}{speedup['ns_per_call'][name]:>12.0f}")
-    print(f"speedup: {speedup['speedup']:.2f}x "
-          f"(bound >= {SPEEDUP_BOUND}x), order after refresh: "
-          f"{' -> '.join(speedup['order_after_refresh'])}")
-    print(f"fast-path overhead: uninstalled "
-          f"{overhead['disabled_overhead'] * 100:+.2f}% "
-          f"(bound <= {OVERHEAD_BOUND * 100:.0f}%), installed "
-          f"{overhead['installed_overhead'] * 100:+.2f}% "
-          f"(informational)")
-
-    document = {
-        "speedup": speedup,
-        "overhead": overhead,
-        "bounds": {"speedup": SPEEDUP_BOUND,
-                   "disabled_overhead": OVERHEAD_BOUND},
-    }
-    with open(arguments.json, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-    print(f"wrote {arguments.json}")
-
-    failed = []
-    if speedup["speedup"] < SPEEDUP_BOUND:
-        failed.append(
-            f"speedup {speedup['speedup']:.2f}x below "
-            f"{SPEEDUP_BOUND}x bound"
-        )
-    if overhead["disabled_overhead"] > OVERHEAD_BOUND:
-        failed.append(
-            f"uninstalled profiler overhead "
-            f"{overhead['disabled_overhead'] * 100:.2f}% exceeds "
-            f"{OVERHEAD_BOUND * 100:.0f}% bound"
-        )
-    for message in failed:
-        print(f"FAIL: {message}")
-    return 1 if failed else 0
+    return harness.run(argv, __doc__, "BENCH_PROFILE.json", measure_all,
+                       {"speedup": check_speedup, "overhead": check_overhead},
+                       {"speedup": SPEEDUP_BOUND,
+                        "disabled_overhead": OVERHEAD_BOUND})
 
 
 if __name__ == "__main__":

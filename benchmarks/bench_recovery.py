@@ -17,27 +17,20 @@ same end-to-end call — client → network → node → servant → reply:
 
 It also times the supervised failover sequence itself (rebind → fence →
 checkpoint load → journal replay → dedup seed → export), reported as
-median milliseconds.
+median and quartile milliseconds.
 
-Legacy and uninstalled rounds are interleaved so clock drift and
-scheduler noise cancel instead of biasing one side.
-
-Run styles::
-
-    pytest benchmarks/bench_recovery.py --benchmark-only   # archival
-    python benchmarks/bench_recovery.py                    # full table
-    python benchmarks/bench_recovery.py --smoke            # CI: quick
-                                                           # + BENCH_RECOVERY.json
+``python benchmarks/bench_recovery.py [--smoke]`` writes
+``BENCH_RECOVERY.json`` (see ``harness.run``); ``pytest
+--benchmark-only`` archives the two single-configuration timings.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
-import json
-import statistics
 import threading
 import time
-from typing import Any, Dict
+from typing import Any
 
 from repro.dist import (
     Client,
@@ -51,9 +44,10 @@ from repro.dist import (
 from repro.dist.message import Message, check_wire_safe, error_reply, reply
 from repro.obs import propagation
 
-from harness import floor_pair_ns, mean_call_ns
+import harness
 
 OVERHEAD_BOUND = 0.02  # uninstalled round-trip latency bound (2%)
+SMOKE = dict(iterations=400, rounds=24, attempts=4)  # --smoke, pytest gate
 
 
 class KVServant:
@@ -200,79 +194,52 @@ class Rig:
         self.node.stop()
 
 
-def measure(iterations=1000, rounds=24):
-    """Paired fresh-rig rounds of legacy/uninstalled/journaled trips.
-
-    Every round builds *fresh* rigs (scheduler placement redrawn each
-    round turns per-process bias into per-round noise); within a round
-    each side's figure is a min-of-interleaved-sub-chunks floor.
-    Returns per-configuration best-of-rounds ns/call plus the
-    uninstalled-vs-legacy overhead ratio (median of within-round
-    ratios).
-    """
-    samples = {"legacy": [], "uninstalled": [], "journaled": []}
-    uninstalled_ratios = []
-    journaled_ratios = []
-    journaled_iterations = max(iterations // 5, 20)
-    warm_iterations = max(iterations // 10, 10)
-    journal_appends = 0
-    for round_index in range(rounds):
-        legacy = Rig(legacy=True)
-        uninstalled = Rig()
-        journaled = Rig(journaled=True)
-        try:
-            for rig in (legacy, uninstalled, journaled):
-                assert rig.call() >= 1
-                mean_call_ns(rig.call, warm_iterations)
-            if round_index % 2 == 0:
-                legacy_ns, uninstalled_ns = floor_pair_ns(
-                    legacy.call, uninstalled.call, iterations)
-            else:
-                uninstalled_ns, legacy_ns = floor_pair_ns(
-                    uninstalled.call, legacy.call, iterations)
-            journaled_ns = mean_call_ns(journaled.call,
-                                        journaled_iterations)
-            samples["legacy"].append(legacy_ns)
-            samples["uninstalled"].append(uninstalled_ns)
-            samples["journaled"].append(journaled_ns)
-            uninstalled_ratios.append(uninstalled_ns / legacy_ns)
-            journaled_ratios.append(journaled_ns / legacy_ns)
-            # the uninstalled node journaled nothing, and every
-            # journaled-rig mutation hit the durable log
-            assert uninstalled.node._journals == {}
-            journal_appends = journaled.store.last_seq("kv")
-            assert journal_appends > 0
-        finally:
-            legacy.close()
-            uninstalled.close()
-            journaled.close()
-
-    best = {name: min(values) for name, values in samples.items()}
-    return {
-        "iterations": iterations,
-        "rounds": rounds,
-        "ns_per_call": best,
-        "uninstalled_overhead":
-            statistics.median(uninstalled_ratios) - 1.0,
-        "journaled_overhead": statistics.median(journaled_ratios) - 1.0,
-        "journal_appends_last_round": journal_appends,
-    }
+@contextlib.contextmanager
+def round_rigs(facts):
+    """Fresh legacy/uninstalled/journaled rigs for one round; on exit,
+    checks that the uninstalled node journaled nothing and every
+    journaled-rig mutation hit the durable log, then closes all three."""
+    legacy = Rig(legacy=True)
+    uninstalled = Rig()
+    journaled = Rig(journaled=True)
+    try:
+        rigs = {"legacy": legacy, "uninstalled": uninstalled,
+                "journaled": journaled}
+        for rig in rigs.values():
+            assert rig.call() >= 1
+        yield {name: rig.call for name, rig in rigs.items()}
+        assert uninstalled.node._journals == {}
+        facts["journal_appends_last_round"] = journaled.store.last_seq("kv")
+        assert facts["journal_appends_last_round"] > 0
+    finally:
+        legacy.close()
+        uninstalled.close()
+        journaled.close()
 
 
-def measure_bounded(iterations=1000, rounds=24, attempts=3):
-    """Measure, re-measuring when over bound; keep the best attempt."""
-    results = measure(iterations=iterations, rounds=rounds)
-    for _ in range(attempts - 1):
-        if results["uninstalled_overhead"] <= OVERHEAD_BOUND:
-            break
-        retry = measure(iterations=iterations, rounds=rounds)
-        if retry["uninstalled_overhead"] < results["uninstalled_overhead"]:
-            results = retry
-    return results
+def check_roundtrip(roundtrip):
+    return harness.overhead_failures(roundtrip,
+                                     {"uninstalled": OVERHEAD_BOUND})
+
+
+def measure(iterations=1000, rounds=24, attempts=3):
+    """Paired fresh-rig rounds of legacy/uninstalled/journaled trips,
+    each side a floor of interleaved sub-chunks, re-measured while over
+    bound (the same protocol as ``bench_resilience``)."""
+    return harness.remeasure(
+        lambda: harness.paired_rounds(
+            round_rigs, "legacy", "uninstalled", extras=("journaled",),
+            rounds=rounds, iterations=iterations,
+            timer=harness.floor_pair_ns,
+            extra_iterations=max(iterations // 5, 20),
+            warm_iterations=max(iterations // 10, 10), fresh=True),
+        attempts, key=lambda results: results["ratio"]["uninstalled"],
+        failures=check_roundtrip,
+    )
 
 
 def measure_failover(keys=200, suffix=50, rounds=10):
-    """Median wall time of the full supervised failover sequence.
+    """Median and quartile wall time of the supervised failover sequence.
 
     Each round rebuilds the durable store with a ``keys``-entry
     checkpoint plus a ``suffix``-record journal, then times
@@ -309,24 +276,23 @@ def measure_failover(keys=200, suffix=50, rounds=10):
             "checkpoint_keys": keys,
             "journal_suffix": suffix,
             "rounds": rounds,
-            "median_ms": statistics.median(durations) * 1000.0,
-            "best_ms": min(durations) * 1000.0,
+            "ms": harness.spread([d * 1000.0 for d in durations]),
             "replayed": replayed,
         }
     finally:
         network.close()
 
 
+def measure_all(smoke):
+    return {"roundtrip": measure(**SMOKE) if smoke else measure(),
+            "failover": measure_failover(rounds=5 if smoke else 10)}
+
+
 # ----------------------------------------------------------------------
 # pytest entry points
 # ----------------------------------------------------------------------
 def test_uninstalled_fast_path_within_bound():
-    results = measure_bounded(iterations=400, rounds=24, attempts=4)
-    assert results["uninstalled_overhead"] <= OVERHEAD_BOUND, (
-        f"uninstalled recovery path costs "
-        f"{results['uninstalled_overhead'] * 100:.2f}% "
-        f"(bound {OVERHEAD_BOUND * 100:.0f}%): {results['ns_per_call']}"
-    )
+    assert not check_roundtrip(measure(**SMOKE))
 
 
 def test_bench_roundtrip_uninstalled(benchmark):
@@ -345,61 +311,10 @@ def test_bench_roundtrip_journaled(benchmark):
         rig.close()
 
 
-# ----------------------------------------------------------------------
-# script mode
-# ----------------------------------------------------------------------
 def main(argv=None):
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="CI-sized run (fewer iterations), still asserts the bound",
-    )
-    parser.add_argument(
-        "--json", default="BENCH_RECOVERY.json",
-        help="output path for the measured table "
-             "(default BENCH_RECOVERY.json)",
-    )
-    arguments = parser.parse_args(argv)
-
-    if arguments.smoke:
-        results = measure_bounded(iterations=400, rounds=24, attempts=4)
-        failover = measure_failover(rounds=5)
-    else:
-        results = measure_bounded()
-        failover = measure_failover()
-
-    print("B-RECOV: recovery-plane overhead "
-          "(KV mutation over RPC, round trip)")
-    print(f"{'configuration':<16}{'ns/call':>12}{'overhead':>12}")
-    overhead_pct = {
-        "legacy": 0.0,
-        "uninstalled": results["uninstalled_overhead"] * 100.0,
-        "journaled": results["journaled_overhead"] * 100.0,
-    }
-    for name in ("legacy", "uninstalled", "journaled"):
-        ns = results["ns_per_call"][name]
-        print(f"{name:<16}{ns:>12.0f}{overhead_pct[name]:>11.1f}%")
-    print(f"failover ({failover['checkpoint_keys']}-key checkpoint + "
-          f"{failover['journal_suffix']}-record journal): "
-          f"{failover['median_ms']:.1f} ms median, "
-          f"{failover['replayed']} effects replayed")
-
-    document = {"roundtrip": results, "failover": failover,
-                "bound": OVERHEAD_BOUND}
-    with open(arguments.json, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-    print(f"wrote {arguments.json}")
-
-    if results["uninstalled_overhead"] > OVERHEAD_BOUND:
-        print(
-            f"FAIL: uninstalled overhead "
-            f"{results['uninstalled_overhead'] * 100:.2f}% exceeds "
-            f"{OVERHEAD_BOUND * 100:.0f}% bound"
-        )
-        return 1
-    return 0
+    return harness.run(argv, __doc__, "BENCH_RECOVERY.json", measure_all,
+                       {"roundtrip": check_roundtrip},
+                       {"uninstalled_overhead": OVERHEAD_BOUND})
 
 
 if __name__ == "__main__":

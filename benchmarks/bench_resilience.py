@@ -17,21 +17,14 @@ reply:
   on a healthy network (the price of full protection, reported for
   EXPERIMENTS.md B-RESIL, not bounded).
 
-Legacy and unarmed rounds are interleaved so clock drift and scheduler
-noise cancel instead of biasing one side.
-
-Run styles::
-
-    pytest benchmarks/bench_resilience.py --benchmark-only   # archival
-    python benchmarks/bench_resilience.py                    # full table
-    python benchmarks/bench_resilience.py --smoke            # CI: quick
-                                                             # + BENCH_RESILIENCE.json
+``python benchmarks/bench_resilience.py [--smoke]`` writes
+``BENCH_RESILIENCE.json`` (see ``harness.run``); ``pytest
+--benchmark-only`` archives the two single-configuration timings.
 """
 
 from __future__ import annotations
 
-import json
-import statistics
+import contextlib
 import threading
 from typing import Any, Dict, List, Optional
 
@@ -46,9 +39,10 @@ from repro.dist.resilience import RPC_TRANSIENT
 from repro.dist.rpc import RemoteError, RequestTimeout
 from repro.obs import propagation
 
-from harness import floor_pair_ns, mean_call_ns
+import harness
 
 OVERHEAD_BOUND = 0.02  # unarmed round-trip latency bound (2%)
+SMOKE = dict(iterations=400, rounds=24, attempts=4)  # --smoke, pytest gate
 
 
 class Component:
@@ -295,107 +289,67 @@ class Rig:
         self.node.stop()
 
 
-def measure(iterations=1000, rounds=24):
-    """Paired fresh-rig rounds of legacy/unarmed/armed round trips.
+@contextlib.contextmanager
+def round_rigs(facts):
+    """Fresh legacy/unarmed/armed rigs for one round; on exit, checks
+    that the unarmed wire stayed legacy-shaped and the armed rig never
+    replayed, then closes all three."""
+    legacy = Rig(legacy=True)
+    unarmed = Rig()
+    armed = Rig(armed=True)
+    try:
+        rigs = {"legacy": legacy, "unarmed": unarmed, "armed": armed}
+        for rig in rigs.values():
+            assert rig.call() == 8
+        yield {name: rig.call for name, rig in rigs.items()}
+        # no dedup entries, no deadline rejections on the unarmed server
+        unarmed_metrics = unarmed.node.metrics()
+        assert unarmed.node.dedup.stats()["entries"] == 0
+        assert unarmed_metrics["deadline_expired"] == 0
+        facts["unarmed_requests_served"] = unarmed_metrics["requests_served"]
+        assert armed.node.metrics()["dedup_hits"] == 0  # healthy net
+        facts["armed_dedup_entries"] = armed.node.dedup.stats()["entries"]
+    finally:
+        legacy.close()
+        unarmed.close()
+        armed.close()
 
-    Every round builds *fresh* rigs: the round-trip time is dominated
-    by thread wake-up latency, which depends on how the scheduler
-    treats each rig's threads — a per-process systematic bias that
-    back-to-back pairing alone cannot cancel. Rebuilding the rigs each
-    round redraws that state, turning the bias into per-round noise
-    the median of within-round ratios averages away. Within a round,
-    each side's figure is a min-of-interleaved-sub-chunks floor (see
-    :func:`floor_pair_ns`), so bursty contamination on a shared host
-    is excluded rather than averaged in.
 
-    Returns per-configuration best-of-rounds ns/call plus the
-    unarmed-vs-legacy overhead ratio (median of within-round ratios).
+def check_roundtrip(roundtrip):
+    return harness.overhead_failures(roundtrip, {"unarmed": OVERHEAD_BOUND})
+
+
+def measure(iterations=1000, rounds=24, attempts=3):
+    """Paired rounds of legacy/unarmed/armed round trips, re-measured
+    while over bound.
+
+    The round trip is dominated by thread wake-up latency, which
+    depends on how the scheduler treats each rig's threads, so every
+    round builds fresh rigs; each side's per-round figure is a floor of
+    interleaved sub-chunks. CI often lands on a shared core where steal
+    time inflates one whole run, hence the re-measure.
     """
-    samples = {"legacy": [], "unarmed": [], "armed": []}
-    unarmed_ratios = []
-    armed_ratios = []
-    armed_iterations = max(iterations // 5, 20)
-    warm_iterations = max(iterations // 10, 10)
-    unarmed_served = 0
-    armed_entries = 0
-    for round_index in range(rounds):
-        legacy = Rig(legacy=True)
-        unarmed = Rig()
-        armed = Rig(armed=True)
-        try:
-            # warm-up compiles the activation plans, spins up the reply
-            # loops and primes every thread's counter stripe
-            for rig in (legacy, unarmed, armed):
-                assert rig.call() == 8
-                mean_call_ns(rig.call, warm_iterations)
-            # within the round, alternate which side is timed first so
-            # short-term drift cancels across rounds
-            if round_index % 2 == 0:
-                legacy_ns, unarmed_ns = floor_pair_ns(
-                    legacy.call, unarmed.call, iterations)
-            else:
-                unarmed_ns, legacy_ns = floor_pair_ns(
-                    unarmed.call, legacy.call, iterations)
-            armed_ns = mean_call_ns(armed.call, armed_iterations)
-            samples["legacy"].append(legacy_ns)
-            samples["unarmed"].append(unarmed_ns)
-            samples["armed"].append(armed_ns)
-            unarmed_ratios.append(unarmed_ns / legacy_ns)
-            armed_ratios.append(armed_ns / legacy_ns)
-            # the unarmed wire stays legacy-shaped: no dedup entries,
-            # no deadline rejections on the server
-            unarmed_metrics = unarmed.node.metrics()
-            assert unarmed.node.dedup.stats()["entries"] == 0
-            assert unarmed_metrics["deadline_expired"] == 0
-            unarmed_served = unarmed_metrics["requests_served"]
-            assert armed.node.metrics()["dedup_hits"] == 0  # healthy net
-            armed_entries = armed.node.dedup.stats()["entries"]
-        finally:
-            legacy.close()
-            unarmed.close()
-            armed.close()
-
-    best = {name: min(values) for name, values in samples.items()}
-    return {
-        "iterations": iterations,
-        "rounds": rounds,
-        "ns_per_call": best,
-        "unarmed_overhead": statistics.median(unarmed_ratios) - 1.0,
-        "armed_overhead": statistics.median(armed_ratios) - 1.0,
-        "unarmed_requests_served": unarmed_served,
-        "armed_dedup_entries": armed_entries,
-    }
+    return harness.remeasure(
+        lambda: harness.paired_rounds(
+            round_rigs, "legacy", "unarmed", extras=("armed",),
+            rounds=rounds, iterations=iterations,
+            timer=harness.floor_pair_ns,
+            extra_iterations=max(iterations // 5, 20),
+            warm_iterations=max(iterations // 10, 10), fresh=True),
+        attempts, key=lambda results: results["ratio"]["unarmed"],
+        failures=check_roundtrip,
+    )
 
 
-def measure_bounded(iterations=1000, rounds=24, attempts=3):
-    """Measure, re-measuring when over bound; keep the best attempt.
-
-    The round trip runs on whatever host CI lands on — often a single
-    shared core where steal time can inflate one measurement run
-    wholesale. The code-path cost is the *floor* across attempts, so a
-    run that lands over the bound earns one fresh measurement and the
-    attempt with the smallest overhead is reported.
-    """
-    results = measure(iterations=iterations, rounds=rounds)
-    for _ in range(attempts - 1):
-        if results["unarmed_overhead"] <= OVERHEAD_BOUND:
-            break
-        retry = measure(iterations=iterations, rounds=rounds)
-        if retry["unarmed_overhead"] < results["unarmed_overhead"]:
-            results = retry
-    return results
+def measure_all(smoke):
+    return {"roundtrip": measure(**SMOKE) if smoke else measure()}
 
 
 # ----------------------------------------------------------------------
 # pytest entry points
 # ----------------------------------------------------------------------
 def test_unarmed_fast_path_within_bound():
-    results = measure_bounded(iterations=400, rounds=24, attempts=4)
-    assert results["unarmed_overhead"] <= OVERHEAD_BOUND, (
-        f"unarmed resilience path costs "
-        f"{results['unarmed_overhead'] * 100:.2f}% "
-        f"(bound {OVERHEAD_BOUND * 100:.0f}%): {results['ns_per_call']}"
-    )
+    assert not check_roundtrip(measure(**SMOKE))
 
 
 def test_bench_roundtrip_unarmed(benchmark):
@@ -416,56 +370,10 @@ def test_bench_roundtrip_armed(benchmark):
         rig.close()
 
 
-# ----------------------------------------------------------------------
-# script mode
-# ----------------------------------------------------------------------
 def main(argv=None):
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="CI-sized run (fewer iterations), still asserts the bound",
-    )
-    parser.add_argument(
-        "--json", default="BENCH_RESILIENCE.json",
-        help="output path for the measured table "
-             "(default BENCH_RESILIENCE.json)",
-    )
-    arguments = parser.parse_args(argv)
-
-    if arguments.smoke:
-        results = measure_bounded(iterations=400, rounds=24, attempts=4)
-    else:
-        results = measure_bounded()
-
-    print("B-RESIL: resilience-layer overhead "
-          "(Figure-3 moderated invocation over RPC, round trip)")
-    print(f"{'configuration':<16}{'ns/call':>12}{'overhead':>12}")
-    overhead_pct = {
-        "legacy": 0.0,
-        "unarmed": results["unarmed_overhead"] * 100.0,
-        "armed": results["armed_overhead"] * 100.0,
-    }
-    for name in ("legacy", "unarmed", "armed"):
-        ns = results["ns_per_call"][name]
-        print(f"{name:<16}{ns:>12.0f}{overhead_pct[name]:>11.1f}%")
-    print(f"armed rig cached {results['armed_dedup_entries']} "
-          f"idempotency entries with zero dedup hits (healthy network)")
-
-    document = {"roundtrip": results, "bound": OVERHEAD_BOUND}
-    with open(arguments.json, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-    print(f"wrote {arguments.json}")
-
-    if results["unarmed_overhead"] > OVERHEAD_BOUND:
-        print(
-            f"FAIL: unarmed overhead "
-            f"{results['unarmed_overhead'] * 100:.2f}% exceeds "
-            f"{OVERHEAD_BOUND * 100:.0f}% bound"
-        )
-        return 1
-    return 0
+    return harness.run(argv, __doc__, "BENCH_RESILIENCE.json", measure_all,
+                       {"roundtrip": check_roundtrip},
+                       {"unarmed_overhead": OVERHEAD_BOUND})
 
 
 if __name__ == "__main__":

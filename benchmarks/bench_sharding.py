@@ -16,21 +16,17 @@ Three measurements back the sharding layer's acceptance criteria
   unsharded resolve path must stay within 2%, same discipline as
   PRs 4-5.
 
-Run styles::
-
-    python benchmarks/bench_sharding.py            # full table
-    python benchmarks/bench_sharding.py --smoke    # CI: quick
-                                                   # + BENCH_SHARDING.json
+``python benchmarks/bench_sharding.py [--smoke]`` writes
+``BENCH_SHARDING.json`` (see ``harness.run``).
 """
 
 from __future__ import annotations
 
-import json
+import contextlib
 import os
-import statistics
 import threading
 import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.aspects.retry import RetryPolicy
 from repro.dist import Client, NameService, Network, Node, Rebalancer
@@ -38,7 +34,7 @@ from repro.dist.naming import Binding
 from repro.dist.resilience import RPC_TRANSIENT
 from repro.dist.sharding import HashRing
 
-from harness import floor_pair_ns, mean_call_ns
+import harness
 
 OVERHEAD_BOUND = 0.02   # unsharded resolve path bound (2%)
 SCALE_BOUND_2 = 1.7     # minimum speedup at 2 shards
@@ -164,23 +160,25 @@ def measure_scaling(ops_per_thread: int = 60) -> Dict[str, Any]:
     return results
 
 
+def check_scaling(scaling) -> List[str]:
+    return [f"{shards}-shard speedup {scaling['speedup'][shards]:.2f}x "
+            f"< {bound}x (cpu_count={scaling['cpu_count']})"
+            for shards, bound in (("2", SCALE_BOUND_2), ("4", SCALE_BOUND_4))
+            if scaling["speedup"][shards] < bound]
+
+
 def measure_scaling_bounded(ops_per_thread: int = 60,
                             attempts: int = 3) -> Dict[str, Any]:
-    """Scaling, re-measured when under bound; keep the best attempt.
+    """Scaling, re-measured while under bound; keep the best attempt.
 
     Shared CI hosts can steal a whole measurement window; the
-    architecture's speedup is the *best* observed, so an under-bound
-    run earns a fresh measurement.
+    architecture's speedup is the *best* observed (highest 4-shard
+    speedup), so an under-bound run earns a fresh measurement.
     """
-    results = measure_scaling(ops_per_thread)
-    for _ in range(attempts - 1):
-        if (results["speedup"]["2"] >= SCALE_BOUND_2
-                and results["speedup"]["4"] >= SCALE_BOUND_4):
-            break
-        retry = measure_scaling(ops_per_thread)
-        if retry["speedup"]["4"] > results["speedup"]["4"]:
-            results = retry
-    return results
+    return harness.remeasure(
+        lambda: measure_scaling(ops_per_thread), attempts,
+        key=lambda results: -results["speedup"]["4"], failures=check_scaling,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -311,156 +309,80 @@ class ResolveRig:
         self.node.stop()
 
 
-def measure_unsharded_overhead(iterations: int = 400,
-                               rounds: int = 24) -> Dict[str, Any]:
-    """Paired fresh-rig rounds: legacy vs current naming, plain calls."""
-    samples = {"legacy": [], "current": []}
-    ratios = []
-    warm = max(iterations // 10, 10)
-    for round_index in range(rounds):
-        legacy = ResolveRig(legacy=True)
-        current = ResolveRig(legacy=False)
-        try:
-            for rig in (legacy, current):
-                assert rig.call() == 1
-                mean_call_ns(rig.call, warm)
-            if round_index % 2 == 0:
-                legacy_ns, current_ns = floor_pair_ns(
-                    legacy.call, current.call, iterations)
-            else:
-                current_ns, legacy_ns = floor_pair_ns(
-                    current.call, legacy.call, iterations)
-            samples["legacy"].append(legacy_ns)
-            samples["current"].append(current_ns)
-            ratios.append(current_ns / legacy_ns)
-        finally:
-            legacy.close()
-            current.close()
-    return {
-        "iterations": iterations,
-        "rounds": rounds,
-        "ns_per_call": {k: min(v) for k, v in samples.items()},
-        "overhead": statistics.median(ratios) - 1.0,
-    }
+@contextlib.contextmanager
+def round_rigs(facts):
+    """Fresh legacy/current rigs for one round."""
+    legacy = ResolveRig(legacy=True)
+    current = ResolveRig(legacy=False)
+    try:
+        for rig in (legacy, current):
+            assert rig.call() == 1
+        yield {"legacy": legacy.call, "current": current.call}
+    finally:
+        legacy.close()
+        current.close()
+
+
+def check_unsharded(unsharded) -> List[str]:
+    return harness.overhead_failures(unsharded, {"current": OVERHEAD_BOUND})
 
 
 def measure_unsharded_bounded(iterations: int = 400, rounds: int = 24,
                               attempts: int = 4) -> Dict[str, Any]:
-    results = measure_unsharded_overhead(iterations, rounds)
-    for _ in range(attempts - 1):
-        if results["overhead"] <= OVERHEAD_BOUND:
-            break
-        retry = measure_unsharded_overhead(iterations, rounds)
-        if retry["overhead"] < results["overhead"]:
-            results = retry
-    return results
+    """Paired fresh-rig rounds of legacy vs current naming on plain
+    calls, re-measured while over bound."""
+    return harness.remeasure(
+        lambda: harness.paired_rounds(
+            round_rigs, "legacy", "current", rounds=rounds,
+            iterations=iterations, timer=harness.floor_pair_ns,
+            warm_iterations=max(iterations // 10, 10), fresh=True),
+        attempts, key=lambda results: results["ratio"]["current"],
+        failures=check_unsharded,
+    )
+
+
+def check_rebalance(rebalance) -> List[str]:
+    failures = rebalance["client_failures"]
+    return [f"{failures} client failures during moves"] if failures else []
+
+
+def measure_all(smoke: bool) -> Dict[str, Any]:
+    if smoke:
+        return {"scaling": measure_scaling_bounded(ops_per_thread=60),
+                "rebalance": measure_rebalance_downtime(moves=6),
+                "unsharded": measure_unsharded_bounded(iterations=400,
+                                                       rounds=16)}
+    return {"scaling": measure_scaling_bounded(ops_per_thread=150),
+            "rebalance": measure_rebalance_downtime(moves=20),
+            "unsharded": measure_unsharded_bounded()}
 
 
 # ----------------------------------------------------------------------
 # pytest entry points (benchmarks/ is outside tier-1 testpaths)
 # ----------------------------------------------------------------------
 def test_scaling_meets_bounds():
-    results = measure_scaling_bounded(ops_per_thread=60)
-    context = (results["speedup"], f"cpu_count={results['cpu_count']}")
-    assert results["speedup"]["2"] >= SCALE_BOUND_2, context
-    assert results["speedup"]["4"] >= SCALE_BOUND_4, context
+    assert not check_scaling(measure_scaling_bounded(ops_per_thread=60))
 
 
 def test_unsharded_path_within_bound():
-    results = measure_unsharded_bounded(iterations=400, rounds=24)
-    assert results["overhead"] <= OVERHEAD_BOUND, (
-        f"unsharded path costs {results['overhead'] * 100:.2f}% "
-        f"(bound {OVERHEAD_BOUND * 100:.0f}%): {results['ns_per_call']}"
-    )
+    assert not check_unsharded(measure_unsharded_bounded(iterations=400,
+                                                         rounds=24))
 
 
 def test_rebalance_serves_through_moves():
     results = measure_rebalance_downtime(moves=4)
-    assert results["client_failures"] == 0
+    assert not check_rebalance(results)
     assert results["downtime_p99_ms"] < 1000.0
 
 
-# ----------------------------------------------------------------------
-# script mode
-# ----------------------------------------------------------------------
 def main(argv=None):
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="CI-sized run (fewer ops/moves), still asserts the bounds",
-    )
-    parser.add_argument(
-        "--json", default="BENCH_SHARDING.json",
-        help="output path for the measured table "
-             "(default BENCH_SHARDING.json)",
-    )
-    arguments = parser.parse_args(argv)
-
-    if arguments.smoke:
-        scaling = measure_scaling_bounded(ops_per_thread=60)
-        downtime = measure_rebalance_downtime(moves=6)
-        overhead = measure_unsharded_bounded(iterations=400, rounds=16)
-    else:
-        scaling = measure_scaling_bounded(ops_per_thread=150)
-        downtime = measure_rebalance_downtime(moves=20)
-        overhead = measure_unsharded_bounded()
-
-    print("B-SHARD: sharded-cluster scaling "
-          f"({SERVICE_TIME * 1000:.0f}ms service time, "
-          f"{CLIENT_THREADS} closed-loop clients, disjoint keys, "
-          f"cpu_count={scaling['cpu_count']})")
-    print(f"{'shards':<10}{'ops/sec':>12}{'speedup':>10}")
-    for n in ("1", "2", "4"):
-        row = scaling["throughput"][n]
-        print(f"{n:<10}{row['ops_per_sec']:>12.0f}"
-              f"{scaling['speedup'][n]:>9.2f}x")
-    print(f"rebalance downtime over {downtime['moves']} live moves: "
-          f"p50 {downtime['downtime_p50_ms']:.2f}ms  "
-          f"p99 {downtime['downtime_p99_ms']:.2f}ms  "
-          f"({downtime['client_failures']} client failures)")
-    print(f"unsharded-path overhead: {overhead['overhead'] * 100:.2f}% "
-          f"(bound {OVERHEAD_BOUND * 100:.0f}%) "
-          f"{overhead['ns_per_call']}")
-
-    document = {
-        "scaling": scaling,
-        "rebalance": downtime,
-        "unsharded": overhead,
-        "bounds": {
-            "speedup_2": SCALE_BOUND_2,
-            "speedup_4": SCALE_BOUND_4,
-            "unsharded_overhead": OVERHEAD_BOUND,
-        },
-    }
-    with open(arguments.json, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-    print(f"wrote {arguments.json}")
-
-    failed = []
-    if scaling["speedup"]["2"] < SCALE_BOUND_2:
-        failed.append(
-            f"2-shard speedup {scaling['speedup']['2']:.2f}x "
-            f"< {SCALE_BOUND_2}x (cpu_count={scaling['cpu_count']})"
-        )
-    if scaling["speedup"]["4"] < SCALE_BOUND_4:
-        failed.append(
-            f"4-shard speedup {scaling['speedup']['4']:.2f}x "
-            f"< {SCALE_BOUND_4}x (cpu_count={scaling['cpu_count']})"
-        )
-    if overhead["overhead"] > OVERHEAD_BOUND:
-        failed.append(
-            f"unsharded overhead {overhead['overhead'] * 100:.2f}% "
-            f"> {OVERHEAD_BOUND * 100:.0f}%"
-        )
-    if downtime["client_failures"]:
-        failed.append(
-            f"{downtime['client_failures']} client failures during moves"
-        )
-    for line in failed:
-        print(f"FAIL: {line}")
-    return 1 if failed else 0
+    return harness.run(argv, __doc__, "BENCH_SHARDING.json", measure_all,
+                       {"scaling": check_scaling,
+                        "rebalance": check_rebalance,
+                        "unsharded": check_unsharded},
+                       {"speedup_2": SCALE_BOUND_2,
+                               "speedup_4": SCALE_BOUND_4,
+                               "unsharded_overhead": OVERHEAD_BOUND})
 
 
 if __name__ == "__main__":

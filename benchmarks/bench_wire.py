@@ -12,28 +12,27 @@ fence):
 * **codec**  — ``decode(encode(payload))``.
 
 It also reports the check on its own (codec against legacy) for
-EXPERIMENTS.md B-WIRE. The two sides are interleaved so scheduler
-noise hits both. The gate is on the round trip: codec / legacy must
-stay at or below :data:`RATIO_BOUND`. No JSON is written.
+EXPERIMENTS.md B-WIRE. The two sides are timed as pairs every round
+(``harness.paired_rounds``), so scheduler noise hits both. The gate is
+on the round trip: codec / legacy must stay at or below
+:data:`RATIO_BOUND`.
 
-Run styles::
-
-    pytest benchmarks/bench_wire.py --benchmark-disable -q   # the gate
-    python benchmarks/bench_wire.py                          # full table
-    python benchmarks/bench_wire.py --smoke                  # CI: quick
+``python benchmarks/bench_wire.py [--smoke]`` writes ``BENCH_WIRE.json``
+(see ``harness.run``); pytest asserts the bound.
 """
 
 from __future__ import annotations
 
+import contextlib
 import copy
-import statistics
-from typing import Any, Dict
+from typing import Any, Dict, List
 
 from repro.dist.message import check_wire_safe, decode, encode, request
 
-from harness import floor_pair_ns
+import harness
 
 RATIO_BOUND = 0.6  # codec round trip / legacy round trip
+SMOKE = dict(iterations=4000, rounds=5)  # --smoke and the pytest gate
 
 
 #: Types allowed on the simulated wire.
@@ -83,61 +82,47 @@ def codec_round_trip(payload: Dict[str, Any]) -> Dict[str, Any]:
     return decode(encode(payload))
 
 
-def measure(iterations: int = 20000, rounds: int = 5) -> Dict[str, float]:
-    """Median per-round floors (ns) and the codec / legacy ratio."""
+def measure(iterations: int = 20000, rounds: int = 5) -> Dict[str, Any]:
+    """Paired rounds of codec against legacy, for the round trip and
+    for the check on its own."""
     payload = put_payload()
     assert codec_round_trip(payload) == LegacyWire.deliver(payload) \
         == payload
-    pairs = {
-        "round_trip": (lambda: codec_round_trip(payload),
-                       lambda: LegacyWire.deliver(payload)),
-        "check": (lambda: check_wire_safe(payload),
-                  lambda: legacy_check_wire_safe(payload)),
+
+    def pair(codec, legacy):
+        calls = {"codec": codec, "legacy": legacy}
+        return harness.paired_rounds(
+            lambda facts: contextlib.nullcontext(calls), "legacy", "codec",
+            rounds=rounds, iterations=iterations,
+            timer=harness.floor_pair_ns)
+
+    return {
+        "round_trip": pair(lambda: codec_round_trip(payload),
+                           lambda: LegacyWire.deliver(payload)),
+        "check": pair(lambda: check_wire_safe(payload),
+                      lambda: legacy_check_wire_safe(payload)),
     }
-    results: Dict[str, float] = {}
-    for name, (codec, legacy) in pairs.items():
-        samples = [floor_pair_ns(codec, legacy, iterations)
-                   for _ in range(rounds)]
-        results[f"codec_{name}_ns"] = statistics.median(
-            codec_ns for codec_ns, _ in samples)
-        results[f"legacy_{name}_ns"] = statistics.median(
-            legacy_ns for _, legacy_ns in samples)
-        results[f"{name}_ratio"] = statistics.median(
-            codec_ns / legacy_ns for codec_ns, legacy_ns in samples)
-    return results
+
+
+def check_round_trip(round_trip) -> List[str]:
+    ratio = round_trip["ratio"]["codec"]
+    if ratio > RATIO_BOUND:
+        return [f"round-trip ratio {ratio:.2f}x > {RATIO_BOUND}x"]
+    return []
+
+
+def measure_all(smoke: bool) -> Dict[str, Any]:
+    return measure(**SMOKE) if smoke else measure()
 
 
 def test_codec_round_trip_within_bound():
-    results = measure(iterations=4000, rounds=5)
-    assert results["round_trip_ratio"] <= RATIO_BOUND, (
-        f"codec round trip is {results['round_trip_ratio']:.2f}x the "
-        f"legacy check-copy-check (bound {RATIO_BOUND}x): {results}"
-    )
+    assert not check_round_trip(measure(**SMOKE)["round_trip"])
 
 
 def main(argv=None):
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="CI-sized run (fewer iterations), still asserts the bound",
-    )
-    arguments = parser.parse_args(argv)
-    if arguments.smoke:
-        results = measure(iterations=4000, rounds=5)
-    else:
-        results = measure()
-    for name in ("round_trip", "check"):
-        print(f"{name:>10}: codec {results[f'codec_{name}_ns'] / 1e3:6.2f} us"
-              f"  legacy {results[f'legacy_{name}_ns'] / 1e3:6.2f} us"
-              f"  ratio {results[f'{name}_ratio']:.2f}x")
-    ratio = results["round_trip_ratio"]
-    if ratio > RATIO_BOUND:
-        print(f"FAIL: round-trip ratio {ratio:.2f}x > {RATIO_BOUND}x")
-        return 1
-    print(f"ok: round-trip ratio {ratio:.2f}x <= {RATIO_BOUND}x")
-    return 0
+    return harness.run(argv, __doc__, "BENCH_WIRE.json", measure_all,
+                       {"round_trip": check_round_trip},
+                       {"round_trip_ratio": RATIO_BOUND})
 
 
 if __name__ == "__main__":

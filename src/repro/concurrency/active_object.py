@@ -34,7 +34,6 @@ class ActiveObject:
         servant: any object — typically a
             :class:`~repro.core.proxy.ComponentProxy`, so every queued
             request still passes through moderation.
-        queue_size: bound on pending requests (None = unbounded).
 
     Usage::
 
@@ -44,10 +43,9 @@ class ActiveObject:
         active.shutdown()
     """
 
-    def __init__(self, servant: Any, queue_size: Optional[int] = None,
-                 name: str = "active-object") -> None:
+    def __init__(self, servant: Any, name: str = "active-object") -> None:
         self.servant = servant
-        self._queue: "WaitQueue[Optional[MethodRequest]]" = WaitQueue(queue_size)
+        self._queue: "WaitQueue[Optional[MethodRequest]]" = WaitQueue()
         self._thread = threading.Thread(
             target=self._run, name=name, daemon=True
         )

@@ -15,7 +15,7 @@ snapshot.
 The watchdog only *observes* — it never wakes, aborts or otherwise
 perturbs the protocol, so arming it cannot change program behaviour.
 Each stalled activation is reported once per park episode (and again
-every ``renotify`` seconds while it stays parked, so long-lived stalls
+every ``deadline`` seconds while it stays parked, so long-lived stalls
 keep surfacing in logs).
 """
 
@@ -82,10 +82,8 @@ class ActivationWatchdog:
             below at 10 ms).
         on_stall: callback receiving each :class:`StallReport`; errors
             raised by the callback are swallowed (a diagnostic hook must
-            never take the watchdog down).
-        renotify: seconds between repeated reports for an activation
-            that stays parked; defaults to ``deadline`` (0 disables
-            re-reporting).
+            never take the watchdog down). An activation that stays
+            parked is reported again every ``deadline`` seconds.
         recorder: optional span recorder (anything with a
             ``trace_of(activation_id)`` method, duck-typed so the core
             never imports the obs package); when given, each report's
@@ -102,7 +100,6 @@ class ActivationWatchdog:
     def __init__(self, moderator: AspectModerator, deadline: float = 5.0,
                  interval: Optional[float] = None,
                  on_stall: Optional[Callable[[StallReport], None]] = None,
-                 renotify: Optional[float] = None,
                  recorder: Optional[Any] = None) -> None:
         if deadline <= 0:
             raise ValueError("deadline must be positive")
@@ -112,7 +109,6 @@ class ActivationWatchdog:
             interval if interval is not None else max(deadline / 4, 0.01)
         )
         self.on_stall = on_stall
-        self.renotify = renotify if renotify is not None else deadline
         self.recorder = recorder
         self.reports: List[StallReport] = []
         self._reported: Dict[int, float] = {}
@@ -166,8 +162,7 @@ class ActivationWatchdog:
                 if age < self.deadline:
                     continue
                 last = self._reported.get(activation_id)
-                if last is not None and (
-                        self.renotify <= 0 or now - last < self.renotify):
+                if last is not None and now - last < self.deadline:
                     continue
                 self._reported[activation_id] = now
                 stalled.setdefault(method_id, []).append(

@@ -85,7 +85,7 @@ class Node:
     queue; excess is shed per ``shed_policy`` (``"reject"`` answers
     ``Overloaded`` carrying the ``retry_after`` hint; ``"drop_oldest"``
     evicts the stalest queued request in favour of the arrival).
-    ``dedup_capacity`` bounds the idempotency cache; ``registry``
+    The idempotency cache holds up to 1024 completed keys; ``registry``
     supplies the metrics registry the node reports through.
     """
 
@@ -94,7 +94,6 @@ class Node:
                  inbox_limit: Optional[int] = None,
                  shed_policy: str = "reject",
                  retry_after: float = 0.05,
-                 dedup_capacity: int = 1024,
                  registry: Optional[MetricsRegistry] = None) -> None:
         self.node_id = node_id
         self.network = network
@@ -108,7 +107,7 @@ class Node:
             inbox = ShedInbox(inbox_limit, policy=shed_policy,
                               on_shed=self._on_shed)
         self.inbox = network.register(node_id, inbox=inbox)
-        self.dedup = IdempotencyCache(dedup_capacity)
+        self.dedup = IdempotencyCache()
         self._servants: Dict[str, Any] = {}
         #: service -> attached continuation runtime
         #: (:class:`repro.core.continuation.ContinuationRuntime`).

@@ -139,8 +139,8 @@ class ShardRouter:
     """Client-side stub for a sharded name.
 
     ``shard_keys`` maps method name → :data:`ShardKeyFn`; methods not
-    listed use ``default_key`` (first positional argument). The ring is
-    rebuilt whenever the sharded binding's version moves (a reshard via
+    listed use :func:`first_argument_key`. The ring is rebuilt whenever
+    the sharded binding's version moves (a reshard via
     :meth:`~repro.dist.naming.NameService.update_sharded`), so routers
     follow topology changes without being told.
 
@@ -153,14 +153,12 @@ class ShardRouter:
 
     def __init__(self, client: Client, name: str,
                  shard_keys: Optional[Dict[str, ShardKeyFn]] = None,
-                 default_key: ShardKeyFn = first_argument_key,
                  registry: Optional[MetricsRegistry] = None) -> None:
         if client.names is None:
             raise ValueError("shard routing needs a naming service")
         self.client = client
         self.name = name
         self.shard_keys = dict(shard_keys or {})
-        self.default_key = default_key
         self.registry = registry if registry is not None else client.registry
         self._routes = self.registry.counter(
             "repro_shard_routes",
@@ -183,7 +181,7 @@ class ShardRouter:
     def shard_for(self, method: str, args: Tuple[Any, ...],
                   kwargs: Dict[str, Any]) -> str:
         """Which shard a call with these arguments routes to."""
-        key_fn = self.shard_keys.get(method, self.default_key)
+        key_fn = self.shard_keys.get(method, first_argument_key)
         return self.ring().lookup(key_fn(args, kwargs))
 
     def call(self, method: str, *args: Any,

@@ -313,11 +313,11 @@ class ClauseProfiler:
             reads (counters are always exact). 1 times everything.
         reorder: sort mutually-commuting runs cheapest-most-vetoing
             first at compile time (needs ``refresh()``ed profile data).
-        memoize: attach LRU+TTL memo caches to cells declaring
-            ``idempotent_precondition`` + ``cache_key``.
+        memoize: attach LRU+TTL memo caches (1024 keys, 60 s, one per
+            cell) to cells declaring ``idempotent_precondition`` +
+            ``cache_key``.
         skip_analysis: elide ``pure_observer`` cells from compiled
             plans entirely (the ouroboros hot-path escape).
-        memo_capacity / memo_ttl: memo cache geometry, per cell.
         min_samples: evaluations a cell needs (since its baseline)
             before reordering trusts its statistics; colder cells keep
             their seed position.
@@ -329,16 +329,12 @@ class ClauseProfiler:
                  reorder: bool = True,
                  memoize: bool = True,
                  skip_analysis: bool = True,
-                 memo_capacity: int = 1024,
-                 memo_ttl: float = 60.0,
                  min_samples: int = 20) -> None:
         self.moderator = None
         self.sample_rate = max(1, int(sample_rate))
         self.reorder = reorder
         self.memoize = memoize
         self.skip_analysis = skip_analysis
-        self.memo_capacity = memo_capacity
-        self.memo_ttl = memo_ttl
         self.min_samples = max(1, int(min_samples))
         self._registry = registry
         self._lock = threading.Lock()
@@ -573,10 +569,7 @@ class ClauseProfiler:
                 key_fn = getattr(aspect, "cache_key", None)
                 if key_fn is not None:
                     if state.memo is None:
-                        state.memo = MemoCache(
-                            capacity=self.memo_capacity,
-                            ttl=self.memo_ttl,
-                        )
+                        state.memo = MemoCache()
                     memo = state.memo
                     fail_closed = cell.policy == FAIL_CLOSED
                     if profile is not None and \

@@ -7,6 +7,7 @@ observed torn. Plus the Prometheus-model pieces: fixed cumulative
 buckets, quantile estimation, counter blocks, label addressing.
 """
 
+import sys
 import threading
 
 import pytest
@@ -130,12 +131,20 @@ class TestCounterBlock:
                     return
 
         writers = [threading.Thread(target=writer) for _ in range(4)]
-        for thread in writers:
-            thread.start()
         read = threading.Thread(target=reader)
-        read.start()
-        read.join()
-        stop.set()
+        # a short switch interval preempts the writers at a fine grain,
+        # inside bump's critical section too, and keeps the reader from
+        # waiting a full default interval behind four writers per read
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            for thread in writers:
+                thread.start()
+            read.start()
+            read.join()
+        finally:
+            stop.set()
+            sys.setswitchinterval(interval)
         for thread in writers:
             thread.join()
         assert torn == []
