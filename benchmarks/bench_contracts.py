@@ -15,7 +15,7 @@ Three configurations over the same moderated call:
   with the runner's entry, per-RESUME and post-body check points armed).
 
 ``python benchmarks/bench_contracts.py [--smoke]`` writes
-``BENCH_CONTRACTS.json`` (see ``harness.run``); ``pytest
+``.bench/BENCH_CONTRACTS.json`` (see ``harness.run``); ``pytest
 --benchmark-only`` archives the two single-configuration timings.
 """
 

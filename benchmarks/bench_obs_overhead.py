@@ -23,8 +23,8 @@ global lock; on the striped registry each writer thread gets a private
 stripe, asserted here by driving N threads and counting stripes.
 
 ``python benchmarks/bench_obs_overhead.py [--smoke]`` writes
-``BENCH_OBS.json`` (see ``harness.run``); ``pytest --benchmark-only``
-archives the two single-configuration timings.
+``.bench/BENCH_OBS.json`` (see ``harness.run``); ``pytest
+--benchmark-only`` archives the two single-configuration timings.
 """
 
 from __future__ import annotations

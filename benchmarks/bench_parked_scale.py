@@ -15,8 +15,8 @@ can hold ~10^6 parked activations. This bench measures both sides:
   target would cost: the number that motivates the reactor.
 
 ``python benchmarks/bench_parked_scale.py [--smoke]`` (1M parked, or
-2*10^4 with ``--smoke``) writes ``BENCH_ASYNC.json`` (see
-``harness.run``).
+2*10^4 with ``--smoke``) writes
+``.bench/BENCH_ASYNC.json`` (see ``harness.run``).
 """
 
 from __future__ import annotations

@@ -16,7 +16,8 @@ The *installed* cost (eval counters always, 1-in-64 sampled timing) is
 reported for EXPERIMENTS.md B-PROFILE but not bounded.
 
 ``python benchmarks/bench_profile.py [--smoke]`` writes
-``BENCH_PROFILE.json`` (see ``harness.run``); pytest asserts the bounds.
+``.bench/BENCH_PROFILE.json`` (see ``harness.run``); pytest asserts the
+bounds.
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ checkpoint load → journal replay → dedup seed → export), reported as
 median and quartile milliseconds.
 
 ``python benchmarks/bench_recovery.py [--smoke]`` writes
-``BENCH_RECOVERY.json`` (see ``harness.run``); ``pytest
+``.bench/BENCH_RECOVERY.json`` (see ``harness.run``); ``pytest
 --benchmark-only`` archives the two single-configuration timings.
 """
 

@@ -18,7 +18,7 @@ reply:
   EXPERIMENTS.md B-RESIL, not bounded).
 
 ``python benchmarks/bench_resilience.py [--smoke]`` writes
-``BENCH_RESILIENCE.json`` (see ``harness.run``); ``pytest
+``.bench/BENCH_RESILIENCE.json`` (see ``harness.run``); ``pytest
 --benchmark-only`` archives the two single-configuration timings.
 """
 

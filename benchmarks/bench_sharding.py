@@ -17,7 +17,7 @@ Three measurements back the sharding layer's acceptance criteria
   PRs 4-5.
 
 ``python benchmarks/bench_sharding.py [--smoke]`` writes
-``BENCH_SHARDING.json`` (see ``harness.run``).
+``.bench/BENCH_SHARDING.json`` (see ``harness.run``).
 """
 
 from __future__ import annotations

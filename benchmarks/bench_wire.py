@@ -17,8 +17,9 @@ EXPERIMENTS.md B-WIRE. The two sides are timed as pairs every round
 on the round trip: codec / legacy must stay at or below
 :data:`RATIO_BOUND`.
 
-``python benchmarks/bench_wire.py [--smoke]`` writes ``BENCH_WIRE.json``
-(see ``harness.run``); pytest asserts the bound.
+``python benchmarks/bench_wire.py [--smoke]`` writes
+``.bench/BENCH_WIRE.json`` (see ``harness.run``); pytest asserts the
+bound.
 """
 
 from __future__ import annotations

@@ -23,12 +23,16 @@ they cannot contradict it the way a min-of-rounds column could.
 
 **The re-measure rule.** :func:`remeasure` repeats a measurement while
 its check fails, up to a fixed number of attempts, and keeps the best:
-on a shared host steal time can inflate one whole run.
+on a shared host steal time can inflate one whole run. The kept result
+says how many attempts ran and what the discarded ones measured, so a
+pass on a later attempt shows as one in the table and the JSON.
 
 **The runner.** :func:`run` is every bench's ``main``:
 ``python benchmarks/bench_<name>.py [--smoke] [--json PATH]`` measures
 (``--smoke``: CI-sized, same bounds), prints one table, writes one JSON
-schema (``bench``, ``smoke``, ``bounds``, ``results``, ``failures``),
+schema (``bench``, ``smoke``, ``bounds``, ``results``, ``failures``)
+to ``PATH`` (default ``.bench/BENCH_<X>.json``, an ignored directory:
+the tracked ``BENCH_*.json`` at the repository root are archives),
 prints a ``FAIL:`` line per failure of the check function the bench's
 pytest gate asserts, and exits non-zero on any.
 
@@ -41,8 +45,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import time
+
+#: where a bench writes its JSON document unless given ``--json``
+BENCH_DIR = ".bench"
 
 
 def mean_call_ns(bound_call, iterations):
@@ -163,15 +171,26 @@ def overhead_failures(summary, bounds):
 
 def remeasure(measure, attempts, key, failures):
     """Run ``measure()`` up to ``attempts`` times while the best result
-    so far has ``failures``; keep the one with the lowest ``key``."""
-    best = measure()
-    for _ in range(attempts - 1):
-        if not failures(best):
-            break
-        retry = measure()
-        if key(retry) < key(best):
-            best = retry
-    return best
+    so far has ``failures``; keep the one with the lowest ``key``.
+
+    The kept result gains ``remeasure``: the number of ``attempts`` run
+    and the ``discarded`` attempts' keys, in the order they ran."""
+    runs = [measure()]
+    while len(runs) < attempts and failures(min(runs, key=key)):
+        runs.append(measure())
+    best = min(runs, key=key)
+    return dict(best, remeasure={
+        "attempts": len(runs),
+        "discarded": [key(run) for run in runs if run is not best],
+    })
+
+
+def _shown(value):
+    if isinstance(value, float):
+        return f"{value:,.6g}"
+    if isinstance(value, list):
+        return "[" + ", ".join(_shown(item) for item in value) + "]"
+    return value
 
 
 def _rows(values, prefix=""):
@@ -179,8 +198,7 @@ def _rows(values, prefix=""):
         if isinstance(value, dict):
             yield from _rows(value, f"{prefix}{key}.")
         else:
-            shown = f"{value:,.6g}" if isinstance(value, float) else value
-            yield f"  {prefix + key:<30}{shown}"
+            yield f"  {prefix + key:<30}{_shown(value)}"
 
 
 def table(results):
@@ -202,16 +220,17 @@ def table(results):
                           if key not in ("ns_per_call", "ratio", "control")})
 
 
-def run(argv, doc, json_path, measure, checks, bounds):
+def run(argv, doc, json_name, measure, checks, bounds):
     """The ``main`` of a bench.
 
     ``measure(smoke)`` returns the bench's results as a mapping of
     section name to figures; ``checks`` maps a section name to the
     function that returns one message per failed gate of that section.
     Prints the table, writes the JSON document to ``--json`` (default
-    ``json_path``), prints a ``FAIL:`` line per failure and returns the
-    exit code.
+    ``json_name`` in :data:`BENCH_DIR`), prints a ``FAIL:`` line per
+    failure and returns the exit code.
     """
+    json_path = os.path.join(BENCH_DIR, json_name)
     title = doc.splitlines()[0]
     parser = argparse.ArgumentParser(description=title)
     parser.add_argument(
@@ -229,6 +248,7 @@ def run(argv, doc, json_path, measure, checks, bounds):
     print(title, *table(results), sep="\n")
     document = {"bench": title, "smoke": arguments.smoke, "bounds": bounds,
                 "results": results, "failures": failures}
+    os.makedirs(os.path.dirname(arguments.json) or ".", exist_ok=True)
     with open(arguments.json, "w", encoding="utf-8") as handle:
         json.dump(document, handle, indent=2, sort_keys=True)
     print(f"wrote {arguments.json}")

@@ -5,6 +5,7 @@ bench gate, so they are checked here without timing anything.
 """
 
 import contextlib
+import json
 import statistics
 
 import pytest
@@ -71,13 +72,15 @@ def test_paired_rounds_alternates_which_side_goes_first(fresh, opened):
     assert set(summary["ratio"]) == {"candidate", "extra"}
 
 
-@pytest.mark.parametrize("overheads, attempts, kept, taken", [
-    ([0.05, 0.03, 0.01, 0.00], 4, 0.01, 3),  # stops at the first in bound
-    ([0.05, 0.03, 0.04, 0.06], 4, 0.03, 4),  # none in bound: the lowest
-    ([0.01, 0.00], 3, 0.01, 1),
+@pytest.mark.parametrize("overheads, attempts, kept, taken, discarded", [
+    # stops at the first in bound
+    ([0.05, 0.03, 0.01, 0.00], 4, 0.01, 3, [0.05, 0.03]),
+    # none in bound: the lowest
+    ([0.05, 0.03, 0.04, 0.06], 4, 0.03, 4, [0.05, 0.04, 0.06]),
+    ([0.01, 0.00], 3, 0.01, 1, []),
 ])
 def test_remeasure_stops_in_bound_or_keeps_the_lowest(
-        overheads, attempts, kept, taken):
+        overheads, attempts, kept, taken, discarded):
     runs = []
 
     def measure():
@@ -88,5 +91,22 @@ def test_remeasure_stops_in_bound_or_keeps_the_lowest(
         measure, attempts, key=lambda results: results["overhead"],
         failures=lambda results: ["over"] if results["overhead"] > 0.02
         else [])
-    assert best == {"overhead": kept}
+    assert best == {"overhead": kept, "remeasure": {
+        "attempts": taken, "discarded": discarded}}
     assert len(runs) == taken
+    # the table shows a later-attempt pass as one
+    rows = "\n".join(harness.table({"section": best}))
+    assert f"remeasure.attempts            {taken}" in rows
+
+
+def test_run_writes_its_json_into_the_ignored_bench_dir(tmp_path,
+                                                        monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code = harness.run(
+        [], "bench title\n", "BENCH_X.json",
+        lambda smoke: {"section": {"overhead": 0.01}},
+        {"section": lambda results: []}, {"overhead": 0.02})
+    assert code == 0
+    assert not (tmp_path / "BENCH_X.json").exists()
+    document = json.loads((tmp_path / ".bench" / "BENCH_X.json").read_text())
+    assert document["results"] == {"section": {"overhead": 0.01}}

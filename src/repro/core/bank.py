@@ -15,7 +15,8 @@ order and post-activation unwinds them in reverse (Section 5.3).
 from __future__ import annotations
 
 import threading
-from typing import Dict, Iterator, List, Tuple
+import weakref
+from typing import Callable, Dict, Iterator, List, Tuple
 
 from .aspect import Aspect
 from .errors import RegistrationError, UnknownAspectError
@@ -39,20 +40,42 @@ class AspectBank:
         self._cells: Dict[str, Dict[str, Aspect]] = {}
         # method_id -> concern order (explicit composition order)
         self._order: Dict[str, List[str]] = {}
-        # bumped on every mutation; caches (proxy wrappers, moderator
-        # linkage maps) key on it to invalidate after (un)registration
+        # bumped on every mutation; the moderator's linkage map keys on
+        # it to invalidate after (un)registration
         self._revision = 0
+        # weak callbacks run after every mutation (see :meth:`watch`)
+        self._watchers: Tuple[weakref.WeakMethod, ...] = ()
 
     @property
     def revision(self) -> int:
         """Monotonic counter incremented by every mutating operation.
 
         Read without the lock: an int attribute read is atomic in
-        CPython, and every consumer (plan caches, proxy wrappers, the
-        linkage map) only needs monotonicity — a stale read makes a
-        cache revalidate one call later, never incorrectly.
+        CPython, and every consumer (the moderator's linkage map) only
+        needs monotonicity — a stale read makes a cache revalidate one
+        call later, never incorrectly. Moderators key their plans on a
+        version of their own, which :meth:`watch` moves.
         """
         return self._revision
+
+    def watch(self, callback: Callable[[], None]) -> None:
+        """Call the bound method ``callback`` after every mutation.
+
+        Held weakly, so a bank shared by many moderators keeps none of
+        them alive. Runs under the bank lock, after the mutation.
+        """
+        with self._lock:
+            self._watchers = tuple(
+                ref for ref in self._watchers if ref() is not None
+            ) + (weakref.WeakMethod(callback),)
+
+    def _changed(self) -> None:
+        """Count one mutation and tell the watchers (under the lock)."""
+        self._revision += 1
+        for ref in self._watchers:
+            callback = ref()
+            if callback is not None:
+                callback()
 
     # ------------------------------------------------------------------
     # registration (paper Figure 9)
@@ -82,7 +105,7 @@ class AspectBank:
             row[concern] = aspect
             if fresh:
                 self._order.setdefault(method_id, []).append(concern)
-            self._revision += 1
+            self._changed()
 
     def unregister(self, method_id: str, concern: str) -> Aspect:
         """Remove and return the aspect at ``(method_id, concern)``."""
@@ -95,7 +118,7 @@ class AspectBank:
             if not row:
                 del self._cells[method_id]
                 del self._order[method_id]
-            self._revision += 1
+            self._changed()
             return aspect
 
     def swap(self, method_id: str, concern: str, aspect: Aspect) -> Aspect:
@@ -121,7 +144,7 @@ class AspectBank:
                 raise UnknownAspectError(method_id, concern)
             old = row[concern]
             row[concern] = aspect
-            self._revision += 1
+            self._changed()
             return old
 
     # ------------------------------------------------------------------
@@ -219,7 +242,7 @@ class AspectBank:
                     f"{method_id!r}"
                 )
             self._order[method_id] = list(concerns)
-            self._revision += 1
+            self._changed()
 
     def grid(self) -> Dict[str, Dict[str, str]]:
         """Render the two-dimensional composition as nested dicts of names.

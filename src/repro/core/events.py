@@ -95,10 +95,12 @@ class TraceEvent:
 class EventBus:
     """Synchronous fan-out of protocol events to registered listeners.
 
-    Emission with zero subscribers is one attribute load and a return —
-    the framework keeps the bus on the hot path without measurable cost
-    when tracing is off (verified by
-    ``benchmarks/bench_fig03_invocation.py``).
+    The moderator guards every activation-scoped emit at its call site
+    with :attr:`has_listeners`, so with zero subscribers an activation
+    makes no ``emit`` call and builds no argument for one; any other
+    emit with zero subscribers is one attribute load and a return
+    (``tests/unit/test_accounting.py`` counts the calls,
+    ``benchmarks/bench_fig03_invocation.py`` times the path).
 
     Two kinds of subscriber share the bus:
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 #: Quarantine policy for observer-style aspects: once degraded, the
 #: aspect is skipped and the activation proceeds without it.
@@ -77,7 +77,8 @@ class HealthTracker:
     one round late.
     """
 
-    def __init__(self, default_threshold: int = 3) -> None:
+    def __init__(self, default_threshold: int = 3,
+                 on_change: Optional[Callable[[], None]] = None) -> None:
         if default_threshold < 1:
             raise ValueError("default_threshold must be at least 1")
         self.default_threshold = default_threshold
@@ -90,12 +91,13 @@ class HealthTracker:
         #: Monotonic counter bumped by every change that could alter
         #: what a compiled plan snapshots: a policy (re)declaration, a
         #: cell being dropped, a quarantine flip, a reinstatement.
-        #: It is one part of the moderator's ``registration_version``,
-        #: the key every activation plan is cached under, so quarantine
-        #: transitions invalidate compiled plans. Bare reads are safe
-        #: (int reads are atomic; a stale read merely revalidates one
-        #: round late, like ``degraded``).
+        #: Bare reads are safe (int reads are atomic; a stale read
+        #: merely revalidates one round late, like ``degraded``).
         self.epoch = 0
+        #: called (under the lock) with every epoch bump: the owning
+        #: moderator's ``registration_version`` moves with it, so
+        #: quarantine transitions invalidate compiled plans
+        self._on_change = on_change
 
     # ------------------------------------------------------------------
     # policy registration
@@ -120,7 +122,7 @@ class HealthTracker:
             )
             self._cells.pop(key, None)
             self._refresh_degraded_locked()
-            self.epoch += 1
+            self._moved()
 
     def drop(self, method_id: str, concern: str) -> None:
         """Forget a cell entirely (unregistration)."""
@@ -129,7 +131,7 @@ class HealthTracker:
             self._policies.pop(key, None)
             self._cells.pop(key, None)
             self._refresh_degraded_locked()
-            self.epoch += 1
+            self._moved()
 
     def declared_policy(
         self, method_id: str, concern: str
@@ -182,7 +184,7 @@ class HealthTracker:
                     and cell.faults >= cell.threshold):
                 cell.quarantined = True
                 self._refresh_degraded_locked()
-                self.epoch += 1
+                self._moved()
                 return True
             return False
 
@@ -207,8 +209,13 @@ class HealthTracker:
             cell.phases.clear()
             self._refresh_degraded_locked()
             if was:
-                self.epoch += 1
+                self._moved()
             return was
+
+    def _moved(self) -> None:
+        self.epoch += 1
+        if self._on_change is not None:
+            self._on_change()
 
     def _refresh_degraded_locked(self) -> None:
         degraded: Dict[str, Dict[str, str]] = {}

@@ -70,6 +70,10 @@ class JoinPoint:
     )
     created_at: float = field(default_factory=time.monotonic)
     sampled: bool = True
+    #: not a field: the moderator's entry step sets it and the first
+    #: round's counter flush clears it, so the preactivation is counted
+    #: in one write with that round's outcome (1; 2 on the fast path)
+    uncounted_entry = 0
 
     _result: Any = field(default=_UNSET, repr=False)
     _exception: Optional[BaseException] = field(default=None, repr=False)

@@ -117,20 +117,39 @@ STAT_NAMES: Tuple[str, ...] = (
     "plan_compiles", "contract_violations",
 )
 
+#: the counters a round's outcome flushes, indexed by the join point's
+#: ``uncounted_entry``: 0 a later round, 1 the first locked round, 2 the
+#: fast-path round (which counts ``fastpaths`` when it RESUMEs)
+_RESUME_FLUSH = (("resumes",), ("preactivations", "resumes"),
+                 ("preactivations", "resumes", "fastpaths"))
+_ABORT_FLUSH = (("aborts",),) + (("preactivations", "aborts"),) * 2
+_BLOCK_FLUSH = (("blocks",),) + (("preactivations", "blocks"),) * 2
+#: post-activation's flush, with its wake or with the wake elided
+_WAKE_FLUSH = ("postactivations", "notifications")
+_ELIDED_FLUSH = ("postactivations",)
+
 
 class ModerationStats:
     """Aggregate counters maintained by a moderator.
 
     Backed by a thread-striped :class:`~repro.obs.metrics.MetricsRegistry`
-    rather than one global lock: :meth:`bump` touches only the calling
+    rather than one global lock: a write touches only the calling
     thread's stripe, whose lock no other writer ever contends — so the
-    lock-free ``never_blocks`` fast path no longer serializes every
-    method's activations on a single cross-method lock (the last such
-    point after PR 1 striped the moderation locks themselves).
+    lock-free ``never_blocks`` fast path does not serialize every
+    method's activations on a single cross-method lock.
+
+    The moderator writes each activation phase's counters in one
+    :meth:`flush`: pre-activation with its first round's outcome
+    (``preactivations`` + ``resumes`` (+ ``fastpaths``), or + ``aborts``
+    / + ``blocks``), post-activation at its wake (``postactivations`` +
+    ``notifications``). Rarer counters (faults, compensations, waits,
+    wakeups, ...) are separate :meth:`bump` calls where they happen.
 
     Counters remain readable as plain attributes (``stats.resumes``) and
     :meth:`as_dict` remains a *consistent* snapshot: the merge holds all
-    stripe locks at once, so a multi-counter bump is never observed torn.
+    stripe locks at once, so a flush is never observed torn — no
+    snapshot shows a resume without its preactivation, or a
+    postactivation without its resume.
     """
 
     __slots__ = ("registry", "_block", "compile_seconds")
@@ -154,6 +173,10 @@ class ModerationStats:
     def bump(self, *names: str, amount: int = 1) -> None:
         """Increment each named counter by ``amount``, as one atomic cut."""
         self._block.bump(*names, amount=amount)
+
+    def flush(self, names: Tuple[str, ...]) -> None:
+        """Count one of each of ``names`` in one locked stripe write."""
+        self._block.add(names)
 
     def __getattr__(self, name: str) -> int:
         if name in STAT_NAMES:
@@ -267,13 +290,21 @@ class AspectModerator:
     ) -> None:
         if notify_scope not in ("all", "linked"):
             raise ValueError("notify_scope must be 'all' or 'linked'")
+        #: Version of the aspect composition, stored. Every compiled
+        #: plan is keyed on it, and proxies key their guarded-wrapper
+        #: caches on it. :meth:`_bump_version` moves it by one for every
+        #: (un)registration or reorder (through :meth:`AspectBank.watch`,
+        #: so direct mutation of a shared bank moves every moderator on
+        #: it), quarantine transition (through the health tracker),
+        #: lock-domain move, and ordering, injector, contract or
+        #: profiler change: a plan or cached wrapper never outlives the
+        #: composition it was built against. Read bare (an atomic int);
+        #: a stale read only delays revalidation by one call.
+        self.registration_version = 0
+        self._version_lock = threading.Lock()
         self.bank = bank if bank is not None else AspectBank()
+        self.bank.watch(self._bump_version)
         self.events = events if events is not None else EventBus()
-        #: moderator-side part of the plan version: bumped by lock-domain
-        #: moves and by (re)assigning the ordering policy, fault
-        #: injector, contract registry or clause profiler — see
-        #: :attr:`registration_version`
-        self._generation = 0
         #: installed clause profiler (``repro.obs.profile``), or ``None``
         #: — plans compile uninstrumented and the hot path pays nothing
         self._profiler = None
@@ -293,7 +324,8 @@ class AspectModerator:
         self.notify_scope = notify_scope
         self.stats = ModerationStats()
         #: per-(method, concern) fault accounting and quarantine state
-        self.health = HealthTracker(default_threshold=fault_threshold)
+        self.health = HealthTracker(default_threshold=fault_threshold,
+                                    on_change=self._bump_version)
         #: deterministic fault-injection hook (``repro.faults``); ``None``
         #: in production — the hot path pays one attribute read for it
         self.fault_injector = None
@@ -349,11 +381,9 @@ class AspectModerator:
     @ordering.setter
     def ordering(self, policy: OrderingPolicy) -> None:
         self._ordering = policy
-        # Unlocked bump: ordering swaps are control-plane operations; a
-        # racing pair still moves the version past every compiled key.
         # Reassigning the same policy is how a policy that must
         # re-decide its order gets re-applied.
-        self._generation += 1
+        self._bump_version()
 
     @property
     def fault_injector(self) -> Optional[Any]:
@@ -368,7 +398,7 @@ class AspectModerator:
     @fault_injector.setter
     def fault_injector(self, injector: Optional[Any]) -> None:
         self._fault_injector = injector
-        self._generation += 1
+        self._bump_version()
 
     @property
     def contracts(self) -> Optional[Any]:
@@ -384,7 +414,7 @@ class AspectModerator:
     @contracts.setter
     def contracts(self, registry: Optional[Any]) -> None:
         self._contracts = registry
-        self._generation += 1
+        self._bump_version()
 
     @property
     def profiler(self) -> Optional[Any]:
@@ -400,7 +430,7 @@ class AspectModerator:
     @profiler.setter
     def profiler(self, profiler: Optional[Any]) -> None:
         self._profiler = profiler
-        self._generation += 1
+        self._bump_version()
 
     def bump_profile_epoch(self) -> None:
         """Invalidate every plan against a refreshed clause profile.
@@ -410,7 +440,12 @@ class AspectModerator:
         (and re-optimize) on their next activation, through the same
         version bump every other mutation family uses.
         """
-        self._generation += 1
+        self._bump_version()
+
+    def _bump_version(self) -> None:
+        """Move :attr:`registration_version` past every compiled key."""
+        with self._version_lock:
+            self.registration_version += 1
 
     # ------------------------------------------------------------------
     # plan compilation
@@ -568,7 +603,7 @@ class AspectModerator:
             if domain_name is not None and \
                     method_id not in self._method_domains:
                 self._method_domains[method_id] = domain_name
-                self._generation += 1
+                self._bump_version()
                 moved_from = self._domains.get(
                     _PRIVATE_DOMAIN_PREFIX + method_id
                 )
@@ -641,7 +676,7 @@ class AspectModerator:
                 old = self._domains.get(old_name)
                 if old is not None:
                     moved.append((old, method_id))
-            self._generation += 1
+            self._bump_version()
             self._links = None
         for domain, method_id in moved:
             domain.notify_all(method_id)
@@ -657,22 +692,6 @@ class AspectModerator:
             return self._method_domains.get(
                 method_id, _PRIVATE_DOMAIN_PREFIX + method_id
             )
-
-    @property
-    def registration_version(self) -> int:
-        """Monotonic version of the aspect composition.
-
-        Every compiled plan is keyed on this int, and proxies key their
-        guarded-wrapper caches on it. It is ``bank.revision +
-        health.epoch + _generation``: (un)registration (including direct
-        bank mutation), quarantine transitions, lock-domain moves,
-        ordering swaps, injector, contract and profiler changes each
-        bump one part. Every part is monotonic, so the sum moves
-        whenever any part moves — a plan or cached wrapper can never
-        outlive the composition it was built against. Bare reads are
-        atomic ints; a stale part only delays revalidation by one call.
-        """
-        return self.bank.revision + self.health.epoch + self._generation
 
     def participates(self, method_id: str) -> bool:
         """Whether calls to ``method_id`` must go through moderation.
@@ -748,7 +767,8 @@ class AspectModerator:
         path resolves its bounds against ``now`` (default:
         ``seam.now()``), takes a waiter slot and enters :meth:`_rounds`
         — the fast path allocates nothing. ``activation`` is the
-        continuation runtime's state object.
+        continuation runtime's state object. The preactivation is
+        counted with the first round's outcome (``uncounted_entry``).
         """
         joinpoint.phase = Phase.PRE_ACTIVATION
         events = self.events
@@ -759,7 +779,6 @@ class AspectModerator:
             events.emit("preactivation", method_id,
                         activation_id=joinpoint.activation_id,
                         sampled=sampled)
-        self.stats.bump("preactivations")
 
         if self._contracts is not None:
             # Entry check point: require clauses + entry invariants run
@@ -770,6 +789,7 @@ class AspectModerator:
             try:
                 self._contracts.begin(method_id, joinpoint)
             except ContractViolation as violation:
+                self.stats.bump("preactivations")
                 self._note_violation(violation, joinpoint)
                 raise
 
@@ -779,13 +799,14 @@ class AspectModerator:
             # Lock-free fast path: the whole chain promised never to
             # BLOCK at compile time, and the plan is only valid while
             # that composition stands — no wait queue, hence no lock.
+            joinpoint.uncounted_entry = 2
             outcome = self._run_round(method_id, joinpoint, plan)
             if outcome is not AspectResult.BLOCK:
-                if outcome is AspectResult.RESUME:
-                    self.stats.bump("fastpaths")
                 return outcome
             # An aspect broke its never_blocks promise; fall through to
             # the locked path and moderate properly.
+        else:
+            joinpoint.uncounted_entry = 1
 
         if activation is None:
             activation = Activation(method_id, joinpoint)
@@ -829,37 +850,38 @@ class AspectModerator:
         """
         method_id = activation.method_id
         joinpoint = activation.joinpoint
+        events = self.events
         suspended = False
         try:
             while True:
-                queue = self.plan_for(method_id).queue
+                plan = self.plan_for(method_id)
+                queue = plan.queue
                 with queue:
-                    # LockDomain caches conditions per key, so a plan of
-                    # the current domain resolves this very object.
-                    if self._queue_for(method_id) is not queue:
-                        continue  # method changed domains; re-acquire
-                    while True:
+                    # A plan still keyed on the current version is of
+                    # the current lock domain: a domain move bumps the
+                    # version, and a compile reads its key before its
+                    # domain. Otherwise (a move, or any other change
+                    # since the plan was fetched or the last park)
+                    # re-fetch the plan and re-acquire.
+                    while plan.key == self.registration_version:
                         if activation.woken:
                             activation.woken = False
                             self.stats.bump("wakeups")
-                            self.events.emit(
-                                "unblocked", method_id,
-                                activation_id=joinpoint.activation_id,
-                                # park duration, for blocked-span
-                                # accounting
-                                duration=(
-                                    seam.now() - activation.parked_since
-                                ),
-                                sampled=joinpoint.sampled,
-                            )
-                            if self._queue_for(method_id) is not queue:
-                                break  # re-park under the new domain
+                            if events.has_listeners:
+                                events.emit(
+                                    "unblocked", method_id,
+                                    activation_id=joinpoint.activation_id,
+                                    # park duration, for blocked-span
+                                    # accounting
+                                    duration=(
+                                        seam.now() - activation.parked_since
+                                    ),
+                                    sampled=joinpoint.sampled,
+                                )
+                            continue  # re-check the key after the park
                         # Bare read is safe: a stale value only makes the
                         # pre-park re-check conservatively re-evaluate.
                         epoch = self._wake_epoch
-                        # Revalidate per round: a dict probe plus an int
-                        # compare when nothing changed.
-                        plan = self.plan_for(method_id)
                         outcome = self._run_round(method_id, joinpoint,
                                                   plan)
                         if outcome is not AspectResult.BLOCK:
@@ -908,14 +930,25 @@ class AspectModerator:
 
         The round itself is :meth:`_evaluate_plan`; everything
         downstream — stash, stats, events, compensation — is shared with
-        any executor that overrides it.
+        any executor that overrides it. The outcome's counters land in
+        one flush, with the preactivation when the join point's
+        ``uncounted_entry`` says it is still owed.
         """
-        outcome, resumed, failed_concern = self._evaluate_plan(
-            plan, joinpoint
-        )
+        uncounted = joinpoint.uncounted_entry
+        try:
+            outcome, resumed, failed_concern = self._evaluate_plan(
+                plan, joinpoint
+            )
+        except BaseException:
+            if uncounted:
+                joinpoint.uncounted_entry = 0
+                self.stats.bump("preactivations")
+            raise
+        if uncounted:
+            joinpoint.uncounted_entry = 0
         if outcome is AspectResult.RESUME:
             joinpoint.context[CHAIN_KEY] = resumed
-            self.stats.bump("resumes")
+            self.stats.flush(_RESUME_FLUSH[uncounted])
             return outcome
 
         joinpoint.context["__compensation__"] = outcome.value
@@ -923,23 +956,19 @@ class AspectModerator:
         joinpoint.context.pop("__compensation__", None)
 
         if outcome is AspectResult.ABORT:
-            self.stats.bump("aborts")
+            self.stats.flush(_ABORT_FLUSH[uncounted])
             joinpoint.phase = Phase.ABORTED
             joinpoint.context["abort_concern"] = failed_concern
+            kind = "abort"
+        else:
+            self.stats.flush(_BLOCK_FLUSH[uncounted])
+            kind = "blocked"
+        if self.events.has_listeners:
             self.events.emit(
-                "abort", method_id, failed_concern or "",
+                kind, method_id, failed_concern or "",
                 activation_id=joinpoint.activation_id,
                 sampled=joinpoint.sampled,
             )
-            self._raise_faults(faults)
-            return outcome
-
-        self.stats.bump("blocks")
-        self.events.emit(
-            "blocked", method_id, failed_concern or "",
-            activation_id=joinpoint.activation_id,
-            sampled=joinpoint.sampled,
-        )
         self._raise_faults(faults)
         return outcome
 
@@ -978,8 +1007,8 @@ class AspectModerator:
         emit = self.events.emit
         activation_id = joinpoint.activation_id
         sampled = joinpoint.sampled
-        # Timing gates on listeners, exactly like event construction:
-        # with nobody subscribed the round reads no clock.
+        # Timing and events gate on listeners: with nobody subscribed
+        # the round reads no clock and builds no event argument.
         timed = self.events.has_listeners
         degraded = self.health.degraded.get(method_id)
         injector = self._fault_injector
@@ -1039,12 +1068,12 @@ class AspectModerator:
                 )
                 joinpoint.context.pop("__compensation__", None)
                 self._raise_faults([fault, *comp_faults])
-            emit(
-                "precondition", method_id, concern, detail=result.value,
-                activation_id=activation_id,
-                duration=time.monotonic() - began if timed else 0.0,
-                sampled=sampled,
-            )
+            if timed:
+                emit(
+                    "precondition", method_id, concern,
+                    detail=result.value, activation_id=activation_id,
+                    duration=time.monotonic() - began, sampled=sampled,
+                )
             if result is not AspectResult.RESUME:
                 return (
                     result,
@@ -1185,9 +1214,11 @@ class AspectModerator:
         """
         joinpoint = joinpoint or JoinPoint(method_id=method_id)
         joinpoint.phase = Phase.POST_ACTIVATION
-        self.events.emit("postactivation", method_id,
-                         activation_id=joinpoint.activation_id,
-                         sampled=joinpoint.sampled)
+        events = self.events
+        if events.has_listeners:
+            events.emit("postactivation", method_id,
+                        activation_id=joinpoint.activation_id,
+                        sampled=joinpoint.sampled)
 
         runner = (
             joinpoint.context.get(CONTRACT_KEY)
@@ -1217,26 +1248,24 @@ class AspectModerator:
         )
         try:
             if never_blocks:
-                self.stats.bump("postactivations")
                 faults = self._run_postactions(plan, chain, joinpoint)
             else:
                 with plan.queue:
-                    self.stats.bump("postactivations")
                     faults = self._run_postactions(plan, chain, joinpoint)
         finally:
             if never_blocks and not self._waiters:
-                # Wake elided (nothing parked) — but the protocol's
-                # notify arrow still concluded this activation, so
-                # surface it to observers (span recorders close the
-                # activation on it). Observer-only: no stats bump,
-                # counters must not depend on who is subscribed, and
-                # with no listeners emit() is a single attribute check
-                # so the fast path stays allocation-free.
-                self.events.emit(
-                    "notify", method_id, detail="elided",
-                    activation_id=joinpoint.activation_id,
-                    sampled=joinpoint.sampled,
-                )
+                # Wake elided (nothing parked): the phase counts no
+                # notification — counters must not depend on who is
+                # subscribed — but the protocol's notify arrow still
+                # concluded this activation, so surface it to observers
+                # (span recorders close the activation on it).
+                self.stats.flush(_ELIDED_FLUSH)
+                if events.has_listeners:
+                    events.emit(
+                        "notify", method_id, detail="elided",
+                        activation_id=joinpoint.activation_id,
+                        sampled=joinpoint.sampled,
+                    )
             else:
                 # Phase two: wake target queues without holding the
                 # method's domain lock, so cross-domain notification
@@ -1244,7 +1273,7 @@ class AspectModerator:
                 # never_blocks one only when someone is parked (a
                 # spurious wakeup only costs a re-evaluation). Runs even
                 # if containment itself failed, so a faulty aspect can
-                # never strand a parked waiter.
+                # never strand a parked waiter. Counts the phase.
                 self._wake(method_id, joinpoint)
         self._raise_faults(faults)
         if runner is not None:
@@ -1293,12 +1322,12 @@ class AspectModerator:
                     method_id, concern, "postaction", exc,
                 ))
                 continue
-            emit(
-                "postaction", method_id, concern,
-                activation_id=activation_id,
-                duration=time.monotonic() - began if timed else 0.0,
-                sampled=sampled,
-            )
+            if timed:
+                emit(
+                    "postaction", method_id, concern,
+                    activation_id=activation_id,
+                    duration=time.monotonic() - began, sampled=sampled,
+                )
             if runner is not None:
                 # Re-verify the clauses that held at post-body: one that
                 # just broke is blamed on this concern's postaction.
@@ -1377,9 +1406,10 @@ class AspectModerator:
         joinpoint.phase = Phase.INVOCATION
         try:
             if not joinpoint.invocation_skipped:
-                self.events.emit("invoke", method_id,
-                                 activation_id=joinpoint.activation_id,
-                                 sampled=joinpoint.sampled)
+                if self.events.has_listeners:
+                    self.events.emit("invoke", method_id,
+                                     activation_id=joinpoint.activation_id,
+                                     sampled=joinpoint.sampled)
                 joinpoint.result = func(*args, **kwargs)
         except BaseException as exc:
             joinpoint.exception = exc
@@ -1411,9 +1441,11 @@ class AspectModerator:
         with self._lock:
             return list(self._domains.values())
 
-    def _wake(self, method_id: str,
-              joinpoint: Optional[JoinPoint] = None) -> None:
+    def _wake(self, method_id: str, joinpoint: JoinPoint) -> None:
         """Second phase of post-activation: notify target queues.
+
+        Flushes the phase's counters (``postactivations`` and
+        ``notifications``) in one write.
 
         Must be called while holding **no** domain lock; each target
         condition is notified under its own domain's lock, which orders
@@ -1445,16 +1477,18 @@ class AspectModerator:
             # by the epoch bump above (both park seams sit behind the
             # same pre-park epoch re-check in :meth:`_rounds`).
             woke = runtime.wake(targets)
+        events = self.events
         if not parked:
-            self.stats.bump("notifications")
-            # A notify that woke a parked activation is delivered
-            # whatever its own head decision: wake edges keep their
-            # notifier.
-            self.events.emit(
-                "notify", method_id,
-                activation_id=joinpoint.activation_id if joinpoint else 0,
-                sampled=woke or joinpoint is None or joinpoint.sampled,
-            )
+            self.stats.flush(_WAKE_FLUSH)
+            if events.has_listeners:
+                # A notify that woke a parked activation is delivered
+                # whatever its own head decision: wake edges keep their
+                # notifier.
+                events.emit(
+                    "notify", method_id,
+                    activation_id=joinpoint.activation_id,
+                    sampled=woke or joinpoint.sampled,
+                )
             return
         if self.notify_scope == "linked":
             own_domain = self._domain_for(method_id)
@@ -1470,13 +1504,12 @@ class AspectModerator:
         else:
             for domain in self._all_domains():
                 domain.notify_all()
-        self.stats.bump("notifications")
-        # Something was parked, so this notify may have woken it:
-        # delivered whatever the head decision.
-        self.events.emit(
-            "notify", method_id,
-            activation_id=joinpoint.activation_id if joinpoint else 0,
-        )
+        self.stats.flush(_WAKE_FLUSH)
+        if events.has_listeners:
+            # Something was parked, so this notify may have woken it:
+            # delivered whatever the head decision.
+            events.emit("notify", method_id,
+                        activation_id=joinpoint.activation_id)
 
     def _linked_methods(self, method_id: str) -> set:
         """Methods sharing at least one aspect instance with ``method_id``.

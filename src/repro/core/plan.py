@@ -11,10 +11,11 @@ emergent property of dispatch (Lorenz & Skotiniotis, *Extending Design
 by Contract for AOP*; both in PAPERS.md).
 
 An :class:`ActivationPlan` is compiled once per participating method and
-cached under one version int, the moderator's ``registration_version``
-(``bank.revision + health.epoch + generation``). Every runtime mutation
-that could change what a round observes bumps the version, so any
-mutation invalidates every plan, and nothing else does:
+cached under one version int, the moderator's stored
+``registration_version``. Every runtime mutation that could change what
+a round observes bumps the version (the bank and the health tracker
+through callbacks), so any mutation invalidates every plan, and nothing
+else does:
 
 =============================  =======================================
 mutation                        effect on the plan key
@@ -348,7 +349,8 @@ class PlanHandle:
     Proxies and woven wrappers hold a handle instead of a bare wrapper
     closure: :meth:`current` revalidates the cached plan against the
     moderator's ``registration_version`` (one int compare) and
-    recompiles through the moderator only when the version moved. Handles are shared — one per (moderator, method) — so every
+    recompiles through the moderator only when the version moved.
+    Handles are shared — one per (moderator, method) — so every
     wrapper of a method converges on the same compiled plan.
     """
 

@@ -286,6 +286,15 @@ class CounterBlock:
         if len(names) == 1:
             self.inc(names[0], amount)
             return
+        self.add(names, amount)
+
+    def add(self, names: Tuple[str, ...], amount: float = 1) -> None:
+        """Increment each of ``names`` under one stripe-lock hold.
+
+        Always locked, even for one name: a snapshot sees the whole
+        write or none of it, ordered against this thread's other
+        locked writes.
+        """
         registry = self._registry
         stripe = getattr(registry._local, "stripe", None)
         if stripe is None:
