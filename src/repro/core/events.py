@@ -40,13 +40,21 @@ kind                 meaning
 Delivery is decided at the head. A listener may declare a
 ``sample_rate`` N; the bus samples 1-in-M activations, M being the
 smallest rate any subscribed listener declares (a listener declaring
-none counts as 1, so a :class:`Tracer` still sees every arrow). The moderator asks
-:meth:`EventBus.sample` once, at preactivation, stores the answer on the
-join point and passes it to every emit of that activation. An unsampled
-activation's events build no :class:`TraceEvent` and reach no listener;
-only the bus's *folds* see them — exact-accounting callables invoked
-for every event with positional fields, which is how metrics and the
-span recorder's counters stay exact under sampling.
+none counts as 1, so a :class:`Tracer` still sees every arrow). The
+moderator asks :meth:`EventBus.sample` once, at preactivation, and
+stores the answer on the join point.
+
+Every observed activation (one that met a subscriber at its
+preactivation) tallies its arrows on its join point as ``(kind,
+concern, detail, duration)`` items, and the bus hands that tally to
+each *fold* — an exact-accounting callable ``fold(method_id, items)`` —
+once per activation (:meth:`EventBus.flush`), which is how metrics and
+the span recorder's counters stay exact under sampling. A sampled
+activation tallies on a :class:`DeliveringTally`, which also delivers a
+:class:`TraceEvent` to the listeners at each arrow; an unsampled one
+builds none and calls no listener. Events outside an activation, and
+the rare arrows the moderator still sends one by one through
+:meth:`EventBus.emit`, reach the folds as a one-item tally.
 """
 
 from __future__ import annotations
@@ -55,32 +63,53 @@ import itertools
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from typing import (
+    Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple,
+)
 
 EventListener = Callable[["TraceEvent"], None]
-#: exact-accounting hook: ``fold(kind, method_id, concern, detail,
-#: duration)``, called for every event, sampled or not
-EventFold = Callable[[str, str, str, str, float], None]
+#: one arrow as a fold sees it: ``(kind, concern, detail, duration)``
+TallyItem = Tuple[str, str, str, float]
+#: exact-accounting hook: ``fold(method_id, items)``, called once per
+#: activation with its tally, sampled or not
+EventFold = Callable[[str, Sequence[TallyItem]], None]
 
 
-@dataclass(frozen=True)
 class TraceEvent:
-    """One step of the moderation protocol."""
+    """One step of the moderation protocol.
 
-    kind: str
-    method_id: str = ""
-    concern: str = ""
-    detail: str = ""
-    activation_id: int = 0
-    thread_name: str = field(
-        default_factory=lambda: threading.current_thread().name
-    )
-    timestamp: float = field(default_factory=time.monotonic)
-    #: seconds the step took (0.0 when the emitter didn't time it —
-    #: timing is only measured when the bus has listeners, so the
-    #: allocation-free fast path stays free when nobody is watching)
-    duration: float = 0.0
+    ``timestamp`` defaults to ``time.monotonic()`` at construction;
+    ``duration`` is the seconds the step took (0.0 when the emitter
+    didn't time it — timing is only measured for observed activations,
+    so the fast path stays free when nobody is watching).
+    """
+
+    __slots__ = ("kind", "method_id", "concern", "detail",
+                 "activation_id", "timestamp", "duration", "_thread")
+
+    def __init__(self, kind: str, method_id: str = "", concern: str = "",
+                 detail: str = "", activation_id: int = 0,
+                 timestamp: Optional[float] = None,
+                 duration: float = 0.0) -> None:
+        self.kind = kind
+        self.method_id = method_id
+        self.concern = concern
+        self.detail = detail
+        self.activation_id = activation_id
+        self.timestamp = (
+            time.monotonic() if timestamp is None else timestamp
+        )
+        self.duration = duration
+        self._thread = threading.get_ident()
+
+    @property
+    def thread_name(self) -> str:
+        """Name of the emitting thread, looked up when read (its ident
+        once the thread has exited)."""
+        for thread in threading.enumerate():
+            if thread.ident == self._thread:
+                return thread.name
+        return f"thread-{self._thread}"
 
     def format(self) -> str:
         """Render as one line of a textual sequence diagram."""
@@ -93,33 +122,35 @@ class TraceEvent:
 
 
 class EventBus:
-    """Synchronous fan-out of protocol events to registered listeners.
+    """Synchronous fan-out of protocol events to registered subscribers.
 
-    The moderator guards every activation-scoped emit at its call site
-    with :attr:`has_listeners`, so with zero subscribers an activation
-    makes no ``emit`` call and builds no argument for one; any other
-    emit with zero subscribers is one attribute load and a return
-    (``tests/unit/test_accounting.py`` counts the calls,
+    The moderator gates every activation-scoped arrow on its join
+    point's tally (:attr:`~repro.core.joinpoint.JoinPoint.tally`, set at
+    preactivation only while someone is subscribed), so with zero
+    subscribers an activation makes no bus call and builds no argument
+    for one; any other emit with zero subscribers is one attribute load
+    and a return (``tests/unit/test_accounting.py`` counts the calls,
     ``benchmarks/bench_fig03_invocation.py`` times the path).
 
     Two kinds of subscriber share the bus:
 
-    * **listeners** get a :class:`TraceEvent` for every event of a
-      *sampled* activation, for every event outside an activation, and
-      for the few arrows an emitter delivers whatever its activation's
-      decision (``sampled=True``);
-    * **folds** get the positional fields of *every* event and build
-      nothing. :meth:`subscribe` registers a listener's ``fold``
-      attribute, if it has one, beside it; :meth:`subscribe_fold`
-      registers a bare fold.
+    * **listeners** get a :class:`TraceEvent` for every arrow of a
+      *sampled* activation (:meth:`deliver`), for every event outside
+      an activation, and for the few arrows an emitter delivers
+      whatever its activation's decision (``sampled=True``);
+    * **folds** get every observed activation's tally once,
+      ``fold(method_id, items)`` (:meth:`flush`), and build nothing; an
+      :meth:`emit` reaches them as a one-item tally. :meth:`subscribe`
+      registers a listener's ``fold`` attribute, if it has one, beside
+      it; :meth:`subscribe_fold` registers a bare fold.
 
     Subscriber tuples are **copy-on-write**: ``emit`` reads them without
     a lock or a copy (rebinding a tuple is atomic under the GIL) and
     mutations build fresh tuples under the subscription lock. A raising
     subscriber is **isolated**: its exception is swallowed (counted in
-    :attr:`listener_errors`) instead of propagating into the moderation
-    protocol and starving later subscribers — observers must never be
-    able to abort an activation.
+    :attr:`listener_errors`, once per event or per tally) instead of
+    propagating into the moderation protocol and starving later
+    subscribers — observers must never be able to abort an activation.
     """
 
     def __init__(self) -> None:
@@ -130,8 +161,8 @@ class EventBus:
             Tuple[Optional[EventListener], Optional[EventFold], int], ...
         ] = ()
         self._lock = threading.Lock()
-        #: someone is subscribed: the gate of ``emit`` and of the
-        #: moderator's clock reads
+        #: someone is subscribed: the gate of ``emit`` and of an
+        #: activation's tally (and with it the moderator's clock reads)
         self.has_listeners = False
         #: 1-in-N activations are sampled; N is the smallest rate a
         #: subscribed listener declares
@@ -150,7 +181,7 @@ class EventBus:
 
         An integer ``sample_rate`` attribute on the listener asks for
         1-in-N activations (default: every one); a ``fold`` attribute is
-        subscribed with it and sees every event.
+        subscribed with it and gets every observed activation's tally.
         """
         rate = getattr(listener, "sample_rate", 1)
         if not isinstance(rate, int) or rate < 1:
@@ -158,7 +189,7 @@ class EventBus:
         return self._add((listener, getattr(listener, "fold", None), rate))
 
     def subscribe_fold(self, fold: EventFold) -> Callable[[], None]:
-        """Add a bare fold: every event's fields, no sampling say."""
+        """Add a bare fold: every tally, no sampling say."""
         return self._add((None, fold, 0))
 
     def _add(self, subscription: Tuple[Any, Any, int]
@@ -217,7 +248,8 @@ class EventBus:
     def emit(self, kind: str, method_id: str = "", concern: str = "",
              detail: str = "", activation_id: int = 0,
              duration: float = 0.0, sampled: bool = True) -> None:
-        """Fold the event, then deliver it if ``sampled``.
+        """Fold the event as a one-item tally, then deliver it if
+        ``sampled``.
 
         Activation-scoped emits pass their join point's head decision;
         events outside an activation keep the default and reach every
@@ -225,24 +257,30 @@ class EventBus:
         """
         if not self.has_listeners:
             return
+        if self._folds:
+            self.flush(method_id, ((kind, concern, detail, duration),))
+        if sampled:
+            self.deliver(kind, method_id, concern, detail, activation_id,
+                         duration)
+
+    def flush(self, method_id: str, items: Sequence[TallyItem]) -> None:
+        """Hand one tally of ``method_id``'s arrows to every fold."""
         for fold in self._folds:
             try:
-                fold(kind, method_id, concern, detail, duration)
+                fold(method_id, items)
             except Exception:
                 self._count_error()
-        if not sampled:
-            return
+
+    def deliver(self, kind: str, method_id: str = "", concern: str = "",
+                detail: str = "", activation_id: int = 0,
+                duration: float = 0.0) -> None:
+        """Build one :class:`TraceEvent` and hand it to every listener;
+        no fold (an activation's arrows reach the folds in its tally)."""
         listeners = self._listeners
         if not listeners:
             return
-        event = TraceEvent(
-            kind=kind,
-            method_id=method_id,
-            concern=concern,
-            detail=detail,
-            activation_id=activation_id,
-            duration=duration,
-        )
+        event = TraceEvent(kind, method_id, concern, detail, activation_id,
+                           duration=duration)
         for listener in listeners:
             try:
                 listener(event)
@@ -252,6 +290,27 @@ class EventBus:
     def _count_error(self) -> None:
         with self._lock:
             self.listener_errors += 1
+
+
+class DeliveringTally(list):
+    """A sampled activation's tally: appending an arrow also delivers
+    it to the bus's listeners, as it happens. An unsampled activation
+    tallies on a plain ``list``, whose ``append`` calls nothing."""
+
+    __slots__ = ("bus", "method_id", "activation_id")
+
+    def __init__(self, bus: EventBus, method_id: str,
+                 activation_id: int) -> None:
+        super().__init__()
+        self.bus = bus
+        self.method_id = method_id
+        self.activation_id = activation_id
+
+    def append(self, item: TallyItem) -> None:
+        list.append(self, item)
+        kind, concern, detail, duration = item
+        self.bus.deliver(kind, self.method_id, concern, detail,
+                         self.activation_id, duration)
 
 
 class Tracer:

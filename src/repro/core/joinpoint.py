@@ -52,9 +52,10 @@ class JoinPoint:
             state here between precondition and postaction (e.g. a timing
             aspect stores its start timestamp).
         sampled: The observability head decision, taken once at
-            preactivation (:meth:`~repro.core.events.EventBus.sample`)
-            and passed on by every event of the activation: an
-            unsampled activation builds no trace events, only folds.
+            preactivation (:meth:`~repro.core.events.EventBus.sample`):
+            only a sampled activation delivers trace events to the bus's
+            listeners; sampled or not, it tallies its arrows for the
+            folds (:attr:`tally`).
     """
 
     method_id: str
@@ -64,7 +65,7 @@ class JoinPoint:
     phase: Phase = Phase.PRE_ACTIVATION
     caller: Optional[Any] = None
     context: Dict[str, Any] = field(default_factory=dict)
-    activation_id: int = field(default_factory=lambda: next(_joinpoint_ids))
+    activation_id: int = field(default_factory=_joinpoint_ids.__next__)
     thread_name: str = field(
         default_factory=lambda: threading.current_thread().name
     )
@@ -74,6 +75,13 @@ class JoinPoint:
     #: round's counter flush clears it, so the preactivation is counted
     #: in one write with that round's outcome (1; 2 on the fast path)
     uncounted_entry = 0
+    #: not a field: the observed activation's arrows, ``(kind, concern,
+    #: detail, duration)`` items the moderator hands to the bus's folds
+    #: in one :meth:`~repro.core.events.EventBus.flush` — at the end of
+    #: post-activation, or when pre-activation ends or parks. ``None``
+    #: when no subscriber was there at preactivation; a
+    #: :class:`~repro.core.events.DeliveringTally` when sampled.
+    tally = None
 
     _result: Any = field(default=_UNSET, repr=False)
     _exception: Optional[BaseException] = field(default=None, repr=False)

@@ -88,7 +88,7 @@ from .errors import (
     MethodAborted,
     RegistrationError,
 )
-from .events import EventBus
+from .events import DeliveringTally, EventBus
 from .health import FAIL_CLOSED, FAIL_OPEN, HealthTracker
 from .joinpoint import JoinPoint
 from .ordering import OrderingPolicy, registration_order
@@ -773,12 +773,15 @@ class AspectModerator:
         joinpoint.phase = Phase.PRE_ACTIVATION
         events = self.events
         if events.has_listeners:
-            # Decided once, here: every later emit of this activation
-            # passes the bit on, and an unsampled one builds no events.
+            # Decided once, here: the activation tallies its arrows for
+            # the folds, and only a sampled one's tally delivers events.
             sampled = joinpoint.sampled = events.sample()
-            events.emit("preactivation", method_id,
-                        activation_id=joinpoint.activation_id,
-                        sampled=sampled)
+            if sampled:
+                joinpoint.tally = DeliveringTally(
+                    events, method_id, joinpoint.activation_id)
+                joinpoint.tally.append(("preactivation", "", "", 0.0))
+            else:
+                joinpoint.tally = [("preactivation", "", "", 0.0)]
 
         if self._contracts is not None:
             # Entry check point: require clauses + entry invariants run
@@ -791,6 +794,8 @@ class AspectModerator:
             except ContractViolation as violation:
                 self.stats.bump("preactivations")
                 self._note_violation(violation, joinpoint)
+                if joinpoint.tally:
+                    self._fold_tally(method_id, joinpoint)
                 raise
 
         if plan is None:
@@ -932,7 +937,8 @@ class AspectModerator:
         downstream — stash, stats, events, compensation — is shared with
         any executor that overrides it. The outcome's counters land in
         one flush, with the preactivation when the join point's
-        ``uncounted_entry`` says it is still owed.
+        ``uncounted_entry`` says it is still owed. A round that ends or
+        parks the activation (ABORT, BLOCK, a raise) folds its tally.
         """
         uncounted = joinpoint.uncounted_entry
         try:
@@ -943,6 +949,8 @@ class AspectModerator:
             if uncounted:
                 joinpoint.uncounted_entry = 0
                 self.stats.bump("preactivations")
+            if joinpoint.tally:
+                self._fold_tally(method_id, joinpoint)
             raise
         if uncounted:
             joinpoint.uncounted_entry = 0
@@ -963,14 +971,24 @@ class AspectModerator:
         else:
             self.stats.flush(_BLOCK_FLUSH[uncounted])
             kind = "blocked"
-        if self.events.has_listeners:
-            self.events.emit(
-                kind, method_id, failed_concern or "",
-                activation_id=joinpoint.activation_id,
-                sampled=joinpoint.sampled,
-            )
+        tally = joinpoint.tally
+        if tally is not None:
+            tally.append((kind, failed_concern or "", "", 0.0))
+            if outcome is AspectResult.ABORT:
+                self._fold_tally(method_id, joinpoint)
+            else:
+                # Folded before the park, so a parked activation's
+                # outcome is visible; its next round tallies on.
+                self.events.flush(method_id, tally[:])
+                tally.clear()
         self._raise_faults(faults)
         return outcome
+
+    def _fold_tally(self, method_id: str, joinpoint: JoinPoint) -> None:
+        """Hand an activation's tally to the bus's folds, once: it is
+        observed no further."""
+        tally, joinpoint.tally = joinpoint.tally, None
+        self.events.flush(method_id, tally)
 
     def _evaluate_plan(
         self, plan: ActivationPlan, joinpoint: JoinPoint
@@ -1004,12 +1022,9 @@ class AspectModerator:
         interpreter, kept as a test oracle, across the whole fault space.
         """
         method_id = plan.method_id
-        emit = self.events.emit
-        activation_id = joinpoint.activation_id
-        sampled = joinpoint.sampled
-        # Timing and events gate on listeners: with nobody subscribed
-        # the round reads no clock and builds no event argument.
-        timed = self.events.has_listeners
+        # Timing and events gate on the tally: an activation nobody
+        # observes reads no clock and builds no event argument.
+        tally = joinpoint.tally
         degraded = self.health.degraded.get(method_id)
         injector = self._fault_injector
         runner = (
@@ -1035,9 +1050,10 @@ class AspectModerator:
                 policy = degraded.get(concern)
                 if policy == FAIL_OPEN:
                     self.stats.bump("degraded_skips")
-                    emit(
+                    self.events.emit(
                         "degraded_skip", method_id, concern,
-                        activation_id=activation_id, sampled=sampled,
+                        activation_id=joinpoint.activation_id,
+                        sampled=joinpoint.sampled,
                     )
                     if resumed is None:
                         resumed = list(plan.pairs[:index])
@@ -1048,7 +1064,7 @@ class AspectModerator:
                         plan.pairs[:index] if resumed is None else resumed,
                         concern,
                     )
-            began = time.monotonic() if timed else 0.0
+            began = time.monotonic() if tally is not None else 0.0
             try:
                 if injector is not None and injector.fire(
                         "precondition", method_id, concern):
@@ -1068,12 +1084,10 @@ class AspectModerator:
                 )
                 joinpoint.context.pop("__compensation__", None)
                 self._raise_faults([fault, *comp_faults])
-            if timed:
-                emit(
-                    "precondition", method_id, concern,
-                    detail=result.value, activation_id=activation_id,
-                    duration=time.monotonic() - began, sampled=sampled,
-                )
+            if tally is not None:
+                # ``_value_``: the ``Enum.value`` property costs frames
+                tally.append(("precondition", concern, result._value_,
+                              time.monotonic() - began))
             if result is not AspectResult.RESUME:
                 return (
                     result,
@@ -1214,11 +1228,9 @@ class AspectModerator:
         """
         joinpoint = joinpoint or JoinPoint(method_id=method_id)
         joinpoint.phase = Phase.POST_ACTIVATION
-        events = self.events
-        if events.has_listeners:
-            events.emit("postactivation", method_id,
-                        activation_id=joinpoint.activation_id,
-                        sampled=joinpoint.sampled)
+        tally = joinpoint.tally
+        if tally is not None:
+            tally.append(("postactivation", "", "", 0.0))
 
         runner = (
             joinpoint.context.get(CONTRACT_KEY)
@@ -1260,12 +1272,8 @@ class AspectModerator:
                 # concluded this activation, so surface it to observers
                 # (span recorders close the activation on it).
                 self.stats.flush(_ELIDED_FLUSH)
-                if events.has_listeners:
-                    events.emit(
-                        "notify", method_id, detail="elided",
-                        activation_id=joinpoint.activation_id,
-                        sampled=joinpoint.sampled,
-                    )
+                if tally is not None:
+                    tally.append(("notify", "", "elided", 0.0))
             else:
                 # Phase two: wake target queues without holding the
                 # method's domain lock, so cross-domain notification
@@ -1275,6 +1283,10 @@ class AspectModerator:
                 # if containment itself failed, so a faulty aspect can
                 # never strand a parked waiter. Counts the phase.
                 self._wake(method_id, joinpoint)
+            if tally:
+                # The activation's one fold, after its wake.
+                joinpoint.tally = None
+                self.events.flush(method_id, tally)
         self._raise_faults(faults)
         if runner is not None:
             self._finish_contract(runner, joinpoint)
@@ -1293,15 +1305,12 @@ class AspectModerator:
         """
         faults: List[AspectFault] = []
         method_id = plan.method_id
-        emit = self.events.emit
-        activation_id = joinpoint.activation_id
-        sampled = joinpoint.sampled
         injector = self._fault_injector
         runner = (
             joinpoint.context.get(CONTRACT_KEY)
             if self._contracts is not None else None
         )
-        timed = self.events.has_listeners
+        tally = joinpoint.tally
         compiled = chain is plan.pairs
         for step in reversed(plan.cells if compiled else chain):
             if compiled:
@@ -1309,7 +1318,7 @@ class AspectModerator:
             else:
                 concern, aspect = step
                 postaction = aspect.postaction
-            began = time.monotonic() if timed else 0.0
+            began = time.monotonic() if tally is not None else 0.0
             try:
                 if injector is not None and injector.fire(
                         "postaction", method_id, concern):
@@ -1322,12 +1331,9 @@ class AspectModerator:
                     method_id, concern, "postaction", exc,
                 ))
                 continue
-            if timed:
-                emit(
-                    "postaction", method_id, concern,
-                    activation_id=activation_id,
-                    duration=time.monotonic() - began, sampled=sampled,
-                )
+            if tally is not None:
+                tally.append(("postaction", concern, "",
+                              time.monotonic() - began))
             if runner is not None:
                 # Re-verify the clauses that held at post-body: one that
                 # just broke is blamed on this concern's postaction.
@@ -1406,10 +1412,8 @@ class AspectModerator:
         joinpoint.phase = Phase.INVOCATION
         try:
             if not joinpoint.invocation_skipped:
-                if self.events.has_listeners:
-                    self.events.emit("invoke", method_id,
-                                     activation_id=joinpoint.activation_id,
-                                     sampled=joinpoint.sampled)
+                if joinpoint.tally is not None:
+                    joinpoint.tally.append(("invoke", "", "", 0.0))
                 joinpoint.result = func(*args, **kwargs)
         except BaseException as exc:
             joinpoint.exception = exc
@@ -1477,20 +1481,7 @@ class AspectModerator:
             # by the epoch bump above (both park seams sit behind the
             # same pre-park epoch re-check in :meth:`_rounds`).
             woke = runtime.wake(targets)
-        events = self.events
-        if not parked:
-            self.stats.flush(_WAKE_FLUSH)
-            if events.has_listeners:
-                # A notify that woke a parked activation is delivered
-                # whatever its own head decision: wake edges keep their
-                # notifier.
-                events.emit(
-                    "notify", method_id,
-                    activation_id=joinpoint.activation_id,
-                    sampled=woke or joinpoint.sampled,
-                )
-            return
-        if self.notify_scope == "linked":
+        if parked and self.notify_scope == "linked":
             own_domain = self._domain_for(method_id)
             for domain in self._all_domains():
                 if domain is own_domain:
@@ -1501,15 +1492,20 @@ class AspectModerator:
                 for key, _condition in domain.conditions():
                     if key in targets:
                         domain.notify_all(key)
-        else:
+        elif parked:
             for domain in self._all_domains():
                 domain.notify_all()
         self.stats.flush(_WAKE_FLUSH)
-        if events.has_listeners:
-            # Something was parked, so this notify may have woken it:
-            # delivered whatever the head decision.
-            events.emit("notify", method_id,
-                        activation_id=joinpoint.activation_id)
+        tally = joinpoint.tally
+        if tally is not None:
+            tally.append(("notify", "", "", 0.0))
+        if (woke or parked) and self.events.has_listeners and \
+                not isinstance(tally, DeliveringTally):
+            # A notify that may have woken a parked activation is
+            # delivered whatever its own head decision: wake edges keep
+            # their notifier.
+            self.events.deliver("notify", method_id,
+                                activation_id=joinpoint.activation_id)
 
     def _linked_methods(self, method_id: str) -> set:
         """Methods sharing at least one aspect instance with ``method_id``.

@@ -6,10 +6,10 @@ one moderator:
 * a :class:`~repro.obs.spans.SpanRecorder` building activation span
   trees (and wake edges) from the events of sampled activations, and
   keeping exact per-method counters for all of them;
-* a :class:`MetricsListener` folding every event into the moderator's
-  striped :class:`~repro.obs.metrics.MetricsRegistry` — per-(method,
-  concern, phase) latency histograms, outcome counters, park-time
-  histograms, fault/quarantine/stall counters;
+* a :class:`MetricsListener` folding every activation's tally into the
+  moderator's striped :class:`~repro.obs.metrics.MetricsRegistry` —
+  per-(method, concern, phase) latency histograms, outcome counters,
+  park-time histograms, fault/quarantine/stall counters;
 * sampled gauges (wait-queue depth per method, parked activations)
   refreshed on demand from the moderator's own snapshots;
 * the exporters (:func:`~repro.obs.export.to_prometheus`,
@@ -28,15 +28,18 @@ Figure-3 fast path.
 Enabled at ``sample_rate=N``, the bus decides at the head: the
 moderator samples 1-in-N activations at preactivation, and only those
 build events for the recorder. Every activation still pays its clock
-reads and the two folds (metrics, recorder counters), which keep every
-count exact.
+reads, a tally of its arrows on the join point, and one call of each
+fold (metrics, recorder counters) on that tally, which keep every count
+exact.
 """
 
 from __future__ import annotations
 
 import threading
 from bisect import bisect_left
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+
+from repro.core.events import TallyItem
 
 from . import export
 from .metrics import DEFAULT_LATENCY_BUCKETS, MetricsRegistry
@@ -61,15 +64,15 @@ class MetricsListener:
     """Bus fold feeding the striped metrics registry.
 
     Subscribed with :meth:`~repro.core.events.EventBus.subscribe_fold`,
-    :meth:`fold` sees every event — sampled or not — as positional
-    fields, so the metrics stay exact under any ``sample_rate`` and no
+    :meth:`fold` gets every activation's tally — sampled or not — once,
+    so the metrics stay exact under any ``sample_rate`` and no
     :class:`~repro.core.events.TraceEvent` is built for them. Each
     (kind, method, concern, detail) resolves once per thread to its
     cells on that thread's registry stripe; from then on a counter is a
     lock-free single-writer increment (the :meth:`CounterBlock.inc
-    <repro.obs.metrics.CounterBlock.inc>` path) and a latency updates
-    its histogram's sum/count/bucket triplet under the stripe's own,
-    uncontended lock.
+    <repro.obs.metrics.CounterBlock.inc>` path), and a tally's latencies
+    update their histograms' sum/count/bucket triplets under one hold of
+    the stripe's own, uncontended lock.
     """
 
     def __init__(self, registry: MetricsRegistry) -> None:
@@ -115,28 +118,34 @@ class MetricsListener:
         #: per thread: (kind, method, concern, detail) -> resolved cells
         self._local = threading.local()
 
-    def fold(self, kind: str, method_id: str, concern: str, detail: str,
-             duration: float) -> None:
+    def fold(self, method_id: str, items: Sequence[TallyItem]) -> None:
         cells = getattr(self._local, "cells", None)
         if cells is None:
             cells = self._local.cells = {}
-        key = (kind, method_id, concern,
-               detail if kind in _DETAIL_LABELS else "")
-        resolved = cells.get(key)
-        if resolved is None:
-            resolved = cells[key] = self._resolve(*key)
-        counters, first, second, histogram = resolved
-        counters[first] += 1
-        if second is not None:
-            counters[second] += 1
-        if histogram is not None:
-            lock, entry, buckets = histogram
-            index = bisect_left(buckets, duration)
+        observed = []
+        for kind, concern, detail, duration in items:
+            key = (kind, method_id, concern,
+                   detail if kind in _DETAIL_LABELS else "")
+            resolved = cells.get(key)
+            if resolved is None:
+                resolved = cells[key] = self._resolve(*key)
+            counters, first, second, histogram = resolved
+            counters[first] += 1
+            if second is not None:
+                counters[second] += 1
+            if histogram is not None:
+                lock, entry, buckets = histogram
+                observed.append(
+                    (entry, bisect_left(buckets, duration), duration)
+                )
+        if observed:
+            # every cell is on this thread's stripe: one lock for all
             lock.acquire()  # cheaper than ``with`` on this path
             try:
-                entry[0] += duration
-                entry[1] += 1
-                entry[2][index] += 1
+                for entry, index, duration in observed:
+                    entry[0] += duration
+                    entry[1] += 1
+                    entry[2][index] += 1
             finally:
                 lock.release()
 

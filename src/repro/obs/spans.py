@@ -42,7 +42,8 @@ Sampling is the bus's decision, made at the head: the recorder declares
 ``sample_rate`` and receives events only for sampled activations (plus
 a ``notify`` that woke a parked activation, and events outside any
 activation). Its exact per-method :attr:`SpanRecorder.counts` come from
-its :meth:`SpanRecorder.fold`, which the bus calls for every event.
+its :meth:`SpanRecorder.fold`, which the bus calls once with every
+activation's tally of arrows, sampled or not.
 """
 
 from __future__ import annotations
@@ -51,9 +52,11 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from typing import (
+    Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple,
+)
 
-from repro.core.events import EventBus, TraceEvent
+from repro.core.events import TallyItem, TraceEvent
 
 from . import propagation
 from .metrics import MetricsRegistry
@@ -228,7 +231,7 @@ class SpanRecorder:
         self.anchor: Tuple[float, float] = (time.time(), time.monotonic())
 
     # ------------------------------------------------------------------
-    # exact counters (every event, sampled or not)
+    # exact counters (every tally, sampled or not)
     # ------------------------------------------------------------------
     def _fresh_counts(self) -> None:
         """Exact counters on a private striped registry: bumped without
@@ -241,26 +244,27 @@ class SpanRecorder:
         #: per thread: (counter, method) -> its stripe cell
         self._local = threading.local()
 
-    def fold(self, kind: str, method_id: str, concern: str, detail: str,
-             duration: float) -> None:
-        """Bump the exact counter ``kind`` maps to; no lock taken.
+    def fold(self, method_id: str, items: Sequence[TallyItem]) -> None:
+        """Bump the exact counter each tallied arrow's kind maps to; no
+        lock taken.
 
-        The bus calls this for every event. Each (counter, method)
-        resolves once per thread to its cell on the thread's registry
-        stripe; a bump is then a single-writer increment.
+        The bus calls this once per activation tally. Each (counter,
+        method) resolves once per thread to its cell on the thread's
+        registry stripe; a bump is then a single-writer increment.
         """
-        name = _COUNTED.get(kind)
-        if name is None:
-            return
         cells = getattr(self._local, "cells", None)
         if cells is None:
             cells = self._local.cells = {}
-        cell = cells.get((name, method_id))
-        if cell is None:
-            cell = cells[(name, method_id)] = \
-                self._counters.labels(method_id, name).cell()
-        counters, key = cell
-        counters[key] += 1
+        for kind, _concern, _detail, _duration in items:
+            name = _COUNTED.get(kind)
+            if name is None:
+                continue
+            cell = cells.get((name, method_id))
+            if cell is None:
+                cell = cells[(name, method_id)] = \
+                    self._counters.labels(method_id, name).cell()
+            counters, key = cell
+            counters[key] += 1
 
     @property
     def counts(self) -> Dict[str, Dict[str, int]]:
@@ -660,11 +664,6 @@ class SpanRecorder:
                 f"{share:5.1f}%  {bar}"
             )
         return "\n".join(lines)
-
-
-def attach(bus: EventBus, recorder: SpanRecorder) -> Callable[[], None]:
-    """Subscribe ``recorder`` to ``bus``; returns the unsubscriber."""
-    return bus.subscribe(recorder)
 
 
 def stitch_traces(

@@ -4,8 +4,10 @@ With nobody subscribed, an activation of the paper's ticketing cluster
 builds no event, writes its moderation counters in at most two stripe
 writes (one per phase), never reads the aspect bank's revision (the plan
 version is a stored int) and never takes the moderator-wide registry
-lock (the locked round confirms its queue by the plan key). Each cost is
-counted by patching one instance, not by frame totals.
+lock (the locked round confirms its queue by the plan key). With a
+1-in-16 plane on, an unsampled activation builds no event and hands its
+tally of arrows to each fold once. Each cost is counted by patching one
+instance, not by frame totals.
 """
 
 import threading
@@ -13,8 +15,10 @@ import threading
 from repro.apps import build_ticketing_cluster, make_session_manager
 from repro.aspects.audit import AuditAspect, AuditLog
 from repro.concurrency.buffer import Ticket
+import repro.core.events as events_module
 from repro.core import AspectModerator, ComponentProxy
 from repro.core.bank import AspectBank
+from repro.obs import ObservabilityPlane
 
 
 class CountingBlock:
@@ -167,3 +171,78 @@ def test_health_transitions_move_the_version():
                                   RuntimeError("boom"))
     assert moderator.registration_version == before + 1
     assert moderator.plan_for("push").cells[0].degraded == "fail_open"
+
+
+#: a Figure-3 activation's arrows, in protocol order
+FIG3_KINDS = [
+    "preactivation", "precondition", "precondition", "precondition",
+    "invoke", "postactivation", "postaction", "postaction", "postaction",
+    "notify",
+]
+
+
+class CountingFold:
+    """Stands in for a fold; records the kinds of every tally."""
+
+    def __init__(self, fold):
+        self.fold = fold
+        self.tallies = []
+
+    def __call__(self, method_id, items):
+        self.tallies.append((method_id, [item[0] for item in items]))
+        self.fold(method_id, items)
+
+
+class CountingListener:
+    """Stands in for a bus listener; other attributes pass through."""
+
+    def __init__(self, listener):
+        self.listener = listener
+        self.kinds = []
+
+    def __call__(self, event):
+        self.kinds.append(event.kind)
+        self.listener(event)
+
+    def __getattr__(self, name):
+        return getattr(self.listener, name)
+
+
+def test_unsampled_activation_folds_its_tally_once_and_builds_no_event(
+        monkeypatch):
+    built = []
+
+    class CountingEvent(events_module.TraceEvent):
+        __slots__ = ()
+
+        def __init__(self, kind, *args, **kwargs):
+            built.append(kind)
+            super().__init__(kind, *args, **kwargs)
+
+    monkeypatch.setattr(events_module, "TraceEvent", CountingEvent)
+    cluster, token = _fig3_cluster()
+    call = cluster.proxy.call
+    call("open", Ticket(summary="warm"), caller=token)
+    call("assign", "agent", caller=token)
+    plane = ObservabilityPlane(cluster.moderator, sample_rate=16)
+    # the plane subscribes both by attribute, so the stand-ins go first
+    metrics = plane.metrics.fold = CountingFold(plane.metrics.fold)
+    recorder = plane.recorder.fold = CountingFold(plane.recorder.fold)
+    listener = plane.recorder = CountingListener(plane.recorder)
+    plane.enable()
+
+    # the first activation after the enable is sampled: every arrow is
+    # delivered as it happens, and the folds get the tally once
+    call("open", Ticket(summary="sampled"), caller=token)
+    assert built == listener.kinds == FIG3_KINDS
+    assert metrics.tallies == recorder.tallies == [("open", FIG3_KINDS)]
+
+    built.clear()
+    listener.kinds.clear()
+    metrics.tallies.clear()
+    recorder.tallies.clear()
+    call("assign", "agent", caller=token)
+    assert built == listener.kinds == []
+    assert metrics.tallies == recorder.tallies == [("assign", FIG3_KINDS)]
+    assert cluster.moderator.events.listener_errors == 0
+    assert plane.recorder.counts["assign"]["activations"] == 1

@@ -5,6 +5,9 @@ import time
 
 import pytest
 
+from repro.apps import build_ticketing_cluster, make_session_manager
+from repro.aspects.audit import AuditLog
+from repro.concurrency.buffer import Ticket
 from repro.core import (
     AspectModerator,
     ContinuationRuntime,
@@ -323,4 +326,104 @@ class TestHeadSampling:
         assert edge.notifier_activation == giver
         [root] = recorder.finished
         assert edge.woken_activation == root.activation_id
+        assert moderator.events.listener_errors == 0
+
+
+def _kinds_of(tallies):
+    """A fold recording ``(method_id, kinds)`` per tally into ``tallies``."""
+
+    def fold(method_id, items):
+        tallies.append((method_id, [item[0] for item in items]))
+
+    return fold
+
+
+#: a never-blocking one-aspect activation's arrows
+_SERVICE_KINDS = ["preactivation", "precondition", "invoke",
+                  "postactivation", "postaction", "notify"]
+
+
+class TestTallyFolds:
+    """An observed activation hands its tally of arrows to each fold
+    once, whatever the listeners' sampling."""
+
+    def test_raising_fold_counts_one_error_per_flush(self):
+        moderator = _never_blocking()
+        tallies = []
+
+        def explode(method_id, items):
+            raise RuntimeError("fold bug")
+
+        moderator.events.subscribe_fold(explode)
+        moderator.events.subscribe_fold(_kinds_of(tallies))
+        assert moderator.moderate_call("service", lambda: "done") == "done"
+        assert moderator.events.listener_errors == 1
+        assert tallies == [("service", _SERVICE_KINDS)]
+
+    def test_fold_subscribed_mid_activation_sees_the_next_one(self):
+        moderator = _never_blocking()
+        tallies = []
+
+        def body():
+            moderator.events.subscribe_fold(_kinds_of(tallies))
+            return "done"
+
+        assert moderator.moderate_call("service", body) == "done"
+        assert tallies == []
+        moderator.moderate_call("service", lambda: None)
+        assert tallies == [("service", _SERVICE_KINDS)]
+
+    @pytest.mark.parametrize("runtime", ["threaded", "continuation"])
+    def test_parked_activation_already_counts_its_block(self, runtime):
+        sessions = make_session_manager({"bench": "secret"})
+        token = sessions.login("bench", "secret")
+        cluster = build_ticketing_cluster(capacity=4, sessions=sessions,
+                                          audit_log=AuditLog())
+        moderator, store = cluster.moderator, cluster.component
+        plane = ObservabilityPlane(moderator, sample_rate=16).enable()
+        reactor = None
+        if runtime == "continuation":
+            reactor = ContinuationRuntime(moderator, workers=1)
+
+        def start(method, *args):
+            if reactor is not None:
+                future = reactor.submit(method, getattr(store, method),
+                                        *args, component=store,
+                                        caller=token)
+                return lambda: future.result(timeout=10.0)
+            box = []
+            thread = threading.Thread(target=lambda: box.append(
+                cluster.proxy.call(method, *args, caller=token)
+            ), daemon=True)
+            thread.start()
+
+            def result():
+                thread.join(10.0)
+                assert not thread.is_alive(), f"{method} wedged"
+                return box[0]
+
+            return result
+
+        try:
+            # activations 1 and 2 leave the buffer empty; the third,
+            # unsampled, parks: only its tally can carry its outcome
+            start("open", Ticket(summary="first"))()
+            start("assign", "agent")()
+            parked = start("assign", "agent")
+            deadline = time.monotonic() + 10.0
+            while not moderator.parked_snapshot():
+                assert time.monotonic() < deadline, "assign never parked"
+                time.sleep(0.001)
+            snapshot = plane.registry.snapshot()
+            outcomes = snapshot["repro_precondition_outcomes_total"]
+            events = snapshot["repro_protocol_events_total"]
+            assert outcomes[("assign", "sync", "block")] == 1
+            assert events[("assign", "blocked")] == 1
+            start("open", Ticket(summary="second"))()
+            assert parked().summary == "second"
+        finally:
+            if reactor is not None:
+                reactor.close()
+        assert len(plane.recorder.finished) == 1
+        assert plane.recorder.counts["assign"]["activations"] == 2
         assert moderator.events.listener_errors == 0
