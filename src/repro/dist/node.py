@@ -16,22 +16,33 @@ moderator BLOCK parks at the request's remaining budget, and may bound
 its inbox with a load-shedding :class:`~repro.dist.resilience.ShedInbox`
 so overload degrades into typed ``Overloaded`` rejections instead of
 unbounded queues.
+
+Durability (``docs/recovery.md``): a journaled service's mutating
+methods carry a :class:`JournalAspect`, so the effect journal is one
+more concern in the servant's moderator rather than a branch of the
+serving path.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, List, Optional
+from contextlib import contextmanager
+from typing import Any, Dict, Iterator, List, NamedTuple, Optional
 
 from repro.concurrency.primitives import WaitQueue
+from repro.core.aspect import Aspect
 from repro.core.errors import (
     ActivationTimeout,
+    AspectFault,
     DeadlineExceeded,
     FencedOut,
     MethodAborted,
     Overloaded,
 )
+from repro.core.joinpoint import JoinPoint
+from repro.core.moderator import AspectModerator
 from repro.core.proxy import ComponentProxy
+from repro.core.results import AspectResult
 from repro.obs import propagation
 from repro.obs.metrics import MetricsRegistry
 from .message import (
@@ -78,6 +89,86 @@ class _NodeCrashed(BaseException):
         super().__init__(f"node crashed by fault plan: {spec}")
 
 
+class _Request(NamedTuple):
+    """A journaled request: what the journal aspect records. The
+    injector is ``None`` on the reactor, outside the crash model."""
+
+    journal: "JournalAspect"
+    payload: Dict[str, Any]
+    key: Optional[str]
+    injector: Optional[Any]
+
+
+_ambient = threading.local()
+#: join-point context key: the request whose plan's lock this
+#: activation holds, from the journal precondition to its postaction
+_HOLDS_JOURNAL = "__journal__"
+
+
+@contextmanager
+def _serving(request: Optional[_Request]) -> Iterator[None]:
+    """Make ``request`` the calling thread's journaled request."""
+    outer = getattr(_ambient, "request", None)
+    _ambient.request = request
+    try:
+        yield
+    finally:
+        _ambient.request = outer
+
+
+class JournalAspect(Aspect):
+    """The durable effect journal as a moderated concern.
+
+    Registered last (innermost) on a journaled service's mutating
+    methods. For the ambient :class:`_Request` of this service and
+    method, the precondition takes the plan lock without waiting (BLOCK
+    while held, so a parked mutator holds nothing) and the postaction
+    appends the applied effect and releases it: journal order is apply
+    order, and a checkpoint, which takes the same lock, never captures
+    an unappended effect. Other activations (local, nested) pass.
+    ``proxy`` serves a plain servant.
+    """
+
+    concern = "journal"
+
+    def __init__(self, node: "Node", service: str, plan: Any,
+                 methods: Any, moderator: AspectModerator,
+                 proxy: Optional[ComponentProxy]) -> None:
+        self.node = node
+        self.service = service
+        self.plan = plan
+        self.methods = frozenset(methods)
+        self.moderator = moderator
+        self.proxy = proxy
+
+    def precondition(self, joinpoint: JoinPoint) -> AspectResult:
+        request = getattr(_ambient, "request", None)
+        if request is None or request.journal.service != self.service \
+                or request.payload.get("method") != joinpoint.method_id:
+            return AspectResult.RESUME
+        if not request.journal.plan.lock.acquire(False):
+            return AspectResult.BLOCK
+        joinpoint.context[_HOLDS_JOURNAL] = request
+        return AspectResult.RESUME
+
+    def on_abort(self, joinpoint: JoinPoint) -> None:
+        # a later aspect BLOCKed or ABORTed: park holding nothing
+        request = joinpoint.context.pop(_HOLDS_JOURNAL, None)
+        if request is not None:
+            request.journal.plan.lock.release()
+
+    def postaction(self, joinpoint: JoinPoint) -> None:
+        request = joinpoint.context.pop(_HOLDS_JOURNAL, None)
+        if request is None:
+            return
+        try:
+            if joinpoint.exception is None \
+                    and not joinpoint.invocation_skipped:
+                request.journal.node._journal(request, joinpoint.result)
+        finally:
+            request.journal.plan.lock.release()
+
+
 class Node:
     """One host on the simulated network.
 
@@ -118,11 +209,13 @@ class Node:
         #: by default — and then every request is served threaded.
         self._runtimes: Dict[str, Any] = {}
         #: service -> attached recovery plan
-        #: (:class:`repro.dist.recovery.RecoveryPlan`). Mutations of
-        #: such services are journaled to the plan's durable store
-        #: before their reply is sent; empty by default — and then
-        #: nothing is journaled.
+        #: (:class:`repro.dist.recovery.RecoveryPlan`); empty by
+        #: default — and then nothing is journaled.
         self._journals: Dict[str, Any] = {}
+        #: service -> the :class:`JournalAspect` registered on its
+        #: servant's mutating methods, for every service holding both a
+        #: plan and a servant (and a non-empty mutating set)
+        self._journaling: Dict[str, JournalAspect] = {}
         #: service -> fencing epoch it was exported at (the binding
         #: version the supervisor minted); armed requests carrying a
         #: different epoch are rejected with ``FencedOut``
@@ -207,12 +300,6 @@ class Node:
                 raise ValueError(
                     f"service {service!r} already exported on {self.node_id}"
                 )
-            if runtime is not None and service in self._journals:
-                raise ValueError(
-                    f"service {service!r} is journaled; journaled "
-                    "services serialize mutations and cannot be "
-                    "reactor-served"
-                )
             self._servants[service] = servant
             if runtime is not None:
                 self._runtimes[service] = runtime
@@ -221,6 +308,7 @@ class Node:
             if epoch is not None:
                 self._epochs[service] = int(epoch)
             self._moving.discard(service)
+            self._arm(service)
         if epoch is not None:
             self._recovery_metrics()
 
@@ -249,6 +337,7 @@ class Node:
         """
         with self._lock:
             servant = self._servants.pop(service)
+            self._journaling.pop(service, None)
             if moving:
                 self._moving.add(service)
             return servant
@@ -369,7 +458,8 @@ class Node:
         Every request takes this one path. An unarmed one (no fence,
         budget or idempotency key on the wire) passes the first three
         steps on a ``None`` test each; the servant call, the crash
-        points, journaling and the reply are the same either way.
+        points and the reply are the same either way. A journaled call
+        runs with its :class:`_Request` ambient, for the journal aspect.
         """
         payload = message.payload
         service = payload.get("service", "")
@@ -421,32 +511,18 @@ class Node:
             message, payload, service, method, deadline, key, entry
         ):
             return
-        plan = self._journal_plan(service, method) if self._journals \
-            else None
         injector = self.fault_injector
+        request = self._request(service, method, payload, key, injector) \
+            if self._journaling else None
         try:
             if injector is not None:
                 self._crash_point(injector, "serve")
-            if plan is None:
-                result = self._invoke(payload, service, method, deadline)
-                if injector is not None:
-                    self._crash_point(injector, "applied")
-                response = self._reply(message, result)
-            else:
-                # Effect and journal append are one atomic step under
-                # the plan lock: a concurrent checkpoint can therefore
-                # never capture an effect whose journal record lands
-                # after the recorded sequence (which would double-apply
-                # it on recovery).
-                with plan.lock:
-                    result = self._invoke(payload, service, method, deadline)
-                    if injector is not None:
-                        self._crash_point(injector, "applied")
-                    response = self._reply(message, result)
-                    self._journal_effect(plan, service, payload, key,
-                                         response)
-                if injector is not None:
-                    self._crash_point(injector, "journaled")
+            result = self._invoke(payload, service, method, deadline,
+                                  request)
+            if injector is not None and request is None:
+                # a journaled call passed it in the journal aspect
+                self._crash_point(injector, "applied")
+            response = self._reply(message, result)
             self._counters.inc("requests_served")
             if entry is not None:
                 # Cache the reply as sent: a retry of this logical call
@@ -462,7 +538,8 @@ class Node:
             self._crash_point(injector, "replied")
 
     def _invoke(self, payload: Dict[str, Any], service: str, method: str,
-                deadline: Optional[Deadline]) -> Any:
+                deadline: Optional[Deadline],
+                request: Optional[_Request] = None) -> Any:
         """Execute the servant call a request payload describes."""
         args = tuple(payload.get("args", ()))
         kwargs = dict(payload.get("kwargs", {}))
@@ -482,16 +559,24 @@ class Node:
             raise self._unavailable(service, moving)
         try:
             with propagation.activate(context):
-                return self._dispatch(servant, method, args, kwargs,
-                                      caller, deadline)
+                if request is None:
+                    return self._dispatch(servant, method, args, kwargs,
+                                          caller, deadline)
+                with _serving(request):
+                    return self._dispatch(servant, method, args, kwargs,
+                                          caller, deadline,
+                                          request.journal.proxy)
         finally:
             self._release(service)
 
     @staticmethod
     def _dispatch(servant: Any, method: str, args: tuple,
                   kwargs: Dict[str, Any], caller: Optional[str],
-                  deadline: Optional[Deadline]) -> Any:
-        """One servant call; journal replay shares it with serving."""
+                  deadline: Optional[Deadline],
+                  proxy: Optional[ComponentProxy] = None) -> Any:
+        """One servant call; journal replay shares it with serving. A
+        plain servant is called through its journaling ``proxy``, if
+        any, and receives ``caller`` when it accepts one."""
         if isinstance(servant, ComponentProxy):
             if deadline is not None:
                 # Moderator BLOCK parks are capped at the budget.
@@ -500,7 +585,7 @@ class Node:
                     deadline=deadline, **kwargs
                 )
             return servant.call(method, *args, caller=caller, **kwargs)
-        target = getattr(servant, method)
+        target = getattr(servant if proxy is None else proxy, method)
         if caller is not None and Node._accepts_caller(target):
             kwargs.setdefault("caller", caller)
         return target(*args, **kwargs)
@@ -537,12 +622,17 @@ class Node:
             self._inflight[service] = self._inflight.get(service, 0) + 1
         if caller is None:
             caller = servant._caller
+        request = self._request(service, method, payload, key) \
+            if self._journaling else None
 
+        @contextmanager
         def wrap() -> Any:
             # Re-established around every segment run: the worker that
             # resumes a parked suffix is not the thread that started the
-            # activation, and trace propagation is thread-local.
-            return propagation.activate(context)
+            # activation, and trace propagation and the journaled
+            # request are thread-local.
+            with propagation.activate(context), _serving(request):
+                yield
 
         try:
             future = runtime.submit(
@@ -589,6 +679,11 @@ class Node:
                 key: Optional[str],
                 entry: Optional[DedupEntry]) -> Message:
         """The error reply for a failed request, counted and deduped."""
+        if isinstance(exc, AspectFault) and \
+                exc.concern == JournalAspect.concern:
+            # the journal's own failure (a fenced append) reaches the
+            # caller as itself
+            exc = exc.original
         if (isinstance(exc, ActivationTimeout) and deadline is not None
                 and deadline.expired):
             # The park was cut short by the request's budget, not the
@@ -696,18 +791,25 @@ class Node:
 
     @staticmethod
     def _reply(to: Message, result: Any) -> Message:
-        """Reply with ``result``; if the wire refuses it, with its
-        wire-safe attributes (two levels deep) or else its ``repr``."""
+        """Reply with ``result``, or with :meth:`_flatten`'s copy of it
+        if the wire refuses it."""
         try:
             return reply(to, result)
         except WireFormatError:
-            pass
+            return reply(to, Node._flatten(result))
+
+    @staticmethod
+    def _flatten(result: Any) -> Any:
+        """``result`` if a reply can carry it, else its wire-safe
+        attributes (two levels deep) or else its ``repr``."""
+        if check_wire_safe(result, 1):
+            return result
         if not hasattr(result, "__dict__"):
-            return reply(to, repr(result))
+            return repr(result)
         flat = {key: value for key, value in vars(result).items()
                 if check_wire_safe(value, 2)}
         flat["__type__"] = type(result).__name__
-        return reply(to, flat)
+        return flat
 
     # ------------------------------------------------------------------
     # recovery plane (docs/recovery.md)
@@ -715,37 +817,73 @@ class Node:
     def attach_recovery(self, service: str, plan: Any) -> None:
         """Arm the durable effect journal for a service.
 
-        ``plan`` is a :class:`repro.dist.recovery.RecoveryPlan`. From
-        the next request on, every call of a method the plan declares
-        mutating is journaled to the plan's store *before* its reply is
-        sent — the write-ahead guarantee recovery's exactly-once replay
-        rests on. With no plans attached the serving path pays one
-        falsy dict check for journaling.
+        ``plan`` is a :class:`repro.dist.recovery.RecoveryPlan`. Once
+        the service also has a servant (here or at the next
+        :meth:`export`), a :class:`JournalAspect` is registered last on
+        the plan's mutating methods — every method of the component
+        when ``mutating`` is ``None`` — so every call of one is
+        journaled to the plan's store *before* its reply is sent: the
+        write-ahead guarantee recovery's exactly-once replay rests on.
+        A plain servant is then served through a moderated proxy the
+        node owns.
         """
         with self._lock:
-            if service in self._runtimes:
-                raise ValueError(
-                    f"service {service!r} rides a continuation runtime; "
-                    "journaled services serialize mutations and cannot "
-                    "be reactor-served"
-                )
             self._journals[service] = plan
+            self._arm(service)
         self._recovery_metrics()
 
     def detach_recovery(self, service: str) -> Optional[Any]:
-        """Disarm journaling for a service; returns the plan, if any."""
+        """Disarm journaling for a service; returns the plan, if any.
+
+        Requests already in flight stay journaled. The aspect stays
+        registered: unregistering would wake parked mutators into an
+        unjournaled apply, and it passes every call that carries no
+        journaled request of its service.
+        """
         with self._lock:
+            self._journaling.pop(service, None)
             return self._journals.pop(service, None)
+
+    def _arm(self, service: str) -> None:
+        # under self._lock; registration takes no domain lock
+        plan = self._journals.get(service)
+        servant = self._servants.get(service)
+        if plan is None or servant is None:
+            return
+        owned = not isinstance(servant, ComponentProxy)
+        component = servant if owned else servant.component
+        methods = plan.mutating if plan.mutating is not None else [
+            name for name in dir(component)
+            if not name.startswith("_")
+            and callable(getattr(component, name, None))
+        ]
+        if not methods:
+            return
+        if owned:
+            moderator = AspectModerator()
+            proxy = ComponentProxy(servant, moderator)
+        else:
+            moderator, proxy = servant.moderator, None
+        journal = JournalAspect(self, service, plan, methods, moderator,
+                                proxy)
+        for method in journal.methods:
+            moderator.register_aspect(method, JournalAspect.concern,
+                                      journal, replace=True)
+        self._journaling[service] = journal
 
     def checkpoint(self, service: str) -> int:
         """Durably checkpoint a journaled service's state now.
 
         Packs the servant state with its handoff bundle
         (:meth:`repro.dist.recovery.Handoff.pack`: completed
-        idempotency entries, optional aspect state) under
-        the plan lock — so the recorded journal sequence is exactly the
-        last effect the captured state contains — then prunes the
-        journal up to it. Returns the checkpointed sequence.
+        idempotency entries, optional aspect state) under the plan lock
+        — so the recorded journal sequence is exactly the last effect
+        the captured state contains — then prunes the journal up to it
+        and wakes the mutators that BLOCKed on the lock meanwhile.
+        ``capture`` must not call moderated methods of its own servant:
+        an automatic checkpoint runs inside a mutator's activation,
+        whose outer aspects have not unwound yet. Returns the
+        checkpointed sequence.
         """
         plan = self._journals.get(service)
         if plan is None:
@@ -755,17 +893,20 @@ class Node:
             )
         with self._lock:
             servant = self._servants.get(service)
+            journal = self._journaling.get(service)
         if servant is None:
             raise KeyError(
                 f"no service {service!r} on node {self.node_id}"
             )
         with plan.lock:
-            return self._checkpoint_locked(plan, service, servant)
+            seq = self._checkpoint_locked(plan, service, servant)
+        if journal is not None:
+            journal.moderator.notify()
+        return seq
 
     def _checkpoint_locked(self, plan: Any, service: str,
                            servant: Any = None) -> int:
-        # under plan.lock (never under self._lock: lock order is
-        # plan.lock -> self._lock)
+        # under the plan's lock
         if servant is None:
             with self._lock:
                 servant = self._servants.get(service)
@@ -782,25 +923,32 @@ class Node:
         self._recovery_metrics().bump("checkpoints")
         return seq
 
-    def _journal_plan(self, service: str, method: str) -> Optional[Any]:
-        """The recovery plan journaling this call, or None."""
-        plan = self._journals.get(service)
-        if plan is None or not plan.journals(method):
+    def _request(self, service: str, method: str, payload: Dict[str, Any],
+                 key: Optional[str],
+                 injector: Optional[Any] = None) -> Optional[_Request]:
+        """The ambience a call of a journaled method runs in, or None."""
+        journal = self._journaling.get(service)
+        if journal is None or method not in journal.methods:
             return None
-        return plan
+        return _Request(journal, payload, key, injector)
 
-    def _journal_effect(self, plan: Any, service: str,
-                        payload: Dict[str, Any], key: Optional[str],
-                        response: Message) -> None:
-        # under plan.lock, after the servant applied the effect
+    def _journal(self, request: _Request, result: Any) -> None:
+        """Append one applied effect (the journal aspect's postaction,
+        under the plan's lock); an automatic checkpoint may follow."""
+        journal = request.journal
+        plan, service = journal.plan, journal.service
+        injector = request.injector
+        if injector is not None:
+            self._crash_point(injector, "applied")
+        payload = request.payload
         record = {
             "method": payload.get("method", ""),
             "args": list(payload.get("args", ())),
             "kwargs": dict(payload.get("kwargs", {})),
             "caller": payload.get("caller"),
-            "key": key,
-            "reply": {"kind": response.kind,
-                      "payload": dict(response.payload)},
+            "key": request.key,
+            "reply": {"kind": "reply",
+                      "payload": {"result": self._flatten(result)}},
         }
         epoch = self._epochs.get(service, 0)
         try:
@@ -822,6 +970,8 @@ class Node:
         if plan.checkpoint_every and \
                 plan.appended % plan.checkpoint_every == 0:
             self._checkpoint_locked(plan, service)
+        if injector is not None:
+            self._crash_point(injector, "journaled")
 
     def _recovery_metrics(self) -> Any:
         if self._recovery_counters is None:
@@ -862,6 +1012,7 @@ class Node:
             self._servants.clear()
             self._runtimes.clear()
             self._journals.clear()
+            self._journaling.clear()
             self._epochs.clear()
             self._moving.clear()
             self._inflight.clear()

@@ -41,12 +41,15 @@ moderation seams, not inside components). Four pieces
   before it are part of the replayed view, appends after it are
   rejected, so the handover is exactly-once by construction.
 
-Journaled services serialize their mutating activations under the plan
-lock (effect + journal append must be one atomic step or a checkpoint
-could capture an effect whose record lands after the recorded
-sequence). Blocking coordination *between* mutating methods of one
-journaled service therefore cannot be journaled; journal the
-non-blocking mutators and checkpoint around the rest.
+The journal itself is a moderated concern: the node registers a
+:class:`~repro.dist.node.JournalAspect` last on a journaled service's
+mutating methods. It takes the plan lock without waiting (BLOCK while
+held) and its postaction appends the applied effect and releases the
+lock, so journaled mutators are mutually exclusive, journal order is
+apply order, and a checkpoint (which takes the same lock) never
+captures an effect whose record lands after the recorded sequence. A
+mutator parked by any aspect holds nothing, so blocking coordination
+between mutators journals like any other call, on either runtime.
 """
 
 from __future__ import annotations
@@ -410,10 +413,11 @@ class RecoveryPlan(Handoff):
     effects). ``checkpoint_every`` takes an automatic checkpoint after
     that many journal appends (0 = manual checkpoints only).
 
-    The plan ``lock`` serializes a journaled service's mutations with
-    its checkpoints; it is shared by every node the plan is attached to
-    across the service's lifetime, so a failover target keeps the same
-    atomicity the source had.
+    The plan ``lock`` is held by one journaled mutation from its
+    journal precondition to its append, or by one checkpoint; it is
+    shared by every node the plan is attached to across the service's
+    lifetime, so a failover target keeps the same atomicity the source
+    had. A plain lock: the reactor may release it on another thread.
     """
 
     def __init__(self, store: RecoveryStore,
@@ -430,7 +434,7 @@ class RecoveryPlan(Handoff):
         self.mutating = frozenset(mutating) if mutating is not None \
             else None
         self.checkpoint_every = int(checkpoint_every)
-        self.lock = threading.RLock()
+        self.lock = threading.Lock()
         self.appended = 0
 
     def journals(self, method: str) -> bool:

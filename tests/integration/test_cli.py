@@ -70,7 +70,11 @@ class TestCli:
 
     def test_recover_command_demos_crash_restart(self):
         completed = run_cli("recover")
-        assert completed.returncode == 0, completed.stderr
+        # the demo reports its own failures (the audit table, a zombie
+        # write) on stdout
+        assert completed.returncode == 0, (
+            f"stdout:\n{completed.stdout}\nstderr:\n{completed.stderr}"
+        )
         # the service moved off the crashed node with a fresh epoch
         assert "failover -> n2" in completed.stdout
         assert "epoch=2" in completed.stdout

@@ -3,7 +3,7 @@ and the unarmed wire contract (``docs/resilience.md`` § Overhead)."""
 
 import pytest
 
-from repro.core import AspectModerator, ComponentProxy
+from repro.core import AspectModerator, ComponentProxy, ContinuationRuntime
 from repro.dist import (
     Client,
     MemoryStore,
@@ -211,8 +211,32 @@ def _journaled(node):
     return "kv", "put", ("k", "v"), {}
 
 
+def _journaled_proxy(node):
+    node.attach_recovery("kvp", RecoveryPlan(
+        MemoryStore(), lambda proxy: {"data": dict(proxy.data)},
+        lambda state: ComponentProxy(Store(state.get("data")),
+                                     AspectModerator()),
+        mutating=["put"],
+    ))
+    node.export("kvp", ComponentProxy(Store(), AspectModerator()))
+    return "kvp", "put", ("k", "v"), {}
+
+
+def _journaled_reactor(node):
+    moderator = AspectModerator()
+    node.attach_recovery("kvr", RecoveryPlan(
+        MemoryStore(), lambda proxy: {"data": dict(proxy.data)},
+        lambda state: ComponentProxy(Store(state.get("data")),
+                                     AspectModerator()),
+        mutating=["put"],
+    ))
+    node.export("kvr", ComponentProxy(Store(), moderator),
+                runtime=ContinuationRuntime(moderator, workers=1))
+    return "kvr", "put", ("k", "v"), {}
+
+
 SERVICES = [_plain, _accepts_caller, _proxy, _raising, _unknown, _moving,
-            _journaled]
+            _journaled, _journaled_proxy, _journaled_reactor]
 
 
 def _outcome(call):

@@ -438,30 +438,50 @@ class TestNodeFencing:
         assert third.epoch > second.epoch
 
 
-class TestRuntimeExclusivity:
-    def test_attach_recovery_rejects_reactor_served_service(self, rig):
+class TestJournaledReactorServing:
+    """A journaled service may ride a continuation runtime, whichever
+    of ``export`` and ``attach_recovery`` comes first."""
+
+    def test_attach_recovery_after_reactor_export_journals(self, rig):
         from repro.core import AspectModerator, ComponentProxy
         from repro.core.continuation import ContinuationRuntime
 
+        store = MemoryStore()
         moderator = AspectModerator()
         runtime = ContinuationRuntime(moderator)
         proxy = ComponentProxy(CountingKV(), moderator)
         rig.node.export("kv", proxy, runtime=runtime)
-        with pytest.raises(ValueError):
-            rig.node.attach_recovery("kv", kv_plan(MemoryStore()))
-        runtime.close()
+        rig.node.attach_recovery("kv", kv_plan(store))
+        rig.names.bind("kv", "n1", "kv")
+        try:
+            assert rig.client.call_name("kv", "put", "k", "v",
+                                        idempotency_key="c:1") == 1
+            assert runtime.submitted == 1  # served on the reactor
+            assert [entry["record"]["key"]
+                    for entry in store.entries("kv")] == ["c:1"]
+        finally:
+            runtime.close()
 
-    def test_export_with_runtime_rejects_journaled_service(self, rig):
+    def test_export_with_runtime_after_attach_journals(self, rig):
         from repro.core import AspectModerator, ComponentProxy
         from repro.core.continuation import ContinuationRuntime
 
-        rig.node.attach_recovery("kv", kv_plan(MemoryStore()))
+        store = MemoryStore()
+        rig.node.attach_recovery("kv", kv_plan(store))
         moderator = AspectModerator()
         runtime = ContinuationRuntime(moderator)
         proxy = ComponentProxy(CountingKV(), moderator)
-        with pytest.raises(ValueError):
-            rig.node.export("kv", proxy, runtime=runtime)
-        runtime.close()
+        rig.node.export("kv", proxy, runtime=runtime)
+        rig.names.bind("kv", "n1", "kv")
+        try:
+            assert rig.client.call_name("kv", "put", "k", "v",
+                                        idempotency_key="c:1") == 1
+            assert rig.client.call_name("kv", "get", "k") == "v"
+            assert runtime.submitted == 1  # get does not participate
+            assert [entry["record"]["method"]
+                    for entry in store.entries("kv")] == ["put"]
+        finally:
+            runtime.close()
 
 
 # ----------------------------------------------------------------------
@@ -896,3 +916,203 @@ class TestSupervisorRestartPolicy:
         supervisor.stop()
         assert supervisor._thread is None
         assert not thread.is_alive()
+
+
+# ----------------------------------------------------------------------
+# the journal as a moderated concern
+# ----------------------------------------------------------------------
+def buffer_capture(servant):
+    buffer = servant.component
+    return {"items": buffer.snapshot(), "put": buffer.total_put,
+            "taken": buffer.total_taken}
+
+
+def buffer_rebuild(state=None):
+    """A capacity-1 buffer guarded by ``BoundedBufferSync``."""
+    from repro.aspects.synchronization import BoundedBufferSync
+    from repro.concurrency.buffer import BoundedBuffer
+    from repro.core import AspectModerator, ComponentProxy
+
+    state = state or {}
+    buffer = BoundedBuffer(1)
+    for item in state.get("items", ()):
+        buffer.put(item)
+    buffer.total_put = state.get("put", 0)
+    buffer.total_taken = state.get("taken", 0)
+    sync = BoundedBufferSync(buffer, producer="put", consumer="take")
+    sync.items = len(buffer)
+    moderator = AspectModerator()
+    moderator.register_aspect("put", "sync", sync)
+    moderator.register_aspect("take", "sync", sync)
+    return ComponentProxy(buffer, moderator)
+
+
+class TestJournalAspect:
+    @pytest.mark.parametrize("reactor", [False, True],
+                             ids=["threaded", "continuation"])
+    def test_take_wakes_a_parked_put_and_recovery_replays_once(
+            self, reactor):
+        # A journaled mutator parked by the sync aspect holds nothing,
+        # so the take that wakes it is not locked out.
+        from repro.core.continuation import ContinuationRuntime
+
+        network = Network()
+        node = Node("n1", network, workers=2).start()
+        store = MemoryStore()
+        plan = RecoveryPlan(store, buffer_capture, buffer_rebuild,
+                            mutating=["put", "take"])
+        proxy = buffer_rebuild()
+        runtime = ContinuationRuntime(proxy.moderator) if reactor else None
+        node.attach_recovery("buf", plan)
+        node.export("buf", proxy, runtime=runtime)
+        client = Client("c", network, default_timeout=3.0)
+        parked = []
+        putter = threading.Thread(target=lambda: parked.append(
+            client.call_node("n1", "buf", "put", 2, idempotency_key="p2")))
+        try:
+            assert client.call_node("n1", "buf", "put", 1,
+                                    idempotency_key="p1") is None
+            putter.start()
+            waited = time.monotonic() + 2.0
+            while not proxy.moderator.parked_snapshot() \
+                    and time.monotonic() < waited:
+                time.sleep(0.005)
+            assert proxy.moderator.parked_snapshot()
+            started = time.monotonic()
+            assert client.call_node("n1", "buf", "take",
+                                    idempotency_key="t1") == 1
+            assert time.monotonic() - started < 1.0
+            putter.join(3.0)
+            assert not putter.is_alive() and parked == [None]
+            assert client.call_node("n1", "buf", "take",
+                                    idempotency_key="t2") == 2
+            live = buffer_capture(proxy)
+            assert [entry["record"]["method"]
+                    for entry in store.entries("buf")] == \
+                ["put", "take", "put", "take"]
+            node.crash(lose_memory=True)
+            recovered = recover_service(plan, "buf",
+                                        bootstrap=buffer_rebuild)
+            assert recovered.replayed == 4
+            assert set(recovered.dedup_seed) == {"p1", "p2", "t1", "t2"}
+            assert buffer_capture(recovered.servant) == live == \
+                {"items": [], "put": 2, "taken": 2}
+        finally:
+            putter.join(3.0)
+            client.close()
+            node.stop()
+            if runtime is not None:
+                runtime.close()
+            network.close()
+
+    def test_a_put_parked_across_detach_is_still_journaled(self):
+        # Journaling is decided when serving starts: detaching the plan
+        # must not turn an already-parked mutator into an unjournaled
+        # apply when it wakes.
+        network = Network()
+        node = Node("n1", network, workers=2).start()
+        store = MemoryStore()
+        plan = RecoveryPlan(store, buffer_capture, buffer_rebuild,
+                            mutating=["put", "take"])
+        proxy = buffer_rebuild()
+        node.attach_recovery("buf", plan)
+        node.export("buf", proxy)
+        client = Client("c", network, default_timeout=3.0)
+        putter = threading.Thread(target=lambda: client.call_node(
+            "n1", "buf", "put", 2))
+        try:
+            client.call_node("n1", "buf", "put", 1)
+            putter.start()
+            waited = time.monotonic() + 2.0
+            while not proxy.moderator.parked_snapshot() \
+                    and time.monotonic() < waited:
+                time.sleep(0.005)
+            assert node.detach_recovery("buf") is plan
+            assert proxy.take() == 1  # a local call: never journaled
+            putter.join(3.0)
+            assert not putter.is_alive()
+            assert [entry["record"]["args"]
+                    for entry in store.entries("buf")] == [[1], [2]]
+            assert client.call_node("n1", "buf", "take") == 2
+            assert len(store.entries("buf")) == 2  # detached: not journaled
+        finally:
+            putter.join(3.0)
+            client.close()
+            node.stop()
+            network.close()
+
+    def test_checkpoints_racing_keyed_puts_recover_the_live_state(self):
+        network = Network()
+        node = Node("n1", network, workers=4).start()
+        store = MemoryStore()
+        plan = kv_plan(store, checkpoint_every=7)
+        servant = CountingKV()
+        node.attach_recovery("kv", plan)
+        node.export("kv", servant)
+        client = Client("c", network, default_timeout=5.0)
+        done = threading.Event()
+        failures = []
+
+        def checkpointer():
+            while not done.is_set():
+                node.checkpoint("kv")
+                time.sleep(0.001)
+
+        def writer(index):
+            try:
+                for n in range(150):
+                    client.call_node("n1", "kv", "put", f"k{n % 8}",
+                                     (index, n),
+                                     idempotency_key=f"w{index}:{n}")
+            except Exception as exc:  # noqa: BLE001 - asserted below
+                failures.append(exc)
+
+        writers = [threading.Thread(target=writer, args=(index,))
+                   for index in range(4)]
+        checkpoints = threading.Thread(target=checkpointer)
+        try:
+            checkpoints.start()
+            for thread in writers:
+                thread.start()
+            for thread in writers:
+                thread.join(10.0)
+            assert not any(thread.is_alive() for thread in writers)
+        finally:
+            done.set()
+            checkpoints.join(5.0)
+            client.close()
+            node.stop()
+            network.close()
+        assert failures == []
+        assert sum(servant.counts.values()) == 600
+        recovered = recover_service(plan, "kv")
+        assert recovered.servant.counts == servant.counts
+        assert recovered.servant.data == servant.data
+
+    def test_journaled_plain_servant_still_receives_caller(self, rig):
+        class Ledger:
+            def __init__(self, entries=()):
+                self.entries = [tuple(entry) for entry in entries]
+
+            def record(self, value, caller=None):
+                self.entries.append((value, caller))
+                return len(self.entries)
+
+        store = MemoryStore()
+        plan = RecoveryPlan(
+            store, lambda ledger: {"entries": list(ledger.entries)},
+            lambda state: Ledger(state.get("entries", ())),
+            mutating=["record"],
+        )
+        ledger = Ledger()
+        rig.node.attach_recovery("ledger", plan)
+        rig.node.export("ledger", ledger)
+        rig.names.bind("ledger", "n1", "ledger")
+        assert rig.client.call_name("ledger", "record", 7,
+                                    caller="alice") == 1
+        assert ledger.entries == [(7, "alice")]
+        record = store.entries("ledger")[0]["record"]
+        assert record["caller"] == "alice"
+        assert record["kwargs"] == {}
+        recovered = recover_service(plan, "ledger", bootstrap=Ledger)
+        assert recovered.servant.entries == [(7, "alice")]
