@@ -327,6 +327,50 @@ class TestNodeJournaling:
         # the handoff bundle carries the completed dedup entries
         assert "c:1" in checkpoint["state"][HANDOFF_KEY]["dedup"]
 
+    def test_checkpoint_wakes_a_mutator_parked_on_another_node(self):
+        # A paused node that comes back keeps its journal aspect on the
+        # plan it shares with the new home; a put it parks while the new
+        # home checkpoints must wake when the checkpoint releases.
+        network = Network()
+        capturing, go = threading.Event(), threading.Event()
+
+        def capture(servant):
+            capturing.set()
+            go.wait(5.0)
+            return kv_capture(servant)
+
+        plan = RecoveryPlan(MemoryStore(), capture, kv_rebuild,
+                            mutating=["put"])
+        home, zombie = (Node(node_id, network).start()
+                        for node_id in ("n1", "n2"))
+        for node in (home, zombie):
+            node.attach_recovery("kv", plan)
+            node.export("kv", CountingKV())
+        client = Client("c", network)
+        outcome = []
+        checkpoint = threading.Thread(target=home.checkpoint, args=("kv",))
+        put = threading.Thread(target=lambda: outcome.append(
+            client.call_node("n2", "kv", "put", "k", "v", timeout=2.0)))
+        try:
+            checkpoint.start()
+            assert capturing.wait(2.0)
+            put.start()
+            moderator = zombie._journaling["kv"].moderator
+            deadline = time.monotonic() + 2.0
+            while moderator.stats.as_dict()["blocks"] == 0:
+                assert time.monotonic() < deadline
+                time.sleep(0.005)
+            go.set()
+            put.join(timeout=5.0)
+            checkpoint.join(timeout=5.0)
+            assert outcome == [1]
+        finally:
+            go.set()
+            client.close()
+            home.stop()
+            zombie.stop()
+            network.close()
+
     def test_checkpoint_every_takes_automatic_checkpoints(self, rig):
         store = MemoryStore()
         rig.node.attach_recovery("kv", kv_plan(store, checkpoint_every=2))
