@@ -197,15 +197,23 @@ class WaitQueue(Generic[T]):
     def get(self, timeout: Optional[float] = None) -> T:
         with self._not_empty:
             ok = self._not_empty.wait_for(
-                lambda: self._items or self._closed, timeout
+                lambda: self._ready() or self._closed, timeout
             )
             if not ok:
                 raise TimeoutError("queue empty")
-            if not self._items:
+            if not self._ready():
                 raise WaitQueue.Closed("queue is closed and drained")
-            item = self._items.popleft()
+            item = self._take()
             self._not_full.notify()
             return item
+
+    def _ready(self) -> bool:
+        """Whether a getter may take the head item now (under the lock)."""
+        return bool(self._items)
+
+    def _take(self) -> T:
+        """Remove and return the head item for a getter (under the lock)."""
+        return self._items.popleft()
 
     def close(self) -> None:
         """Close the queue; waiting getters drain then see ``Closed``."""

@@ -58,6 +58,7 @@ import json
 import os
 import threading
 import time
+import weakref
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 from urllib.parse import quote
@@ -401,6 +402,11 @@ class Handoff:
         return servant, dict(bundle.get("dedup", {}))
 
 
+#: guards :attr:`RecoveryPlan.parked`: its lazy creation, and each
+#: add and copy
+_PARKED_LOCK = threading.Lock()
+
+
 class RecoveryPlan(Handoff):
     """How one service journals, checkpoints, and rebuilds.
 
@@ -436,10 +442,30 @@ class RecoveryPlan(Handoff):
         self.checkpoint_every = int(checkpoint_every)
         self.lock = threading.Lock()
         self.appended = 0
+        #: the moderators a journaled mutator has parked in, BLOCKed on
+        #: :attr:`lock`, on any node the plan is attached to; made at
+        #: the first such park, so a plan nobody waits on holds none
+        self.parked: "Optional[weakref.WeakSet[Any]]" = None
 
     def journals(self, method: str) -> bool:
         """Whether calls of ``method`` must hit the journal."""
         return self.mutating is None or method in self.mutating
+
+    def park(self, moderator: Any) -> None:
+        """Remember that a mutator is about to park in ``moderator``
+        waiting for :attr:`lock`; a checkpoint on any node wakes it."""
+        with _PARKED_LOCK:
+            if self.parked is None:
+                self.parked = weakref.WeakSet()
+            self.parked.add(moderator)
+
+    def wake_parked(self) -> None:
+        """Wake the mutators parked on :attr:`lock`, wherever they
+        parked (call after releasing it)."""
+        with _PARKED_LOCK:  # a concurrent park must not change the set
+            parked = list(self.parked or ())  # while this copies it
+        for moderator in parked:
+            moderator.notify()
 
 
 @dataclass

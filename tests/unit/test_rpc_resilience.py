@@ -67,6 +67,20 @@ def rig():
     network.close()
 
 
+@pytest.fixture
+def moderated_rig(rig):
+    """``rig`` with its servant also exported behind a moderator, as
+    ``moderated-svc``, and its quick ``apply`` already served there:
+    a moderated servant's quick methods are served on the caller's
+    thread, and the caller's budget must still cap every wait."""
+    network, names, node, client, servant = rig
+    node.export("moderated", ComponentProxy(servant, AspectModerator()))
+    names.bind("moderated-svc", "server", "moderated")
+    for value in range(2):
+        client.call_name("moderated-svc", "apply", value)
+    return rig
+
+
 # ----------------------------------------------------------------------
 # exactly-once retries
 # ----------------------------------------------------------------------
@@ -175,6 +189,15 @@ class TestDeadlines:
             # servant sleeps 1s; budget is 0.15s; timeout is 5s —
             # the wait must stop at the budget, not the timeout
             client.call_name("service", "slow", 1, delay=1.0,
+                             timeout=5.0, deadline=0.15)
+        assert time.monotonic() - started < 1.0
+
+    def test_deadline_caps_reply_wait_of_a_moderated_servant(
+            self, moderated_rig):
+        network, names, node, client, servant = moderated_rig
+        started = time.monotonic()
+        with pytest.raises(DeadlineExceeded):
+            client.call_name("moderated-svc", "slow", 1, delay=1.0,
                              timeout=5.0, deadline=0.15)
         assert time.monotonic() - started < 1.0
 
@@ -406,6 +429,31 @@ class TestClientClose:
         thread.join(timeout=2.0)
         assert not thread.is_alive()
         # the caller woke promptly, not after its 10s timeout
+        assert time.monotonic() - started < 1.5
+        assert outcome == ["closed"]
+
+    def test_close_wakes_inflight_callers_of_a_moderated_servant(
+            self, moderated_rig):
+        network, names, node, client, servant = moderated_rig
+        outcome = []
+
+        def call():
+            try:
+                client.call_name("moderated-svc", "slow", 1, delay=2.0,
+                                 timeout=10.0)
+                outcome.append("ok")
+            except ClientClosed:
+                outcome.append("closed")
+            except Exception as exc:  # noqa: BLE001
+                outcome.append(type(exc).__name__)
+
+        thread = threading.Thread(target=call)
+        thread.start()
+        time.sleep(0.1)  # let the request get in flight
+        started = time.monotonic()
+        client.close()
+        thread.join(timeout=2.0)
+        assert not thread.is_alive()
         assert time.monotonic() - started < 1.5
         assert outcome == ["closed"]
 
