@@ -130,13 +130,22 @@ _HOLDS_JOURNAL = "__journal__"
 @contextmanager
 def _serving(request: Optional[_Request]) -> Iterator[None]:
     """Make ``request`` the calling thread's journaled request, and the
-    thread a serving one (its nested client calls queue)."""
+    thread a serving one (its nested client calls queue).
+
+    On the way out, past every moderator lock (``notify`` must not be
+    called under one), a journaled request wakes the mutators parked on
+    its plan's lock in any node's moderator: the journal aspect may
+    have released that lock, and only a checkpoint would wake them
+    otherwise.
+    """
     outer, serving = getattr(_ambient, "request", None), role.serving
     _ambient.request, role.serving = request, True
     try:
         yield
     finally:
         _ambient.request, role.serving = outer, serving
+        if request is not None and request.journal.plan.parked:
+            request.journal.plan.wake_parked()
 
 
 class _ServeSlots:
@@ -174,11 +183,21 @@ class _ServeSlots:
         self.marks: Dict[Tuple[Any, Any], float] = {}
 
     def _ready(self) -> bool:
-        return bool(self._items) and self.free > 0
+        # a stopped node's worker wakes to leave (``_take`` says so)
+        return not self.node._running or bool(self._items) and self.free > 0
 
     def _take(self) -> Any:
+        if not self.node._running:
+            raise WaitQueue.Closed("node stopped")
         self.free -= 1
         return self._items.popleft()
+
+    def halt(self) -> None:
+        """Stop the node's serving and wake its waiting workers, which
+        then leave their ``get``."""
+        with self._not_empty:
+            self.node._running = False
+            self._not_empty.notify_all()
 
     def release(self, message: Message, elapsed: float,
                 caller: Optional[threading.Thread] = None) -> None:
@@ -598,9 +617,7 @@ class Node:
         role.serving = True
         while self._running:
             try:
-                message = self.inbox.get(timeout=0.2)
-            except TimeoutError:
-                continue
+                message = self.inbox.get()  # ``halt`` wakes it to leave
             except WaitQueue.Closed:
                 return
             started = time.monotonic()
@@ -1205,7 +1222,7 @@ class Node:
         # serving thread), just drop off the network, stop the loops,
         # and lose the memory a real process death would lose.
         self.network.take_down(self.node_id)
-        self._running = False
+        self.inbox.halt()
         self._lose_memory()
 
     def _lose_memory(self) -> None:
@@ -1239,7 +1256,7 @@ class Node:
         itself is reported as a straggler rather than joined (a servant
         stopping its own node must not deadlock).
         """
-        self._running = False
+        self.inbox.halt()
         current = threading.current_thread()
         stragglers: List[threading.Thread] = []
         for thread in self._threads:

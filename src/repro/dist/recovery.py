@@ -443,8 +443,9 @@ class RecoveryPlan(Handoff):
         self.lock = threading.Lock()
         self.appended = 0
         #: the moderators a journaled mutator has parked in, BLOCKed on
-        #: :attr:`lock`, on any node the plan is attached to; made at
-        #: the first such park, so a plan nobody waits on holds none
+        #: :attr:`lock`, on any node the plan is attached to, since the
+        #: last wake; made at such a park, so a plan nobody waits on
+        #: holds none
         self.parked: "Optional[weakref.WeakSet[Any]]" = None
 
     def journals(self, method: str) -> bool:
@@ -461,9 +462,11 @@ class RecoveryPlan(Handoff):
 
     def wake_parked(self) -> None:
         """Wake the mutators parked on :attr:`lock`, wherever they
-        parked (call after releasing it)."""
+        parked (call after releasing it), and forget them: one that
+        finds the lock taken again parks, and registers, again."""
         with _PARKED_LOCK:  # a concurrent park must not change the set
-            parked = list(self.parked or ())  # while this copies it
+            parked, self.parked = self.parked, None
+            parked = list(parked or ())  # while this copies it
         for moderator in parked:
             moderator.notify()
 

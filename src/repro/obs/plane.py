@@ -1,49 +1,41 @@
 """The observability plane: one object that wires spans + metrics in.
 
 :class:`ObservabilityPlane` composes the pieces of ``repro.obs`` around
-one moderator:
+one moderator, and is itself their one bus subscriber:
 
-* a :class:`~repro.obs.spans.SpanRecorder` building activation span
-  trees (and wake edges) from the events of sampled activations, and
-  keeping exact per-method counters for all of them;
-* a :class:`MetricsListener` folding every activation's tally into the
-  moderator's striped :class:`~repro.obs.metrics.MetricsRegistry` —
-  per-(method, concern, phase) latency histograms, outcome counters,
-  park-time histograms, fault/quarantine/stall counters;
+* a :class:`~repro.obs.spans.SpanRecorder`, which gets the events of
+  sampled activations and builds their span trees and wake edges;
+* the :class:`MetricsListener` families on the moderator's striped
+  :class:`~repro.obs.metrics.MetricsRegistry` — per-(method, concern,
+  phase) latency histograms, outcome, fault and quarantine counters,
+  park and stall histograms;
+* one fold (:meth:`ObservabilityPlane.fold`) that writes every observed
+  activation's tally into those families and into the recorder's exact
+  per-method counts, so both stay exact under sampling;
 * sampled gauges (wait-queue depth per method, parked activations)
-  refreshed on demand from the moderator's own snapshots;
-* the exporters (:func:`~repro.obs.export.to_prometheus`,
-  :func:`~repro.obs.export.to_json`) bound to that registry/recorder.
+  and the exporters (:func:`~repro.obs.export.to_prometheus`,
+  :func:`~repro.obs.export.to_json`).
 
-The plane shares the registry ``ModerationStats`` already writes to, so
-one Prometheus scrape carries both the protocol counters and the
-span-derived latency families.
-
-Disabled is the default state and costs nothing: until :meth:`enable`
-subscribes the listeners, the bus has no subscribers, so the moderator
-neither constructs events nor reads clocks (both gate on
-``has_listeners``). ``bench_obs_overhead.py`` holds this to ≤ 2% on the
-Figure-3 fast path.
-
-Enabled at ``sample_rate=N``, the bus decides at the head: the
-moderator samples 1-in-N activations at preactivation, and only those
-build events for the recorder. Every activation still pays its clock
-reads, a tally of its arrows on the join point, and one call of each
-fold (metrics, recorder counters) on that tally, which keep every count
-exact.
+The registry is the one ``ModerationStats`` already writes to, so one
+Prometheus scrape carries the protocol counters and the plane's
+families. Disabled (the default) costs nothing: with no subscriber the
+moderator neither builds events nor reads clocks
+(``bench_obs_overhead.py`` holds this to ≤ 2% on the Figure-3 fast
+path). Enabled at ``sample_rate=N``, 1-in-N activations build events;
+every activation pays its clock reads, a tally of its arrows and one
+call of the fold.
 """
-
 from __future__ import annotations
 
 import threading
 from bisect import bisect_left
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.events import TallyItem
+from repro.core.events import TallyItem, TraceEvent
 
 from . import export
 from .metrics import DEFAULT_LATENCY_BUCKETS, MetricsRegistry
-from .spans import SpanRecorder
+from .spans import _COUNTED, SpanRecorder
 
 __all__ = ["MetricsListener", "ObservabilityPlane"]
 
@@ -58,21 +50,16 @@ PARK_BUCKETS: Tuple[float, ...] = (
 #: event kinds whose ``detail`` is a metric label; the rest fold as ""
 #: (a stall's or a timeout's detail is free text)
 _DETAIL_LABELS = frozenset(("precondition", "aspect_fault", "quarantine"))
+#: per thread: the fold programs kept before the cache starts over
+_MAX_PROGRAMS = 256
 
 
 class MetricsListener:
-    """Bus fold feeding the striped metrics registry.
+    """The metric families the plane's fold writes.
 
-    Subscribed with :meth:`~repro.core.events.EventBus.subscribe_fold`,
-    :meth:`fold` gets every activation's tally — sampled or not — once,
-    so the metrics stay exact under any ``sample_rate`` and no
-    :class:`~repro.core.events.TraceEvent` is built for them. Each
-    (kind, method, concern, detail) resolves once per thread to its
-    cells on that thread's registry stripe; from then on a counter is a
-    lock-free single-writer increment (the :meth:`CounterBlock.inc
-    <repro.obs.metrics.CounterBlock.inc>` path), and a tally's latencies
-    update their histograms' sum/count/bucket triplets under one hold of
-    the stripe's own, uncontended lock.
+    :meth:`ObservabilityPlane.fold` resolves each arrow of a new tally
+    shape to its cells here (:meth:`_handles`) once per thread, and
+    from then on bumps them without resolving anything.
     """
 
     def __init__(self, registry: MetricsRegistry) -> None:
@@ -115,70 +102,29 @@ class MetricsListener:
             labelnames=("method",),
             buckets=PARK_BUCKETS,
         )
-        #: per thread: (kind, method, concern, detail) -> resolved cells
-        self._local = threading.local()
 
-    def fold(self, method_id: str, items: Sequence[TallyItem]) -> None:
-        cells = getattr(self._local, "cells", None)
-        if cells is None:
-            cells = self._local.cells = {}
-        observed = []
-        for kind, concern, detail, duration in items:
-            key = (kind, method_id, concern,
-                   detail if kind in _DETAIL_LABELS else "")
-            resolved = cells.get(key)
-            if resolved is None:
-                resolved = cells[key] = self._resolve(*key)
-            counters, first, second, histogram = resolved
-            counters[first] += 1
-            if second is not None:
-                counters[second] += 1
-            if histogram is not None:
-                lock, entry, buckets = histogram
-                observed.append(
-                    (entry, bisect_left(buckets, duration), duration)
-                )
-        if observed:
-            # every cell is on this thread's stripe: one lock for all
-            lock.acquire()  # cheaper than ``with`` on this path
-            try:
-                for entry, index, duration in observed:
-                    entry[0] += duration
-                    entry[1] += 1
-                    entry[2][index] += 1
-            finally:
-                lock.release()
-
-    def _resolve(self, kind: str, method_id: str, concern: str,
-                 detail: str) -> Tuple[Any, ...]:
-        """This thread's cells for one event shape: (stripe counters,
-        the events counter key, a second counter key or None, a
-        histogram cell or None)."""
-        counters, first = self._events.labels(method_id, kind).cell()
-        second = histogram = None
+    def _handles(self, kind: str, method_id: str, concern: str,
+                 detail: str) -> Tuple[List[Any], Any]:
+        """One arrow's cells: the counters it bumps, and the histogram
+        that takes its duration (or None)."""
+        counters = [self._events.labels(method_id, kind)]
+        histogram = None
         if kind == "precondition":
-            second = self._outcomes.labels(
-                method_id, concern, detail
-            ).cell()[1]
-            histogram = self._phase_seconds.labels(
-                method_id, concern, "precondition"
-            ).cell()
+            counters.append(self._outcomes.labels(method_id, concern, detail))
+            histogram = self._phase_seconds.labels(method_id, concern, kind)
         elif kind == "postaction":
-            histogram = self._phase_seconds.labels(
-                method_id, concern, "postaction"
-            ).cell()
+            histogram = self._phase_seconds.labels(method_id, concern, kind)
         elif kind == "unblocked":
-            histogram = self._park_seconds.labels(method_id).cell()
+            histogram = self._park_seconds.labels(method_id)
         elif kind == "aspect_fault":
             phase = detail.split(":", 1)[0]
-            second = self._faults.labels(method_id, concern, phase).cell()[1]
+            counters.append(self._faults.labels(method_id, concern, phase))
         elif kind == "quarantine":
-            second = self._quarantines.labels(
-                method_id, concern, detail
-            ).cell()[1]
+            counters.append(
+                self._quarantines.labels(method_id, concern, detail))
         elif kind == "watchdog_stall":
-            histogram = self._stall_seconds.labels(method_id).cell()
-        return counters, first, second, histogram
+            histogram = self._stall_seconds.labels(method_id)
+        return counters, histogram
 
 
 class ObservabilityPlane:
@@ -196,14 +142,11 @@ class ObservabilityPlane:
     protocol counters (``repro_moderation_*``) export alongside the
     span-derived families.
 
-    ``sample_rate`` passes through to the :class:`SpanRecorder`, which
-    declares it to the bus: 1-in-N activations are sampled at the head
-    and build span trees, while the recorder's exact counters and every
-    metrics family keep full accuracy — the middle ground between
-    disabled and full-fidelity recording (measured as
-    ``enabled_sampled`` in ``bench_obs_overhead.py``). Another listener
-    asking for more (a :class:`~repro.core.events.Tracer` asks for
-    every activation) lowers the bus's rate for everyone.
+    ``sample_rate`` is the recorder's, declared to the bus: 1-in-N
+    activations are sampled at the head and build span trees, while
+    the exact counts and every metrics family keep full accuracy. A
+    listener asking for more (a :class:`~repro.core.events.Tracer`
+    asks for every activation) lowers the bus's rate for everyone.
     """
 
     def __init__(self, moderator: Any, node: str = "local",
@@ -218,6 +161,8 @@ class ObservabilityPlane:
         self.recorder = SpanRecorder(node=node, max_finished=max_finished,
                                      sample_rate=sample_rate)
         self.metrics = MetricsListener(self.registry)
+        #: the recorder's rate, declared to the bus with the plane
+        self.sample_rate = self.recorder.sample_rate
         self._queue_gauge = self.registry.gauge(
             "repro_wait_queue_depth",
             help="Threads parked per method queue (sampled)",
@@ -230,29 +175,26 @@ class ObservabilityPlane:
         self._gauge_lock = threading.Lock()
         self._last_depths: Dict[str, int] = {}
         self._last_parked = 0
-        self._unsubscribes: List[Callable[[], None]] = []
+        self._unsubscribe: Optional[Callable[[], None]] = None
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
     @property
     def enabled(self) -> bool:
-        return bool(self._unsubscribes)
+        return self._unsubscribe is not None
 
     def enable(self) -> "ObservabilityPlane":
-        """Subscribe the metrics fold and the recorder to the bus."""
-        if not self._unsubscribes:
-            bus = self.moderator.events
-            self._unsubscribes = [
-                bus.subscribe_fold(self.metrics.fold),
-                bus.subscribe(self.recorder),
-            ]
+        """Subscribe the plane to the bus: its events go to the
+        recorder, its one :meth:`fold` writes every exact count."""
+        if self._unsubscribe is None:
+            self._unsubscribe = self.moderator.events.subscribe(self)
         return self
 
     def disable(self) -> None:
-        """Unsubscribe everything; the bus returns to zero-cost emits."""
-        unsubscribes, self._unsubscribes = self._unsubscribes, []
-        for unsubscribe in unsubscribes:
+        """Unsubscribe; the bus returns to zero-cost emits."""
+        unsubscribe, self._unsubscribe = self._unsubscribe, None
+        if unsubscribe is not None:
             unsubscribe()
 
     def __enter__(self) -> "ObservabilityPlane":
@@ -260,6 +202,74 @@ class ObservabilityPlane:
 
     def __exit__(self, *exc_info: object) -> None:
         self.disable()
+
+    # ------------------------------------------------------------------
+    # the bus subscription: the recorder's events, one fold
+    # ------------------------------------------------------------------
+    def __call__(self, event: TraceEvent) -> None:
+        self.recorder(event)
+
+    def fold(self, method_id: str, items: Sequence[TallyItem]) -> None:
+        """The plane's one fold: every observed activation's tally, into
+        the metrics families and the recorder's exact counts.
+
+        The first tally of a (method, shape) on a thread compiles its
+        program (:meth:`_compile`); every later one runs its summed
+        increments and histogram updates under one hold of the thread's
+        stripe lock. The programs are kept with the recorder's registry
+        (``recorder.clear()`` drops both); free-text details make new
+        shapes, so a thread keeps at most ``_MAX_PROGRAMS``.
+        """
+        kinds, concerns, details, durations = zip(*items)
+        shape = (method_id, kinds, concerns, details)
+        local = self.recorder._local
+        programs = getattr(local, "programs", None)
+        if programs is None:
+            programs = local.programs = {}
+        program = programs.get(shape)
+        if program is None:
+            if len(programs) >= _MAX_PROGRAMS:
+                programs.clear()
+            program = programs[shape] = self._compile(method_id, items)
+        increments, observations, lock = program
+        lock.acquire()  # cheaper than ``with`` on this path
+        try:
+            for counters, key, amount in increments:
+                counters[key] += amount
+            for entry, buckets, position in observations:
+                duration = durations[position]
+                entry[0] += duration
+                entry[1] += 1
+                entry[2][bisect_left(buckets, duration)] += 1
+        finally:
+            lock.release()
+
+    def _compile(self, method_id: str,
+                 items: Sequence[TallyItem]) -> Tuple[Any, ...]:
+        """One tally shape's program on this thread: (each counter cell
+        with its summed increment, each histogram cell with the tally
+        position of its duration, the stripe lock)."""
+        increments: Dict[Tuple[int, Any], List[Any]] = {}
+        observations = []
+        for position, (kind, concern, detail, _) in enumerate(items):
+            counters, histogram = self.metrics._handles(
+                kind, method_id, concern,
+                detail if kind in _DETAIL_LABELS else "",
+            )
+            name = _COUNTED.get(kind)
+            if name is not None:
+                counters.append(
+                    self.recorder._counters.labels(method_id, name))
+            for counter in counters:
+                cells, key = counter.cell()
+                increment = increments.setdefault((id(cells), key),
+                                                  [cells, key, 0])
+                increment[2] += 1
+            if histogram is not None:
+                _lock, entry, buckets = histogram.cell()
+                observations.append((entry, buckets, position))
+        return (tuple(map(tuple, increments.values())), tuple(observations),
+                self.metrics.registry._stripe().lock)
 
     # ------------------------------------------------------------------
     # sampled gauges

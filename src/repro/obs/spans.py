@@ -42,8 +42,8 @@ Sampling is the bus's decision, made at the head: the recorder declares
 ``sample_rate`` and receives events only for sampled activations (plus
 a ``notify`` that woke a parked activation, and events outside any
 activation). Its exact per-method :attr:`SpanRecorder.counts` come from
-its :meth:`SpanRecorder.fold`, which the bus calls once with every
-activation's tally of arrows, sampled or not.
+a fold the bus calls once with every activation's tally of arrows,
+sampled or not: the plane's one fold, or the recorder's own alone.
 """
 
 from __future__ import annotations
@@ -234,37 +234,24 @@ class SpanRecorder:
     # exact counters (every tally, sampled or not)
     # ------------------------------------------------------------------
     def _fresh_counts(self) -> None:
-        """Exact counters on a private striped registry: bumped without
-        a lock by their writer thread, read as one consistent snapshot
-        (see :meth:`fold`, :attr:`counts`)."""
+        """Exact counters on a private striped registry, read as one
+        consistent snapshot (:attr:`counts`)."""
         self._registry = MetricsRegistry()
         self._counters = self._registry.counter(
             _COUNTS_FAMILY, labelnames=("method", "counter"),
         )
-        #: per thread: (counter, method) -> its stripe cell
+        #: per thread: the plane's fold programs, which write into this
+        #: registry and so are dropped with it
         self._local = threading.local()
 
     def fold(self, method_id: str, items: Sequence[TallyItem]) -> None:
-        """Bump the exact counter each tallied arrow's kind maps to; no
-        lock taken.
-
-        The bus calls this once per activation tally. Each (counter,
-        method) resolves once per thread to its cell on the thread's
-        registry stripe; a bump is then a single-writer increment.
-        """
-        cells = getattr(self._local, "cells", None)
-        if cells is None:
-            cells = self._local.cells = {}
+        """Bump the exact counter each tallied arrow's kind maps to:
+        the recorder's own fold, when it is subscribed without a plane
+        (a plane's one fold writes the same counters)."""
         for kind, _concern, _detail, _duration in items:
             name = _COUNTED.get(kind)
-            if name is None:
-                continue
-            cell = cells.get((name, method_id))
-            if cell is None:
-                cell = cells[(name, method_id)] = \
-                    self._counters.labels(method_id, name).cell()
-            counters, key = cell
-            counters[key] += 1
+            if name is not None:
+                self._counters.labels(method_id, name).inc()
 
     @property
     def counts(self) -> Dict[str, Dict[str, int]]:

@@ -686,3 +686,29 @@ def test_accepts_caller_cache_agrees_with_inspect(network):
     assert node_module._takes_caller[Plain.plain] is False
     assert node_module._takes_caller[Plain.with_caller] is True
     assert node_module._takes_caller[Plain.loose] is True
+
+
+# ----------------------------------------------------------------------
+# stopping an idle node
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("halt", ["stop", "crash"])
+def test_stopping_an_idle_node_wakes_its_workers(network, halt):
+    node = Node("n1", network, workers=2).start()
+    client = Client("c", network)
+    node.export("kv", KV())
+    try:
+        client.call_node("n1", "kv", "put", "a", 1)
+        workers = list(node._threads)
+        started = time.monotonic()
+        if halt == "stop":
+            assert node.stop(timeout=0.05) == []
+        else:
+            assert node.crash() == []
+        assert time.monotonic() - started < 0.05
+        assert not any(worker.is_alive() for worker in workers)
+        node.recover()
+        assert client.call_node("n1", "kv", "put", "b", 2,
+                                timeout=2.0) == 2
+    finally:
+        node.stop()
+        client.close()

@@ -371,6 +371,63 @@ class TestNodeJournaling:
             zombie.stop()
             network.close()
 
+    def test_journal_release_wakes_a_mutator_parked_on_another_node(self):
+        # The same shape with the lock held by a mutation instead of a
+        # checkpoint: the new home's put holds the plan lock, the
+        # returning node's put parks behind it, and the release must
+        # wake it well before its caller's wait runs out.
+        network = Network()
+        entered, go = threading.Event(), threading.Event()
+
+        class GatedKV(CountingKV):
+            def put(self, key, value):
+                if key == "held":
+                    entered.set()
+                    go.wait(5.0)
+                return super().put(key, value)
+
+        plan = kv_plan(MemoryStore())
+        home, zombie = (Node(node_id, network).start()
+                        for node_id in ("n1", "n2"))
+        for node in (home, zombie):
+            node.attach_recovery("kv", plan)
+            node.export("kv", GatedKV())
+        clients = [Client(client_id, network) for client_id in "ab"]
+        outcome = []
+
+        def call(client, node_id, key):
+            def run():
+                outcome.append(client.call_node(node_id, "kv", "put", key,
+                                                "v", timeout=3.0))
+            return threading.Thread(target=run)
+
+        holder = call(clients[0], "n1", "held")
+        parked = call(clients[1], "n2", "k")
+        try:
+            holder.start()
+            assert entered.wait(2.0)
+            parked.start()
+            moderator = zombie._journaling["kv"].moderator
+            deadline = time.monotonic() + 2.0
+            while moderator.stats.as_dict()["blocks"] == 0:
+                assert time.monotonic() < deadline
+                time.sleep(0.005)
+            go.set()
+            released = time.monotonic()
+            parked.join(timeout=5.0)
+            assert time.monotonic() - released < 1.0
+            holder.join(timeout=5.0)
+            assert outcome == [1, 1]
+            # the wake forgot them, so later releases notify no one
+            assert not plan.parked
+        finally:
+            go.set()
+            for client in clients:
+                client.close()
+            home.stop()
+            zombie.stop()
+            network.close()
+
     def test_checkpoint_every_takes_automatic_checkpoints(self, rig):
         store = MemoryStore()
         rig.node.attach_recovery("kv", kv_plan(store, checkpoint_every=2))
