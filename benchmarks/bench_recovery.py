@@ -41,7 +41,7 @@ from repro.dist import (
     RecoveryPlan,
     Supervisor,
 )
-from repro.dist.message import Message, check_wire_safe, error_reply, reply
+from repro.dist.message import check_wire_safe, error_reply, reply
 from repro.obs import propagation
 
 import harness
@@ -79,11 +79,12 @@ class LegacyNode(Node):
     """Current :class:`Node` with the recovery deltas removed.
 
     The unarmed ``_handle_request`` body below is the pre-recovery
-    inline serving path verbatim: no journaled-method routing, no
-    crash points, no fence/deadline/claim steps. The stock node serves
-    every request on its one path; this control is what that path is
-    bounded against. Armed requests (never measured on this control)
-    delegate to the stock handler.
+    inline serving path verbatim, reading the request's payload as it
+    did: no journaled-method routing, no crash points, no
+    fence/deadline/claim steps. The stock node serves every request on
+    its one path; this control is what that path is bounded against.
+    Armed requests (never measured on this control) delegate to the
+    stock handler.
     """
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
@@ -92,18 +93,17 @@ class LegacyNode(Node):
         # the verbatim body below still calls
         self._inc = self._counters.inc
 
-    def _handle_request(self, message: Message) -> None:
+    def _handle_request(self, request: Any) -> None:
+        message = request.message
         payload = message.payload
         budget = payload.get("deadline_budget")
         key = payload.get("idempotency_key")
         if key is not None or budget is not None:
-            Node._handle_request(self, message)
+            Node._handle_request(self, request)
             return
         service = payload.get("service", "")
         method = payload.get("method", "")
-        if self._runtimes and self._serve_on_reactor(
-            message, payload, service, method, None, None, None
-        ):
+        if self._runtimes and self._serve_on_reactor(request):
             return
         args = tuple(payload.get("args", ()))
         kwargs = dict(payload.get("kwargs", {}))

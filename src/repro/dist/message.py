@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 import marshal
 import time
-from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
 _message_ids = itertools.count(1)
@@ -58,28 +57,48 @@ def encode(value: Any) -> bytes:
 decode = marshal.loads
 
 
-@dataclass(frozen=True)
 class Message:
-    """One message on the simulated network."""
+    """One message on the simulated network, built in one call.
 
-    source: str
-    dest: str
-    kind: str  # "request" | "reply" | "error" | "event"
-    payload: Dict[str, Any] = field(default_factory=dict)
-    msg_id: int = field(default_factory=lambda: next(_message_ids))
-    reply_to: Optional[int] = None
-    sent_at: float = field(default_factory=time.monotonic)
-    #: the payload as encoded at construction (not compared)
-    wire: bytes = field(init=False, repr=False, compare=False)
+    ``payload`` defaults to ``{}``, ``msg_id`` to a fresh id and
+    ``sent_at`` to ``time.monotonic()``. ``wire`` is fixed at
+    construction, so the receiver's copy carries the payload as built,
+    whatever happens to it (or to the field) afterwards.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "wire", encode(self.payload))
+    __slots__ = ("source", "dest", "kind", "payload", "msg_id", "reply_to",
+                 "sent_at", "wire")
+
+    def __init__(self, source: str, dest: str,
+                 kind: str,  # "request" | "reply" | "error" | "event"
+                 payload: Optional[Dict[str, Any]] = None,
+                 msg_id: Optional[int] = None, reply_to: Optional[int] = None,
+                 sent_at: Optional[float] = None) -> None:
+        self.source = source
+        self.dest = dest
+        self.kind = kind
+        self.payload = payload = {} if payload is None else payload
+        self.msg_id = next(_message_ids) if msg_id is None else msg_id
+        self.reply_to = reply_to
+        self.sent_at = time.monotonic() if sent_at is None else sent_at
+        self.wire = encode(payload)
 
     def copy_for_delivery(self) -> "Message":
         """The receiver's message, its payload decoded from ``wire``."""
         delivered = object.__new__(Message)
-        delivered.__dict__.update(self.__dict__, payload=decode(self.wire))
+        delivered.source = self.source
+        delivered.dest = self.dest
+        delivered.kind = self.kind
+        delivered.payload = decode(self.wire)
+        delivered.msg_id = self.msg_id
+        delivered.reply_to = self.reply_to
+        delivered.sent_at = self.sent_at
+        delivered.wire = self.wire
         return delivered
+
+    def __repr__(self) -> str:
+        return (f"<Message {self.kind} #{self.msg_id} "
+                f"{self.source}->{self.dest}>")
 
 
 def request(source: str, dest: str, service: str, method: str,
@@ -115,7 +134,7 @@ def request(source: str, dest: str, service: str, method: str,
         "service": service,
         "method": method,
         "args": list(args),
-        "kwargs": dict(kwargs or {}),
+        "kwargs": kwargs or {},
         "caller": caller,
     }
     if trace is not None:
@@ -140,13 +159,9 @@ def reply(to: Message, result: Any) -> Message:
     )
 
 
-def error_reply(to: Message, exc: BaseException,
-                extra: Optional[Dict[str, Any]] = None) -> Message:
-    """Build an error reply carrying the exception type and text.
-
-    ``extra`` merges additional wire-safe fields into the payload —
-    e.g. the ``retry_after`` hint on an ``Overloaded`` rejection.
-    """
+def error_reply(to: Message, exc: BaseException) -> Message:
+    """Build an error reply carrying the exception type and text, and
+    its numeric ``retry_after`` hint, if any (``Overloaded``)."""
     payload: Dict[str, Any] = {
         "error_type": type(exc).__name__,
         "error": str(exc),
@@ -161,8 +176,6 @@ def error_reply(to: Message, exc: BaseException,
         # evidence) contribute their own wire-safe fields, so the
         # client can rehydrate the typed error with evidence intact.
         payload.update(wire())
-    if extra:
-        payload.update(extra)
     return Message(
         source=to.dest, dest=to.source, kind="error",
         payload=payload,

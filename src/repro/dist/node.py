@@ -33,9 +33,7 @@ import threading
 import time
 import weakref
 from contextlib import contextmanager
-from typing import (
-    Any, Dict, Iterator, List, NamedTuple, Optional, Set, Tuple,
-)
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.concurrency.primitives import WaitQueue
 from repro.core.aspect import Aspect
@@ -57,12 +55,7 @@ from .message import (
     Message, WireFormatError, check_wire_safe, decode, error_reply, reply,
 )
 from .network import Network, role
-from .resilience import (
-    Deadline,
-    DedupEntry,
-    IdempotencyCache,
-    ShedInbox,
-)
+from .resilience import DedupEntry, IdempotencyCache, ShedInbox
 
 #: counters every node keeps (prefix ``repro_node_``)
 _NODE_COUNTERS = (
@@ -111,41 +104,57 @@ class _NodeCrashed(BaseException):
         super().__init__(f"node crashed by fault plan: {spec}")
 
 
-class _Request(NamedTuple):
-    """A journaled request: what the journal aspect records. The
-    injector is ``None`` on the reactor, outside the crash model."""
+class _Request:
+    """One request as its node serves it: the payload parsed once by
+    the serving thread and read by every later step instead (a request
+    an inline offer declines is parsed again by its worker).
 
-    journal: "JournalAspect"
-    payload: Dict[str, Any]
-    key: Optional[str]
-    injector: Optional[Any]
+    ``expires`` is the wire deadline in monotonic seconds (``None``
+    unarmed); ``wait``, the nearer of it and an inline caller's reply
+    wait, bounds the duplicate wait and a threaded call's BLOCK parks.
+    ``entry`` is the dedup slot the request owns; ``journal`` the
+    :class:`JournalAspect` of a journaled method, whose crash points
+    consult ``injector`` (``None`` on the reactor).
+    """
+
+    __slots__ = ("message", "service", "method", "args", "kwargs", "caller",
+                 "trace", "key", "fence", "expires", "wait", "entry",
+                 "journal", "injector")
+
+    def __init__(self, message: Message,
+                 reply_by: Optional[float] = None) -> None:
+        payload = message.payload
+        self.message = message
+        self.service = payload.get("service", "")
+        self.method = payload.get("method", "")
+        self.args = payload.get("args", ())
+        self.kwargs = payload.get("kwargs", {})
+        self.caller = payload.get("caller")
+        self.trace = payload.get("trace")
+        self.key = payload.get("idempotency_key")
+        self.fence = payload.get("fence")
+        budget = payload.get("deadline_budget")
+        self.expires = wait = \
+            None if budget is None else message.sent_at + budget
+        # An inline serve parks no longer than its caller waits: a
+        # reply sent after that counts as lost (Client._send_once).
+        if reply_by is not None and (wait is None or reply_by < wait):
+            wait = reply_by
+        self.wait = wait
+        self.entry: Optional[DedupEntry] = None
+        self.journal: Optional[JournalAspect] = None
+        self.injector: Optional[Any] = None
 
 
-_ambient = threading.local()
+class _Ambient(threading.local):
+    #: the journaled request the thread is serving
+    request: Optional[_Request] = None
+
+
+_ambient = _Ambient()
 #: join-point context key: the request whose plan's lock this
 #: activation holds, from the journal precondition to its postaction
 _HOLDS_JOURNAL = "__journal__"
-
-
-@contextmanager
-def _serving(request: Optional[_Request]) -> Iterator[None]:
-    """Make ``request`` the calling thread's journaled request, and the
-    thread a serving one (its nested client calls queue).
-
-    On the way out, past every moderator lock (``notify`` must not be
-    called under one), a journaled request wakes the mutators parked on
-    its plan's lock in any node's moderator: the journal aspect may
-    have released that lock, and only a checkpoint would wake them
-    otherwise.
-    """
-    outer, serving = getattr(_ambient, "request", None), role.serving
-    _ambient.request, role.serving = request, True
-    try:
-        yield
-    finally:
-        _ambient.request, role.serving = outer, serving
-        if request is not None and request.journal.plan.parked:
-            request.journal.plan.wake_parked()
 
 
 class _ServeSlots:
@@ -199,17 +208,16 @@ class _ServeSlots:
             self.node._running = False
             self._not_empty.notify_all()
 
-    def release(self, message: Message, elapsed: float,
+    def release(self, request: Optional[_Request], elapsed: float,
                 caller: Optional[threading.Thread] = None) -> None:
-        """Give a slot back after serving ``message`` for ``elapsed``
-        seconds (and, for an inline ``caller``, its place in
-        :attr:`callers`)."""
-        with self._not_empty:
+        """Give a slot back after serving ``request`` (``None`` for a
+        stray non-request) for ``elapsed`` seconds (and, for an inline
+        ``caller``, its place in :attr:`callers`)."""
+        with self._lock:  # ``_not_empty``'s lock, taken bare (cheaper)
             self.free += 1
             self.callers.discard(caller)
-            if message.kind == "request":
-                payload = message.payload
-                key = (payload.get("service"), payload.get("method"))
+            if request is not None:
+                key = (request.service, request.method)
                 mark = self.marks.get(key)
                 if mark is not None:
                     self.marks[key] = max(elapsed, mark * _MARK_DECAY)
@@ -235,17 +243,18 @@ class _ServeSlots:
         out as it would on a worker's silence.
         """
         node = self.node
-        payload = message.payload
-        service = payload.get("service")
-        if not isinstance(node._servants.get(service), ComponentProxy):
+        reply_by = role.reply_by
+        request = _Request(message, reply_by)
+        if not isinstance(node._servants.get(request.service),
+                          ComponentProxy):
             return False
-        mark = self.marks.get((service, payload.get("method")))
+        mark = self.marks.get((request.service, request.method))
         started = time.monotonic()
         if mark is None or mark > _INLINE_MAX_S or \
-                mark * _INLINE_HEADROOM > role.reply_by - started:
+                mark * _INLINE_HEADROOM > reply_by - started:
             return False
         thread = threading.current_thread()
-        with self._not_empty:
+        with self._lock:
             if not node._running or self._items or not self.free \
                     or self._closed:
                 return False
@@ -253,12 +262,12 @@ class _ServeSlots:
             self.callers.add(thread)
         role.serving = True
         try:
-            node._handle_request(message, role.reply_by)
+            node._handle_request(request)
         except _NodeCrashed:
             pass
         finally:
             role.serving = False
-            self.release(message, time.monotonic() - started, thread)
+            self.release(request, time.monotonic() - started, thread)
         return True
 
     def settle_callers(self, timeout: float) -> List[threading.Thread]:
@@ -311,9 +320,9 @@ class JournalAspect(Aspect):
         self.proxy = proxy
 
     def precondition(self, joinpoint: JoinPoint) -> AspectResult:
-        request = getattr(_ambient, "request", None)
+        request = _ambient.request
         if request is None or request.journal.service != self.service \
-                or request.payload.get("method") != joinpoint.method_id:
+                or request.method != joinpoint.method_id:
             return AspectResult.RESUME
         plan = request.journal.plan
         if not plan.lock.acquire(False):
@@ -544,8 +553,9 @@ class Node:
             return drained and not self._crashed
 
     def _release(self, service: str) -> None:
-        # the in-flight count was taken while fetching the servant
-        with self._idle:
+        # the in-flight count was taken while fetching the servant;
+        # ``_idle``'s lock, taken bare
+        with self._lock:
             count = self._inflight.get(service, 0) - 1
             if count > 0:
                 self._inflight[service] = count
@@ -592,7 +602,6 @@ class Node:
             message,
             Overloaded(f"node {self.node_id} shed request "
                        f"({action})", retry_after=self.retry_after),
-            extra={"retry_after": self.retry_after},
         )
         self._send_response(response)
 
@@ -621,9 +630,11 @@ class Node:
             except WaitQueue.Closed:
                 return
             started = time.monotonic()
+            request = None
             try:
                 if message.kind == "request":
-                    self._handle_request(message)
+                    request = _Request(message)
+                    self._handle_request(request)
                 # replies are routed by client stubs sharing the inbox
                 # of a client endpoint; a serving node ignores stray
                 # replies.
@@ -633,28 +644,23 @@ class Node:
                 # process it stands in for.
                 return
             finally:
-                self.inbox.release(message, time.monotonic() - started)
+                self.inbox.release(request, time.monotonic() - started)
 
-    def _handle_request(self, message: Message,
-                        reply_by: Optional[float] = None) -> None:
+    def _handle_request(self, request: _Request) -> None:
         """Serve one request: fence → deadline → claim → serve → reply.
 
         Every request takes this one path, on a worker or, served
-        inline, on the caller's thread; ``reply_by`` is then the
-        caller's reply wait, which bounds the duplicate wait and the
-        BLOCK parks of a threaded servant call. An unarmed request (no
-        fence, budget or idempotency key on the wire) passes the first
-        three steps on a ``None`` test each; the servant call, the crash
-        points and the reply are the same either way. A journaled call
-        runs with its :class:`_Request` ambient, for the journal aspect.
-        The in-flight count :meth:`settle` waits on is held until the
-        call's dedup outcome is recorded.
+        inline, on the caller's thread, whose reply wait then bounds
+        the duplicate wait and the BLOCK parks of a threaded servant
+        call (``request.wait``). An unarmed request (no fence, budget or
+        idempotency key on the wire) passes the first three steps on a
+        ``None`` test each; the servant call, the crash points and the
+        reply are the same either way. The in-flight count
+        :meth:`settle` waits on is held until the call's dedup outcome
+        is recorded.
         """
-        payload = message.payload
-        service = payload.get("service", "")
-        method = payload.get("method", "")
-
-        fence = payload.get("fence")
+        message, service = request.message, request.service
+        fence = request.fence
         if fence is not None and self._epochs:
             local = self._epochs.get(service)
             if local is not None and fence != local:
@@ -674,63 +680,48 @@ class Node:
                 )))
                 return
 
-        deadline: Optional[Deadline] = None
-        budget = payload.get("deadline_budget")
-        if budget is not None:
-            deadline = Deadline.from_wire(budget, anchor=message.sent_at)
+        if request.expires is not None and request.expires <= time.monotonic():
             # Reject dead work before touching the servant: an expired
             # request's caller has already given up, so executing it
             # can only waste capacity (and double-apply if the caller
             # retried).
-            if deadline.expired:
-                self._counters.bump("requests_failed", "deadline_expired")
-                self._send_response(error_reply(message, DeadlineExceeded(
-                    f"request {service}.{method} expired before execution"
-                )))
-                return
-        # An inline serve parks no longer than its caller waits: a
-        # reply sent after that counts as lost (Client._send_once).
-        wait = deadline
-        if reply_by is not None and (deadline is None
-                                     or reply_by < deadline.expires_at):
-            wait = Deadline(reply_by)
-
-        entry: Optional[DedupEntry] = None
-        key = payload.get("idempotency_key")
-        if key is not None:
-            entry = self._claim(message, key, wait)
-            if entry is None:
-                return  # duplicate: a cached/parked reply was sent
-
-        if self._runtimes and self._serve_on_reactor(
-            message, payload, service, method, deadline, key, entry
-        ):
+            self._counters.bump("requests_failed", "deadline_expired")
+            self._send_response(error_reply(message, DeadlineExceeded(
+                f"request {service}.{request.method} expired before "
+                f"execution"
+            )))
             return
-        injector = self.fault_injector
-        request = self._request(service, method, payload, key, injector) \
-            if self._journaling else None
+
+        if request.key is not None and not self._claim(request):
+            return  # duplicate: a cached/parked reply was sent
+        journal = self._journaling.get(service)
+        if journal is not None and request.method in journal.methods:
+            request.journal = journal
+        if self._runtimes and self._serve_on_reactor(request):
+            return
+        injector = request.injector = self.fault_injector
         servant = None
         try:
             if injector is not None:
                 self._crash_point(injector, "serve")
             servant = self._enter(service)
-            result = self._invoke(servant, payload, method, wait, request)
-            if injector is not None and request is None:
+            if request.trace is None:
+                result = self._invoke(servant, request)
+            else:
+                # Activated around the servant call, so this node's
+                # span recorder roots the activation under the
+                # caller's span: one stitched trace.
+                with propagation.activate(
+                        propagation.from_wire(request.trace)):
+                    result = self._invoke(servant, request)
+            if injector is not None and request.journal is None:
                 # a journaled call passed it in the journal aspect
                 self._crash_point(injector, "applied")
-            response = self._reply(message, result)
-            self._counters.inc("requests_served")
-            if entry is not None:
-                # Cache the reply as sent: a retry of this logical call
-                # replays it instead of re-executing (at-most-once effects).
-                self.dedup.finish(key, response.kind, decode(response.wire))
+            response = self._succeeded(request, result)
         except _NodeCrashed:
             raise
         except BaseException as exc:  # noqa: BLE001 - marshalled to caller
-            # the wire deadline, not the caller's wait, decides whether
-            # a cut park counts as an expired deadline
-            response = self._failed(message, exc, service, method,
-                                    deadline, key, entry)
+            response = self._failed(request, exc)
         finally:
             if servant is not None:
                 self._release(service)
@@ -748,55 +739,54 @@ class Node:
             self._inflight[service] = self._inflight.get(service, 0) + 1
         return servant
 
-    def _invoke(self, servant: Any, payload: Dict[str, Any], method: str,
-                deadline: Optional[Deadline],
-                request: Optional[_Request] = None) -> Any:
-        """Execute the servant call a request payload describes."""
-        args = tuple(payload.get("args", ()))
-        kwargs = dict(payload.get("kwargs", {}))
-        caller = payload.get("caller")
-        # Propagated trace context (if any): activated around the
-        # servant call so this node's span recorder roots the resulting
-        # activation under the caller's span — one stitched trace.
-        context = propagation.from_wire(payload.get("trace"))
-        with propagation.activate(context):
-            if request is None:
-                return self._dispatch(servant, method, args, kwargs,
-                                      caller, deadline)
-            with _serving(request):
-                return self._dispatch(servant, method, args, kwargs,
-                                      caller, deadline,
-                                      request.journal.proxy)
+    def _invoke(self, servant: Any, request: _Request) -> Any:
+        """Execute the servant call ``request`` describes.
+
+        A journaled call runs with ``request`` as the thread's ambient
+        request. On the way out, past every moderator lock (``notify``
+        must not be called under one), it wakes the mutators parked on
+        its plan's lock in any node's moderator: the journal aspect may
+        have released that lock, and only a checkpoint would wake them
+        otherwise.
+        """
+        journal = request.journal
+        if journal is None:
+            return self._dispatch(servant, request.method, request.args,
+                                  request.kwargs, request.caller,
+                                  request.wait)
+        outer, _ambient.request = _ambient.request, request
+        try:
+            return self._dispatch(servant, request.method, request.args,
+                                  request.kwargs, request.caller,
+                                  request.wait, journal.proxy)
+        finally:
+            _ambient.request = outer
+            if journal.plan.parked:
+                journal.plan.wake_parked()
 
     @staticmethod
-    def _dispatch(servant: Any, method: str, args: tuple,
+    def _dispatch(servant: Any, method: str, args: Any,
                   kwargs: Dict[str, Any], caller: Optional[str],
-                  deadline: Optional[Deadline],
-                  proxy: Optional[ComponentProxy] = None) -> Any:
+                  deadline: Any, proxy: Optional[ComponentProxy] = None,
+                  ) -> Any:
         """One servant call; journal replay shares it with serving. A
         plain servant is called through its journaling ``proxy``, if
-        any, and receives ``caller`` when it accepts one."""
+        any, and receives ``caller`` when it accepts one. ``kwargs`` is
+        left as it came: the journal records it."""
         if isinstance(servant, ComponentProxy):
-            if deadline is not None:
-                # Moderator BLOCK parks are capped at the budget.
-                return servant.call(
-                    method, *args, caller=caller,
-                    deadline=deadline, **kwargs
-                )
-            return servant.call(method, *args, caller=caller, **kwargs)
+            # ``deadline`` (monotonic seconds) caps moderator BLOCK parks
+            return servant.call(method, *args, caller=caller,
+                                deadline=deadline, **kwargs)
         target = getattr(servant if proxy is None else proxy, method)
-        if caller is not None and Node._accepts_caller(target):
-            kwargs.setdefault("caller", caller)
+        if caller is not None and "caller" not in kwargs \
+                and Node._accepts_caller(target):
+            return target(*args, caller=caller, **kwargs)
         return target(*args, **kwargs)
 
     # ------------------------------------------------------------------
     # reactor serving (continuation runtime)
     # ------------------------------------------------------------------
-    def _serve_on_reactor(self, message: Message, payload: Dict[str, Any],
-                          service: str, method: str,
-                          deadline: Optional[Deadline],
-                          key: Optional[str],
-                          entry: Optional[DedupEntry]) -> bool:
+    def _serve_on_reactor(self, request: _Request) -> bool:
         """Submit a moderated call to the service's continuation runtime.
 
         Returns True when the request was taken (the reply will be sent
@@ -806,153 +796,160 @@ class Node:
         in-flight count is taken here and released in the callback, so
         :meth:`settle`'s drain barrier covers parked continuations too.
         """
+        service, method = request.service, request.method
         runtime = self._runtimes.get(service)
         if runtime is None:
             return False
-        args = tuple(payload.get("args", ()))
-        kwargs = dict(payload.get("kwargs", {}))
-        caller = payload.get("caller")
-        context = propagation.from_wire(payload.get("trace"))
         with self._lock:
             servant = self._servants.get(service)
             if not isinstance(servant, ComponentProxy) \
                     or not servant.is_participating(method):
                 return False
             self._inflight[service] = self._inflight.get(service, 0) + 1
-        if caller is None:
-            caller = servant._caller
-        request = self._request(service, method, payload, key) \
-            if self._journaling else None
+        caller = request.caller if request.caller is not None \
+            else servant._caller
+        journal = request.journal
+        context = propagation.from_wire(request.trace)
 
         @contextmanager
         def wrap() -> Any:
-            # Re-established around every segment run: the worker that
-            # resumes a parked suffix is not the thread that started the
-            # activation, and trace propagation and the journaled
-            # request are thread-local.
-            with propagation.activate(context), _serving(request):
-                yield
+            # Re-established around every segment run, as a serving
+            # thread's (:meth:`_invoke`): the worker that resumes a
+            # parked suffix is not the thread that started the
+            # activation, and all three are thread-local.
+            outer = _ambient.request, role.serving
+            _ambient.request = request if journal is not None else None
+            role.serving = True
+            try:
+                with propagation.activate(context):
+                    yield
+            finally:
+                _ambient.request, role.serving = outer
+                if journal is not None and journal.plan.parked:
+                    journal.plan.wake_parked()
 
         try:
             future = runtime.submit(
-                method, getattr(servant._component, method), *args,
+                method, getattr(servant._component, method), *request.args,
                 component=servant._component, caller=caller,
-                timeout=servant._timeout, deadline=deadline, wrap=wrap,
-                **kwargs,
+                timeout=servant._timeout, deadline=request.expires,
+                wrap=wrap, **request.kwargs,
             )
         except RuntimeError:
             # Runtime closed under us: undo the claim, serve threaded.
             self._release(service)
             return False
-        future.add_callback(
-            lambda fut: self._finish_reactor(
-                fut, message, service, method, deadline, key, entry
-            )
-        )
+        future.add_callback(lambda fut: self._finish_reactor(fut, request))
         return True
 
-    def _finish_reactor(self, future: Any, message: Message, service: str,
-                        method: str, deadline: Optional[Deadline],
-                        key: Optional[str],
-                        entry: Optional[DedupEntry]) -> None:
+    def _finish_reactor(self, future: Any, request: _Request) -> None:
         """Completion callback: reply exactly as the threaded path would.
 
         A success replies and caches like :meth:`_handle_request`; a
-        failure takes the same :meth:`_failed` step. With no dedup entry
-        (an unkeyed request) both reduce to the plain counters. The
-        in-flight count is released once the dedup outcome is recorded.
+        failure takes the same :meth:`_failed` step. The in-flight count
+        is released once the dedup outcome is recorded.
         """
         try:
             exc = future.exception()
             if exc is None:
-                response = self._reply(message, future.result())
-                self._counters.bump("requests_served")
-                if entry is not None:
-                    self.dedup.finish(key, response.kind,
-                                      decode(response.wire))
+                response = self._succeeded(request, future.result())
             else:
-                response = self._failed(message, exc, service, method,
-                                        deadline, key, entry)
+                response = self._failed(request, exc)
         finally:
-            self._release(service)
+            self._release(request.service)
         self._send_response(response)
 
-    def _failed(self, message: Message, exc: BaseException, service: str,
-                method: str, deadline: Optional[Deadline],
-                key: Optional[str],
-                entry: Optional[DedupEntry]) -> Message:
-        """The error reply for a failed request, counted and deduped."""
+    def _succeeded(self, request: _Request, result: Any) -> Message:
+        """The reply for a served request, counted and cached: with
+        ``result``, or :meth:`_flatten`'s copy of it if the wire refuses
+        it."""
+        try:
+            response = reply(request.message, result)
+        except WireFormatError:
+            response = reply(request.message, self._flatten(result))
+        self._counters.inc("requests_served")
+        self._cache(request, response)
+        return response
+
+    def _failed(self, request: _Request, exc: BaseException) -> Message:
+        """The error reply for a failed request, counted and cached."""
         if isinstance(exc, AspectFault) and \
                 exc.concern == JournalAspect.concern:
             # the journal's own failure (a fenced append) reaches the
             # caller as itself
             exc = exc.original
-        if (isinstance(exc, ActivationTimeout) and deadline is not None
-                and deadline.expired):
+        if (isinstance(exc, ActivationTimeout) and request.expires is not None
+                and request.expires <= time.monotonic()):
             # The park was cut short by the request's budget, not the
-            # local timeout: surface the end-to-end semantics.
+            # local timeout (the wire deadline decides, not the
+            # caller's wait): surface the end-to-end semantics.
             exc = DeadlineExceeded(
-                f"deadline elapsed while {service}.{method} was "
-                f"blocked in moderation"
+                f"deadline elapsed while {request.service}."
+                f"{request.method} was blocked in moderation"
             )
         counted = ["requests_failed"]
         if isinstance(exc, DeadlineExceeded):
             counted.append("deadline_expired")
         self._counters.bump(*counted)
-        response = error_reply(message, exc)
-        if entry is not None:
-            if self._not_applied(exc):
-                # The attempt provably never ran the method body: drop
-                # the slot so a retry may execute it.
-                self.dedup.abandon(key)
-            else:
-                # The body ran (or may have): pin this outcome.
-                self.dedup.finish(key, response.kind, response.payload)
+        response = error_reply(request.message, exc)
+        self._cache(request, response, exc)
         return response
 
-    def _claim(self, message: Message, key: str,
-               deadline: Optional[Deadline]) -> Optional[DedupEntry]:
-        """Claim ``key`` for execution, or answer the duplicate.
+    def _cache(self, request: _Request, response: Message,
+               exc: Optional[BaseException] = None) -> None:
+        """Record a claimed request's outcome: the reply as sent, which
+        a retry replays instead of re-executing (at-most-once effects),
+        or, for a failure that proves the body never ran
+        (:meth:`_not_applied`), no slot, so a retry may execute it."""
+        if request.entry is None:
+            return
+        if exc is not None and self._not_applied(exc):
+            self.dedup.abandon(request.key)
+        else:
+            self.dedup.finish(request.key, response.kind,
+                              decode(response.wire))
 
-        Returns the owned entry when this delivery should execute the
-        call; ``None`` when a reply has already been sent (cached
-        replay, parked-then-replayed, or gave up waiting).
+    def _claim(self, request: _Request) -> bool:
+        """Claim the request's key for execution, or answer the duplicate.
+
+        True when this delivery should execute the call (it then owns
+        ``request.entry``); False when a reply has already been sent
+        (cached replay, parked-then-replayed, or gave up waiting).
         """
+        message, key = request.message, request.key
         while True:
             state, entry = self.dedup.begin(key)
             if state == "new":
-                return entry
+                request.entry = entry
+                return True
             self._counters.bump("dedup_hits")
             if state == "done":
                 self._send_response(self._replay(message, entry))
-                return None
+                return False
             # The original delivery is still executing: park this
-            # duplicate until it finishes (bounded by the budget) and
+            # duplicate until it finishes (bounded by the wait) and
             # replay its reply — never run the body twice concurrently.
-            budget = (deadline.remaining() if deadline is not None
-                      else _DEFAULT_DUP_WAIT)
+            budget = (request.wait - time.monotonic()
+                      if request.wait is not None else _DEFAULT_DUP_WAIT)
             if budget > 0:
                 entry.wait(budget)
             if entry.done and entry.payload is not None:
                 self._send_response(self._replay(message, entry))
-                return None
+                return False
             if not entry.done:
                 self._counters.bump("requests_failed")
                 self._send_response(error_reply(message, TimeoutError(
                     f"duplicate of in-flight call {key!r} gave up "
                     f"waiting for the original to finish"
                 )))
-                return None
+                return False
             # Abandoned (completed without a payload): the original
             # attempt provably did not apply — loop and re-claim.
 
     def _replay(self, message: Message, entry: DedupEntry) -> Message:
         """The cached reply, re-addressed to this duplicate's caller."""
-        return Message(
-            source=self.node_id, dest=message.source,
-            kind=entry.kind or "reply", payload=dict(entry.payload or {}),
-            reply_to=message.msg_id,
-        )
+        return Message(self.node_id, message.source, entry.kind or "reply",
+                       entry.payload or {}, reply_to=message.msg_id)
 
     @staticmethod
     def _not_applied(exc: BaseException) -> bool:
@@ -1007,15 +1004,6 @@ class Node:
         except TypeError:
             pass
         return answer
-
-    @staticmethod
-    def _reply(to: Message, result: Any) -> Message:
-        """Reply with ``result``, or with :meth:`_flatten`'s copy of it
-        if the wire refuses it."""
-        try:
-            return reply(to, result)
-        except WireFormatError:
-            return reply(to, Node._flatten(result))
 
     @staticmethod
     def _flatten(result: Any) -> Any:
@@ -1142,15 +1130,6 @@ class Node:
         self._recovery_metrics().bump("checkpoints")
         return seq
 
-    def _request(self, service: str, method: str, payload: Dict[str, Any],
-                 key: Optional[str],
-                 injector: Optional[Any] = None) -> Optional[_Request]:
-        """The ambience a call of a journaled method runs in, or None."""
-        journal = self._journaling.get(service)
-        if journal is None or method not in journal.methods:
-            return None
-        return _Request(journal, payload, key, injector)
-
     def _journal(self, request: _Request, result: Any) -> None:
         """Append one applied effect (the journal aspect's postaction,
         under the plan's lock); an automatic checkpoint may follow."""
@@ -1159,12 +1138,11 @@ class Node:
         injector = request.injector
         if injector is not None:
             self._crash_point(injector, "applied")
-        payload = request.payload
         record = {
-            "method": payload.get("method", ""),
-            "args": list(payload.get("args", ())),
-            "kwargs": dict(payload.get("kwargs", {})),
-            "caller": payload.get("caller"),
+            "method": request.method,
+            "args": request.args,
+            "kwargs": request.kwargs,
+            "caller": request.caller,
             "key": request.key,
             "reply": {"kind": "reply",
                       "payload": {"result": self._flatten(result)}},

@@ -515,8 +515,7 @@ def recover_service(plan: RecoveryPlan, service: str,
         record = entry.get("record", {})
         try:
             Node._dispatch(servant, record.get("method", ""),
-                           tuple(record.get("args", ())),
-                           dict(record.get("kwargs", {})),
+                           record.get("args", ()), record.get("kwargs", {}),
                            record.get("caller"), None)
         except BaseException as exc:  # noqa: BLE001 - fail loud
             raise RecoveryError(

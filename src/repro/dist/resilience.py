@@ -35,7 +35,6 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.aspects.circuit_breaker import BreakerState, CircuitBreakerAspect
@@ -58,7 +57,6 @@ __all__ = [
 # ----------------------------------------------------------------------
 # deadlines
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
 class Deadline:
     """An absolute point on the monotonic clock a call must finish by.
 
@@ -70,13 +68,19 @@ class Deadline:
     shrinking-budget semantics real deadline propagation has.
     """
 
-    expires_at: float
+    __slots__ = ("expires_at",)
+
+    def __init__(self, expires_at: float) -> None:
+        self.expires_at = expires_at
+
+    def __repr__(self) -> str:
+        return f"Deadline({self.expires_at!r})"
 
     @classmethod
     def after(cls, budget: float,
               clock: Callable[[], float] = time.monotonic) -> "Deadline":
         """A deadline ``budget`` seconds from now."""
-        return cls(expires_at=clock() + budget)
+        return cls(clock() + budget)
 
     @classmethod
     def coerce(cls, value: "Deadline | float | None") -> "Optional[Deadline]":
@@ -101,7 +105,7 @@ class Deadline:
             return None
         if anchor is None:
             return cls.after(float(budget))
-        return cls(expires_at=float(anchor) + float(budget))
+        return cls(float(anchor) + float(budget))
 
     def remaining(self, clock: Callable[[], float] = time.monotonic) -> float:
         """Seconds left before expiry (negative when already expired)."""
@@ -131,29 +135,37 @@ class DedupEntry:
 
     Starts *pending* (the first delivery is executing); :meth:`finish`
     stores the reply and wakes duplicates parked in :meth:`wait`;
-    abandoned entries (the attempt provably did not apply) are removed
-    so a retry may re-execute.
+    abandoned entries (the attempt provably did not apply) finish with
+    no payload and leave the cache, so a retry may re-execute. ``done``
+    is set and checked under one class-wide lock, and only a
+    :meth:`wait` on a pending entry creates the event it parks on.
     """
 
-    __slots__ = ("_event", "kind", "payload")
+    __slots__ = ("done", "kind", "payload", "_event")
+
+    _guard = threading.Lock()
 
     def __init__(self) -> None:
-        self._event = threading.Event()
+        self.done = False
         self.kind: Optional[str] = None
         self.payload: Optional[Dict[str, Any]] = None
+        self._event: Optional[threading.Event] = None
 
-    @property
-    def done(self) -> bool:
-        return self._event.is_set()
-
-    def finish(self, kind: str, payload: Dict[str, Any]) -> None:
-        self.kind = kind
-        self.payload = payload
-        self._event.set()
+    def finish(self, kind: Optional[str],
+               payload: Optional[Dict[str, Any]]) -> None:
+        with DedupEntry._guard:
+            self.kind, self.payload, self.done = kind, payload, True
+            event = self._event
+        if event is not None:
+            event.set()
 
     def wait(self, timeout: Optional[float]) -> bool:
         """Block until the original attempt completes (False on timeout)."""
-        return self._event.wait(timeout)
+        with DedupEntry._guard:
+            if self.done:
+                return True
+            event = self._event = self._event or threading.Event()
+        return event.wait(timeout)
 
 
 class IdempotencyCache:
@@ -217,7 +229,7 @@ class IdempotencyCache:
         with self._lock:
             entry = self._entries.pop(key, None)
         if entry is not None and not entry.done:
-            entry._event.set()
+            entry.finish(None, None)
 
     def export_completed(self) -> Dict[str, Dict[str, Any]]:
         """Wire-safe snapshot of every completed entry with a reply.
@@ -419,19 +431,15 @@ class ShedInbox(WaitQueue):
                 raise WaitQueue.Closed("queue is closed")
             if getattr(item, "kind", None) == "request" \
                     and self._request_depth() >= self.limit:
-                if self.policy == "drop_oldest":
-                    evicted = self._evict_oldest_request()
-                    if evicted is not None:
-                        self.shed += 1
-                        shed_message = (evicted, "drop_oldest")
-                        self._items.append(item)
-                        self._not_empty.notify()
-                    else:
-                        self.shed += 1
-                        shed_message = (item, "reject")
-                else:
-                    self.shed += 1
+                self.shed += 1
+                evicted = self._evict_oldest_request() \
+                    if self.policy == "drop_oldest" else None
+                if evicted is None:
                     shed_message = (item, "reject")
+                else:
+                    shed_message = (evicted, "drop_oldest")
+                    self._items.append(item)
+                    self._not_empty.notify()
             else:
                 self._items.append(item)
                 self._not_empty.notify()

@@ -315,8 +315,8 @@ class Client:
         if budget is not None:
             self._budget_hist.observe(budget)
         effective = timeout if timeout is not None else self.default_timeout
-        if deadline is not None:
-            effective = min(effective, max(0.0, deadline.remaining()))
+        if budget is not None:
+            effective = min(effective, budget)
         # The wait runs from the send: a node may serve the request on
         # this thread inside ``send``, its parks bounded by ``reply_by``.
         reply_by = time.monotonic() + effective

@@ -1,6 +1,7 @@
 """Unit tests for messages and the wire-safety contract."""
 
 import enum
+import time
 from collections import OrderedDict
 
 import pytest
@@ -18,6 +19,7 @@ from repro.dist.message import (
     request,
 )
 from repro.dist.network import Network
+from repro.dist.resilience import Deadline
 from tests.oracle import legacy_check_wire_safe
 
 
@@ -120,6 +122,95 @@ class TestSendTimeSnapshot:
             assert delivered.payload == {"items": [1, 2]}
         finally:
             network.close()
+
+
+ENVELOPE = ("source", "dest", "kind", "msg_id", "reply_to", "sent_at")
+
+
+class TestMessageContract:
+    """The slotted ``Message`` keeps the frozen dataclass's contract,
+    except that a field may be assigned."""
+
+    def test_keyword_defaults(self):
+        before = time.monotonic()
+        first = Message(source="a", dest="b", kind="event")
+        second = Message(source="a", dest="b", kind="event")
+        assert first.payload == {} and first.payload is not second.payload
+        assert second.msg_id > first.msg_id
+        assert before <= first.sent_at <= second.sent_at <= time.monotonic()
+        assert first.reply_to is None
+
+    def test_explicit_fields_are_kept(self):
+        message = Message(source="a", dest="b", kind="reply",
+                          payload={"result": 1}, msg_id=7, reply_to=3,
+                          sent_at=1.5)
+        assert [getattr(message, name) for name in ENVELOPE] == \
+            ["a", "b", "reply", 7, 3, 1.5]
+        assert message.payload == {"result": 1}
+
+    def test_wire_is_fixed_at_construction(self):
+        built = request("client", "server", "s", "m", args=([1, 2],),
+                        kwargs={"tags": ["x"]})
+        built.payload["args"][0].append(3)
+        built.payload["kwargs"]["tags"].append("y")
+        delivered = built.copy_for_delivery()
+        assert delivered.payload["args"] == [[1, 2]]
+        assert delivered.payload["kwargs"] == {"tags": ["x"]}
+
+    def test_the_copy_keeps_the_envelope(self):
+        original = reply(request("client", "server", "s", "m"), [1])
+        delivered = original.copy_for_delivery()
+        for name in ENVELOPE:
+            assert getattr(delivered, name) == getattr(original, name)
+        assert delivered.wire == original.wire
+
+    def test_fields_may_be_assigned_but_the_wire_is_as_built(self):
+        message = Message(source="a", dest="b", kind="event",
+                          payload={"v": 1})
+        message.payload = {"v": 2}
+        message.dest = "c"
+        delivered = message.copy_for_delivery()
+        assert delivered.payload == {"v": 1}
+        assert delivered.dest == "c"
+
+    def test_no_other_attributes(self):
+        message = Message(source="a", dest="b", kind="event")
+        assert not hasattr(message, "__dict__")
+        with pytest.raises(AttributeError):
+            message.extra = 1
+
+
+class TestDeadlineContract:
+    def test_after_and_remaining(self):
+        deadline = Deadline.after(5.0, clock=lambda: 100.0)
+        assert deadline.expires_at == 105.0
+        assert deadline.remaining(clock=lambda: 103.0) == 2.0
+        assert Deadline(expires_at=1.0).expires_at == 1.0
+
+    def test_coerce(self):
+        deadline = Deadline.after(1.0)
+        assert Deadline.coerce(deadline) is deadline
+        assert Deadline.coerce(None) is None
+        before = time.monotonic()
+        coerced = Deadline.coerce(2)
+        assert before + 2 <= coerced.expires_at <= time.monotonic() + 2
+
+    def test_from_wire(self):
+        assert Deadline.from_wire(None) is None
+        assert Deadline.from_wire(2.0, anchor=10.0).expires_at == 12.0
+        assert Deadline.from_wire("2.5", anchor=10).expires_at == 12.5
+        before = time.monotonic()
+        rebuilt = Deadline.from_wire(3.0)
+        assert before + 3 <= rebuilt.expires_at <= time.monotonic() + 3
+
+    def test_expired_to_wire_and_cap(self):
+        past, future = Deadline.after(-1.0), Deadline.after(60.0)
+        assert past.expired and not future.expired
+        assert past.to_wire() == 0.0
+        assert 59.0 < future.to_wire() <= 60.0
+        assert future.cap(5.0) == 5.0
+        assert 59.0 < future.cap(None) <= 60.0
+        assert past.cap(5.0) < 0
 
 
 class Level(enum.IntEnum):

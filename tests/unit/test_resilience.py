@@ -1,11 +1,14 @@
 """Unit tests for the resilience primitives (`repro.dist.resilience`)."""
 
+import random
+import sys
 import threading
 import time
 
 import pytest
 
 from repro.core.errors import CircuitOpen
+from repro.dist import Client, Network, Node, resilience
 from repro.dist.message import Message, request
 from repro.dist.resilience import (
     Deadline,
@@ -158,6 +161,165 @@ class TestIdempotencyCache:
         assert stats["hits"] == 1
         assert stats["misses"] == 1
         assert stats["entries"] == 1
+
+
+class CountingThreading:
+    """``threading`` as :mod:`repro.dist.resilience` sees it, counting
+    the events it builds."""
+
+    def __init__(self):
+        self.events = 0
+
+    def __getattr__(self, name):
+        return getattr(threading, name)
+
+    def Event(self):  # noqa: N802 - stands in for threading.Event
+        self.events += 1
+        return threading.Event()
+
+
+class Ledger:
+    def __init__(self):
+        self.entries = []
+
+    def add(self, item):
+        self.entries.append(item)
+        return len(self.entries)
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    counting = CountingThreading()
+    monkeypatch.setattr(resilience, "threading", counting)
+    return counting
+
+
+@pytest.fixture
+def served():
+    network = Network()
+    node = Node("server", network).start()
+    node.export("ledger", Ledger())
+    client = Client("client", network, default_timeout=5.0)
+    yield node, client
+    client.close()
+    node.stop()
+    network.close()
+
+
+class TestLazyDedupEvent:
+    """A dedup entry builds its event only for a duplicate that waits,
+    and a waiter never misses the finish it raced."""
+
+    def test_keyed_calls_that_meet_no_duplicate_build_no_event(
+            self, counted, served):
+        node, client = served
+        for index in range(3):
+            assert client.call_node("server", "ledger", "add", index,
+                                    idempotency_key=f"k{index}") == index + 1
+        # a retry of a finished call replays without waiting
+        assert client.call_node("server", "ledger", "add", 0,
+                                idempotency_key="k0") == 1
+        assert node.dedup_hits == 1
+        assert counted.events == 0
+
+    def test_a_waiting_duplicate_builds_one_event(self, counted):
+        cache = IdempotencyCache(8)
+        cache.begin("k")
+        _, entry = cache.begin("k")
+        assert entry.wait(0.01) is False
+        assert entry.wait(0.01) is False
+        assert counted.events == 1
+        cache.finish("k", "reply", {"result": 1})
+        assert entry.wait(0.01) is True
+        assert counted.events == 1
+
+    @pytest.mark.parametrize("outcome", ["finish", "abandon"])
+    def test_a_wait_never_loses_a_racing_outcome(self, outcome):
+        rounds = 2000
+        cache = IdempotencyCache(rounds)
+        keys = [f"k{index}" for index in range(rounds)]
+        # Both sides spin a seeded while after meeting, so the outcome
+        # lands at every point of the wait's check-then-park.
+        rng = random.Random(rounds)
+        spins = [(rng.randrange(3000), rng.randrange(3000)) for _ in keys]
+        both = threading.Barrier(2)
+        late = []
+
+        def complete():
+            try:
+                for key, (_, spin) in zip(keys, spins):
+                    both.wait()
+                    for _ in range(spin):
+                        pass
+                    if outcome == "finish":
+                        cache.finish(key, "reply", {"result": key})
+                    else:
+                        cache.abandon(key)
+            except threading.BrokenBarrierError:
+                pass
+
+        completer = threading.Thread(target=complete, daemon=True)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            completer.start()
+            for key, (spin, _) in zip(keys, spins):
+                cache.begin(key)
+                _, entry = cache.begin(key)  # a duplicate's view
+                both.wait()
+                for _ in range(spin):
+                    pass
+                started = time.monotonic()
+                woke = entry.wait(1.0)
+                if not woke or time.monotonic() - started > 0.5:
+                    late.append(key)
+                    break
+                assert entry.done
+                if outcome == "finish":
+                    assert (entry.kind, entry.payload) == \
+                        ("reply", {"result": key})
+                else:
+                    assert entry.payload is None
+        finally:
+            sys.setswitchinterval(interval)
+            both.abort()
+            completer.join(timeout=5.0)
+        assert not completer.is_alive()
+        assert late == []
+
+
+class Tagged(Exception):
+    """A failure that carries the servant's live list on the wire."""
+
+    def __init__(self, notes):
+        super().__init__("tagged")
+        self.notes = notes
+
+    def wire_payload(self):
+        return {"notes": self.notes}
+
+
+class Noter:
+    def __init__(self):
+        self.notes = []
+
+    def fail(self):
+        self.notes.append(len(self.notes) + 1)
+        raise Tagged(self.notes)
+
+
+class TestDedupOutcome:
+    def test_a_pinned_failure_is_cached_as_sent(self, served):
+        node, client = served
+        noter = Noter()
+        node.export("noter", noter)
+        with pytest.raises(Exception, match="Tagged"):
+            client.call_node("server", "noter", "fail",
+                             idempotency_key="once")
+        noter.notes.append(99)  # the servant moves on after replying
+        state, entry = node.dedup.begin("once")
+        assert state == "done"
+        assert (entry.kind, entry.payload["notes"]) == ("error", [1])
 
 
 # ----------------------------------------------------------------------
