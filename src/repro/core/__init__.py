@@ -18,7 +18,6 @@ from .errors import (
     ActivationTimeout,
     AspectFault,
     AuthenticationError,
-    AuthorizationError,
     CompositionErrors,
     ContractViolation,
     FrameworkError,
@@ -26,7 +25,6 @@ from .errors import (
     NameNotFound,
     NetworkError,
     NodeUnreachable,
-    NotParticipatingError,
     RegistrationError,
     UnknownAspectError,
     WeavingError,
@@ -84,7 +82,6 @@ __all__ = [
     "AspectModerator",
     "AspectResult",
     "AuthenticationError",
-    "AuthorizationError",
     "BLOCK",
     "Cluster",
     "ComponentProxy",
@@ -107,7 +104,6 @@ __all__ = [
     "NameNotFound",
     "NetworkError",
     "NodeUnreachable",
-    "NotParticipatingError",
     "NullAspect",
     "Phase",
     "PlanCell",

@@ -155,10 +155,6 @@ class UnknownAspectError(FrameworkError, KeyError):
         super().__init__(f"no aspect registered for ({method_id!r}, {concern!r})")
 
 
-class NotParticipatingError(FrameworkError, AttributeError):
-    """Raised when moderation is requested for a non-participating method."""
-
-
 class WeavingError(FrameworkError):
     """Raised when weaving declarations are inconsistent (bad pointcut, etc.)."""
 
@@ -180,10 +176,6 @@ class ActivationTimeout(FrameworkError, TimeoutError):
 
 class AuthenticationError(FrameworkError):
     """Raised by authentication machinery on bad credentials or sessions."""
-
-
-class AuthorizationError(FrameworkError):
-    """Raised by authorization machinery when a principal lacks a permission."""
 
 
 class NetworkError(FrameworkError):

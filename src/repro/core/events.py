@@ -85,7 +85,7 @@ class TraceEvent:
     """
 
     __slots__ = ("kind", "method_id", "concern", "detail",
-                 "activation_id", "timestamp", "duration", "_thread")
+                 "activation_id", "timestamp", "duration")
 
     def __init__(self, kind: str, method_id: str = "", concern: str = "",
                  detail: str = "", activation_id: int = 0,
@@ -100,16 +100,6 @@ class TraceEvent:
             time.monotonic() if timestamp is None else timestamp
         )
         self.duration = duration
-        self._thread = threading.get_ident()
-
-    @property
-    def thread_name(self) -> str:
-        """Name of the emitting thread, looked up when read (its ident
-        once the thread has exited)."""
-        for thread in threading.enumerate():
-            if thread.ident == self._thread:
-                return thread.name
-        return f"thread-{self._thread}"
 
     def format(self) -> str:
         """Render as one line of a textual sequence diagram."""

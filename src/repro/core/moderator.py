@@ -78,7 +78,7 @@ from typing import (
 from repro.concurrency.primitives import LockDomain
 from repro.obs.metrics import MetricsRegistry
 
-from .aspect import Aspect
+from .aspect import Aspect, _coerce_result
 from .bank import AspectBank
 from .errors import (
     ActivationTimeout,
@@ -197,12 +197,14 @@ class Activation:
     state outlives the worker's stack while parked.
     """
 
-    __slots__ = ("method_id", "joinpoint", "effective_timeout",
+    __slots__ = ("method_id", "joinpoint", "plan", "effective_timeout",
                  "expires_at", "timed_out", "woken", "parked_since")
 
     def __init__(self, method_id: str, joinpoint: JoinPoint) -> None:
         self.method_id = method_id
         self.joinpoint = joinpoint
+        #: the entry step's validated plan, then the last round's
+        self.plan: Optional[ActivationPlan] = None
         self.effective_timeout: Optional[float] = None
         #: absolute end of every park, on the seam's clock
         self.expires_at: Optional[float] = None
@@ -475,9 +477,7 @@ class AspectModerator:
         started = time.monotonic()
         _revision, raw_pairs = self.bank.snapshot_for(method_id)
         policy = self._ordering
-        resolve = getattr(policy, "compile", None)
-        pairs = resolve(method_id, raw_pairs) if resolve is not None \
-            else policy(method_id, raw_pairs)
+        pairs = policy(method_id, raw_pairs)
         profiler = self._profiler
         profile_info = None
         if profiler is not None:
@@ -487,13 +487,14 @@ class AspectModerator:
             # elides declared-pure observers).
             pairs, profile_info = profiler.plan_pairs(method_id, pairs)
         registry = self._contracts
+        contract = (registry.contract_for(method_id)
+                    if registry is not None else None)
         plan = compile_plan(
             method_id, pairs, key, self._domain_for(method_id),
             self.health, self._fault_injector,
             getattr(policy, "__name__", type(policy).__name__),
-            registry.contract_for(method_id)
-            if registry is not None else None,
-            profile=profile_info,
+            contract, profile=profile_info,
+            participates=bool(raw_pairs) or contract is not None,
         )
         if profiler is not None:
             profiler.instrument(plan)
@@ -700,12 +701,8 @@ class AspectModerator:
         installed contract registry declares a contract on it — a
         contracted method with an empty aspect chain still needs the
         pre-/post-activation bracket for its entry and post-body check
-        points.
-
-        O(1) and lock-free: this probe runs on *every* attribute access
-        of a dynamic proxy, participating or not, so it must not build a
-        concern list (the previous implementation) or contend the bank
-        lock just to answer yes/no.
+        points. A compiled plan carries the same answer
+        (``ActivationPlan.participates``). O(1) and lock-free.
         """
         if self.bank.has_method(method_id):
             return True
@@ -766,9 +763,10 @@ class AspectModerator:
         ``never_blocks`` fast path; only an activation leaving the fast
         path resolves its bounds against ``now`` (default:
         ``seam.now()``), takes a waiter slot and enters :meth:`_rounds`
-        — the fast path allocates nothing. ``activation`` is the
-        continuation runtime's state object. The preactivation is
-        counted with the first round's outcome (``uncounted_entry``).
+        with the validated plan on ``activation.plan`` — the fast path
+        allocates nothing. ``activation`` is the continuation runtime's
+        state object. The preactivation is counted with the first
+        round's outcome (``uncounted_entry``).
         """
         joinpoint.phase = Phase.PRE_ACTIVATION
         events = self.events
@@ -815,6 +813,7 @@ class AspectModerator:
 
         if activation is None:
             activation = Activation(method_id, joinpoint)
+        activation.plan = plan
         effective_timeout = (
             timeout if timeout is not None else self.default_timeout
         )
@@ -852,16 +851,18 @@ class AspectModerator:
         the continuation runtime parks the continuation, releases the
         worker, and re-enters here on a wake or the expiry. Returns the
         outcome, or ``None`` when suspended (the waiter slot is kept).
+        Rounds hold the domain's ``RLock``, which the queue wraps.
         """
         method_id = activation.method_id
         joinpoint = activation.joinpoint
         events = self.events
+        plan = activation.plan
         suspended = False
         try:
             while True:
-                plan = self.plan_for(method_id)
-                queue = plan.queue
-                with queue:
+                if plan is None or plan.key != self.registration_version:
+                    plan = activation.plan = self.plan_for(method_id)
+                with plan.domain.lock:
                     # A plan still keyed on the current version is of
                     # the current lock domain: a domain move bumps the
                     # version, and a compile reads its key before its
@@ -913,7 +914,7 @@ class AspectModerator:
                             activation.parked_since = seam.now()
                             seam.register_park(activation)
                         self.stats.bump("waits")
-                        if not seam.park(activation, queue):
+                        if not seam.park(activation, plan.queue):
                             suspended = True
                             return None
         finally:
@@ -981,7 +982,8 @@ class AspectModerator:
                 # outcome is visible; its next round tallies on.
                 self.events.flush(method_id, tally[:])
                 tally.clear()
-        self._raise_faults(faults)
+        if faults:
+            self._raise_faults(faults)
         return outcome
 
     def _fold_tally(self, method_id: str, joinpoint: JoinPoint) -> None:
@@ -1014,7 +1016,8 @@ class AspectModerator:
         the interpreter's), and a declared contract's runner checkpoints
         each RESUME. With nothing armed each of those hooks is one
         ``None``/``False`` test, and the round is a bare walk over
-        pre-bound callables. While no cell was skipped the RESUMEd
+        pre-bound callables, coercing only a vote that is not an
+        :class:`AspectResult`. While no cell was skipped the RESUMEd
         prefix is a slice of ``plan.pairs``, and a full RESUME returns
         ``plan.pairs`` itself — zero allocations, and the identity token
         post-activation recognizes to unwind through the plan's cells.
@@ -1073,6 +1076,8 @@ class AspectModerator:
                         resumed = list(plan.pairs[:index])
                     continue
                 result = cell.evaluate(joinpoint)
+                if result.__class__ is not AspectResult:
+                    result = _coerce_result(result)
             except Exception as exc:  # noqa: BLE001 - contract violation
                 fault = AspectFault(method_id, concern, "precondition", exc)
                 self._note_fault(method_id, concern, "precondition", exc,
@@ -1195,8 +1200,6 @@ class AspectModerator:
     @staticmethod
     def _raise_faults(faults: List[AspectFault]) -> None:
         """Raise collected faults: one directly, several as a group."""
-        if not faults:
-            return
         if len(faults) == 1:
             raise faults[0]
         raise CompositionErrors(faults)
@@ -1262,7 +1265,7 @@ class AspectModerator:
             if never_blocks:
                 faults = self._run_postactions(plan, chain, joinpoint)
             else:
-                with plan.queue:
+                with plan.domain.lock:
                     faults = self._run_postactions(plan, chain, joinpoint)
         finally:
             if never_blocks and not self._waiters:
@@ -1287,7 +1290,8 @@ class AspectModerator:
                 # The activation's one fold, after its wake.
                 joinpoint.tally = None
                 self.events.flush(method_id, tally)
-        self._raise_faults(faults)
+        if faults:
+            self._raise_faults(faults)
         if runner is not None:
             self._finish_contract(runner, joinpoint)
 
@@ -1298,7 +1302,8 @@ class AspectModerator:
 
         A full-chain RESUME stashed ``plan.pairs`` itself; identity
         implies the current plan, so the unwind dispatches through its
-        cells' bound ``postaction`` (profiler shims included). Any other
+        cells' bound ``postaction`` (profiler shims included; nothing
+        for a cell bound to ``None``, the base no-op). Any other
         chain — partial, stale, or an overriding executor's — runs each
         aspect's own ``postaction``. Injector sites and contract check
         points are the same live hooks either way.
@@ -1323,7 +1328,8 @@ class AspectModerator:
                 if injector is not None and injector.fire(
                         "postaction", method_id, concern):
                     continue
-                postaction(joinpoint)
+                if postaction is not None:
+                    postaction(joinpoint)
             except Exception as exc:  # noqa: BLE001 - keep unwinding
                 self._note_fault(method_id, concern, "postaction", exc,
                                  joinpoint)
@@ -1411,16 +1417,16 @@ class AspectModerator:
             )
         joinpoint.phase = Phase.INVOCATION
         try:
-            if not joinpoint.invocation_skipped:
+            if not joinpoint._skip:
                 if joinpoint.tally is not None:
                     joinpoint.tally.append(("invoke", "", "", 0.0))
-                joinpoint.result = func(*args, **kwargs)
+                joinpoint._result = func(*args, **kwargs)
         except BaseException as exc:
             joinpoint.exception = exc
             raise
         finally:
             self.postactivation(method_id, joinpoint, plan=plan)
-        return joinpoint.result
+        return joinpoint._result
 
     # ------------------------------------------------------------------
     # lock-domain / wait-queue plumbing

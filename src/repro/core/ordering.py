@@ -17,12 +17,10 @@ Compile-time resolution
 The moderator does *not* call the policy per activation: it resolves the
 order once per plan compile, and the compiled plan replays it until the
 moderator's plan version moves (assigning ``moderator.ordering`` is
-itself such a move). A policy that is a pure function of ``(method_id,
-pairs)`` — everything in this module — needs nothing extra. A policy
-whose answer depends on anything else (time of day, a feature flag,
-internal mutable state) may expose a ``compile(method_id, pairs)`` hook
-returning the order to *freeze into the plan*; the moderator prefers the
-hook when present. A policy that must re-order when its outside state
+itself such a move), so whatever a policy answers is what the plan
+freezes, whether it is a pure function of ``(method_id, pairs)`` —
+everything in this module — or depends on outside state (time of day,
+a feature flag). A policy that must re-order when its outside state
 changes gets re-applied by reassigning it —
 ``moderator.ordering = moderator.ordering`` — which recompiles every
 plan against its new answer.
@@ -68,10 +66,6 @@ class PriorityOrder:
         )
         return [pair for _index, pair in indexed]
 
-    def compile(self, method_id: str, pairs: Pairs) -> Pairs:
-        """Compile-time hook: priorities are fixed, so resolve == call."""
-        return self(method_id, pairs)
-
 
 class ExplicitOrder:
     """Order concerns by an explicit per-method (or global) list.
@@ -98,10 +92,6 @@ class ExplicitOrder:
                 f"concerns {missing!r}"
             )
         return sorted(pairs, key=lambda pair: position[pair[0]])
-
-    def compile(self, method_id: str, pairs: Pairs) -> Pairs:
-        """Compile-time hook: the declared order is static by contract."""
-        return self(method_id, pairs)
 
 
 def guards_first(method_id: str, pairs: Pairs) -> Pairs:

@@ -31,15 +31,16 @@ contract declare / install      bumps the version
 profiler install / refresh      bumps the version
 =============================  =======================================
 
-A plan holds, per cell: the pre-bound ``evaluate_precondition`` /
-``postaction`` callables (no attribute chase per round), the
-quarantine-policy snapshot (``degraded``), and the descriptions of the
-fault-injection specs planned at its sites. Plan-level it resolves
-the ``never_blocks`` fast-path flag, the lock-domain handle and the
-method's wait queue. Quarantine, injector sites and contract check
-points are *not* compiled into the executor: every plan runs the one
-round and the one unwind, which read them live and skip each with a
-single ``None``/``False`` test when nothing is armed. The snapshots are
+A plan holds, per cell: the pre-bound precondition and postaction
+callables (no wrapper and no attribute chase per round; see
+:class:`PlanCell`), the quarantine-policy snapshot (``degraded``), and
+the descriptions of the fault-injection specs planned at its sites.
+Plan-level it resolves the ``participates`` and ``never_blocks`` flags,
+the lock-domain handle and the method's wait queue. Quarantine,
+injector sites and contract check points are *not* compiled into the
+executor: every plan runs the one round and the one unwind, which read
+them live and skip each with a single ``None``/``False`` test when
+nothing is armed. The snapshots are
 for :meth:`ActivationPlan.explain`, which renders the whole composed
 contract for diagrams (:mod:`repro.analysis.diagram`) and the static
 linter (:mod:`repro.verify.lint`).
@@ -64,9 +65,14 @@ class PlanCell:
     """One compiled cell of an activation plan.
 
     Carries its concern's bound protocol callables, resolved at compile
-    time (a clause profiler may replace ``evaluate`` / ``postaction``
-    with instrumented shims), plus report-only snapshots: the
-    quarantine policy and the injector specs planned at its sites.
+    time: ``evaluate`` is the aspect's bare ``precondition`` (the round
+    coerces a vote that is not an ``AspectResult``) unless the aspect
+    overrides ``evaluate_precondition``, which then stays bound;
+    ``postaction`` is ``None`` for the base no-op, whose call the
+    unwind skips while still visiting the cell's hooks. A clause
+    profiler may replace both with instrumented shims. Plus report-only
+    snapshots: the quarantine policy and the injector specs planned at
+    its sites.
     """
 
     __slots__ = (
@@ -82,8 +88,14 @@ class PlanCell:
         self.concern = concern
         self.aspect = aspect
         self.pair = (concern, aspect)
-        self.evaluate = aspect.evaluate_precondition
-        self.postaction = aspect.postaction
+        evaluate = aspect.evaluate_precondition
+        self.evaluate = aspect.precondition if getattr(
+            evaluate, "__func__", None) is Aspect.evaluate_precondition \
+            else evaluate
+        postaction = aspect.postaction
+        self.postaction = None if getattr(
+            postaction, "__func__", None) is Aspect.postaction \
+            else postaction
         self.never_blocks = aspect.never_blocks
         self.degraded = degraded
         self.policy = policy
@@ -153,8 +165,8 @@ class ActivationPlan:
     """
 
     __slots__ = (
-        "method_id", "cells", "pairs", "never_blocks", "injector_armed",
-        "key", "domain", "_queue",
+        "method_id", "cells", "pairs", "participates", "never_blocks",
+        "injector_armed", "key", "domain", "_queue",
         "domain_name", "ordering_name", "compile_seconds", "contract",
         "profile", "_segments",
     )
@@ -163,9 +175,13 @@ class ActivationPlan:
                  key: int, domain: Any,
                  ordering_name: str, contract: Optional[Any] = None,
                  profile: Optional[Dict[str, Any]] = None,
-                 injector_armed: bool = False) -> None:
+                 injector_armed: bool = False,
+                 participates: bool = True) -> None:
         self.method_id = method_id
         self.cells = cells
+        #: some aspect or a contract guards the method (not
+        #: ``bool(cells)``: a profiler may elide every cell)
+        self.participates = participates
         #: raw ordered (concern, aspect) pairs — the executor stashes
         #: this exact tuple on the join point between phases, so the
         #: post-activation side can recognize a full-plan chain by
@@ -354,21 +370,21 @@ class PlanHandle:
     wrapper of a method converges on the same compiled plan.
     """
 
-    __slots__ = ("moderator", "method_id", "_plan")
+    __slots__ = ("moderator", "method_id", "plan")
 
     def __init__(self, moderator: "AspectModerator", method_id: str) -> None:
         self.moderator = moderator
         self.method_id = method_id
-        self._plan: Optional[ActivationPlan] = None
+        #: the last plan :meth:`current` returned (stale once its key moved)
+        self.plan: Optional[ActivationPlan] = None
 
     def current(self) -> ActivationPlan:
         """The currently valid plan, recompiled on version change."""
-        plan = self._plan
+        plan = self.plan
         if plan is not None and \
                 plan.key == self.moderator.registration_version:
             return plan
-        plan = self.moderator.plan_for(self.method_id)
-        self._plan = plan
+        plan = self.plan = self.moderator.plan_for(self.method_id)
         return plan
 
     def __repr__(self) -> str:
@@ -385,16 +401,17 @@ def compile_plan(
     ordering_name: str,
     contract: Optional[Any] = None,
     profile: Optional[Dict[str, Any]] = None,
+    participates: bool = True,
 ) -> ActivationPlan:
     """Compile one method's ordered chain into an :class:`ActivationPlan`.
 
     ``pairs`` must already be in effective composition order (the
-    moderator applies its ordering policy — or the policy's ``compile``
-    hook — before calling here). ``health`` supplies the per-cell
-    quarantine snapshot, ``injector`` (when armed) the specs planned at
-    each cell's sites, ``contract`` the method's declared
-    :class:`~repro.contracts.MethodContract`. All three are report
-    data; the executor reads their live state every round.
+    moderator applies its ordering policy before calling here).
+    ``health`` supplies the per-cell quarantine snapshot, ``injector``
+    (when armed) the specs planned at each cell's sites, ``contract``
+    the method's declared :class:`~repro.contracts.MethodContract`. All
+    three are report data; the executor reads their live state every
+    round.
     """
     cells = []
     quarantined = health.degraded.get(method_id, {})
@@ -412,4 +429,5 @@ def compile_plan(
     return ActivationPlan(
         method_id, tuple(cells), key, domain, ordering_name, contract,
         profile, injector_armed=injector is not None and bool(cells),
+        participates=participates,
     )

@@ -96,7 +96,7 @@ class ComponentProxy:
     def __getattr__(self, name: str) -> Any:
         # Only called for attributes not found on the proxy itself.
         target = getattr(self._component, name)
-        if not callable(target) or not self.is_participating(name):
+        if not callable(target):
             return target
         revision = self._moderator.registration_version
         if revision != self._wrapper_revision:
@@ -104,9 +104,12 @@ class ComponentProxy:
             object.__setattr__(self, "_wrapper_revision", revision)
         cached = self._wrappers.get(name)
         # equality, not identity: getattr on the component yields a fresh
-        # bound-method object per access, but equal ones are interchangeable
-        if cached is not None and getattr(cached, "__wrapped__", None) == target:
+        # bound-method object per access, but equal ones are interchangeable.
+        # A wrapper cached at this revision guards a participating method.
+        if cached is not None and cached.__wrapped__ == target:
             return cached
+        if not self.is_participating(name):
+            return target
         wrapper = self._guard(name, target)
         self._wrappers[name] = wrapper
         return wrapper
@@ -166,20 +169,27 @@ class ComponentProxy:
         (e.g. :class:`repro.dist.resilience.Deadline`). It caps BLOCK
         parks at the remaining budget on top of (never instead of) the
         local ``timeout``, so a remote caller's budget bounds how long
-        this activation may stay parked.
+        this activation may stay parked. Participation is read off the
+        method's plan, revalidated with one int compare.
         """
         target = getattr(self._component, method_id)
-        if not self.is_participating(method_id):
+        moderator = self._moderator
+        handle = moderator._plan_handles.get(method_id) \
+            or moderator.plan_handle(method_id)
+        plan = handle.plan
+        if plan is None or plan.key != moderator.registration_version:
+            plan = handle.current()
+        participating = self._participating
+        if not (plan.participates if participating is None
+                else method_id in participating):
             # pass-through: no join point (or activation id) is allocated
             return target(*args, **kwargs)
-        moderator = self._moderator
         joinpoint = JoinPoint(
-            method_id=method_id, component=self._component,
-            args=args, kwargs=kwargs,
+            method_id, self._component, args, kwargs,
             caller=caller if caller is not None else self._caller,
         )
         return moderator._bracket(
-            method_id, joinpoint, moderator.plan_handle(method_id).current(),
+            method_id, joinpoint, plan,
             timeout if timeout is not None else self._timeout, deadline,
             target, args, kwargs,
         )

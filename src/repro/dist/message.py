@@ -18,27 +18,38 @@ from typing import Any, Dict, Optional, Tuple
 
 _message_ids = itertools.count(1)
 _LEAVES = frozenset((type(None), bool, int, float, str, bytes))
+_CONTAINERS = frozenset((dict, list, tuple))
 _MAX_DEPTH = 16
 
 
 def check_wire_safe(value: Any, depth: int = 0) -> bool:
-    """Whether :func:`encode` would accept ``value``."""
+    """Whether :func:`encode` would accept ``value``.
+
+    Items are judged in the loop without a call when they are leaves or
+    empty containers of an exact type: inside the loop ``depth`` is
+    within the bound, where an empty container is always accepted.
+    """
     kind = type(value)
     if depth > _MAX_DEPTH or kind in _LEAVES:
         return depth <= _MAX_DEPTH
-    if kind is not dict and kind is not list and kind is not tuple:
+    if kind not in _CONTAINERS:
         return False
     depth += 1
     if value and depth > _MAX_DEPTH:
         return False
     if kind is dict:
         for key, item in value.items():
-            if type(key) is not str or (type(item) not in _LEAVES
-                                        and not check_wire_safe(item, depth)):
+            if type(key) is not str:
+                return False
+            kind = type(item)
+            if kind not in _LEAVES and (kind not in _CONTAINERS or item) \
+                    and not check_wire_safe(item, depth):
                 return False
     else:
         for item in value:
-            if type(item) not in _LEAVES and not check_wire_safe(item, depth):
+            kind = type(item)
+            if kind not in _LEAVES and (kind not in _CONTAINERS or item) \
+                    and not check_wire_safe(item, depth):
                 return False
     return True
 

@@ -59,6 +59,7 @@ import weakref
 from collections import OrderedDict
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro.core.aspect import _coerce_result
 from repro.core.results import AspectResult
 
 from .metrics import MetricsRegistry
@@ -212,7 +213,9 @@ class _ProfiledPre:
     veto exactly, times 1-in-``rate`` calls into the cost histogram
     (the tick is racy under threads — a stride, not a guarantee; the
     histogram is a sample either way), and consults/feeds the memo
-    cache when one is attached.
+    cache when one is attached. The inner callable may be the aspect's
+    bare ``precondition``, so its vote is coerced here first: counts,
+    vetoes and memo entries see an :class:`AspectResult`.
     """
 
     __slots__ = ("inner", "state", "rate", "_tick", "memo", "key_fn",
@@ -262,6 +265,8 @@ class _ProfiledPre:
             state.cost_pre.observe(time.perf_counter_ns() - began)
         else:
             result = self.inner(joinpoint)
+        if result.__class__ is not AspectResult:
+            result = _coerce_result(result)
         state.evals_pre.inc()
         if result is AspectResult.RESUME:
             if key is not _BYPASS:
@@ -579,8 +584,11 @@ class ClauseProfiler:
                 cell.evaluate, state, self.sample_rate, memo, key_fn,
                 fail_closed,
             )
+            # A cell bound to no postaction (the base no-op) is profiled
+            # around the aspect's own no-op, so it still counts.
             cell.postaction = _ProfiledPost(
-                cell.postaction, state, self.sample_rate,
+                cell.postaction or aspect.postaction, state,
+                self.sample_rate,
             )
 
     # ------------------------------------------------------------------

@@ -337,3 +337,57 @@ def test_exact_values_round_trip_with_their_types(value):
 @settings(max_examples=300, deadline=None)
 def test_check_agrees_with_the_legacy_predicate(value):
     assert check_wire_safe(value) == legacy_check_wire_safe(value)
+
+
+def recursive_check_wire_safe(value, depth=0):
+    """``check_wire_safe`` as it was before it judged empty containers
+    in its loop (one call per container item): the reference below."""
+    kind = type(value)
+    if depth > 16 or kind in LEAVES:
+        return depth <= 16
+    if kind is not dict and kind is not list and kind is not tuple:
+        return False
+    depth += 1
+    if value and depth > 16:
+        return False
+    if kind is dict:
+        for key, item in value.items():
+            if type(key) is not str or (type(item) not in LEAVES
+                                        and not recursive_check_wire_safe(
+                                            item, depth)):
+                return False
+    else:
+        for item in value:
+            if type(item) not in LEAVES \
+                    and not recursive_check_wire_safe(item, depth):
+                return False
+    return True
+
+
+LEAVES = frozenset((type(None), bool, int, float, str, bytes))
+EMPTIES = st.sampled_from([[], {}, (), [[]], {"k": ()}, ([], {}), "leaf"])
+
+
+@given(value=st.one_of(
+           ANY_VALUES,
+           exact_values(EXACT_LEAVES | EMPTIES),
+           st.builds(nested, st.integers(12, 20), EMPTIES),
+           st.builds(nested, st.integers(12, 20),
+                     exact_values(EXACT_LEAVES | EMPTIES))),
+       depth=st.integers(0, 18))
+@settings(max_examples=400, deadline=None)
+def test_check_agrees_with_the_recursive_reference(value, depth):
+    assert check_wire_safe(value, depth) == \
+        recursive_check_wire_safe(value, depth)
+
+
+def test_empty_containers_at_and_past_the_depth_bound():
+    for depth in (15, 16, 17):
+        for leaf in ([], {}, (), [[]], {"k": []}):
+            for start in (0, 1, 2):
+                value = nested(depth - start, leaf)
+                assert check_wire_safe(value, start) is \
+                    recursive_check_wire_safe(value, start)
+    assert check_wire_safe(nested(16, []))
+    assert not check_wire_safe(nested(17, []))
+    assert not check_wire_safe(nested(16, [[]]))

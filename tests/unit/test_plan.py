@@ -24,7 +24,9 @@ import pytest
 from repro.analysis import plan_to_dot, plan_table
 from repro.contracts import ContractRegistry
 from repro.core import (
+    Aspect,
     AspectModerator,
+    AspectResult,
     FunctionAspect,
     JoinPoint,
     PlanHandle,
@@ -60,9 +62,32 @@ class TestCompile:
             (cell.concern, cell.aspect) for cell in plan.cells
         )
         for cell in plan.cells:
-            # pre-bound protocol callables — no per-round attribute chase
-            assert cell.evaluate == cell.aspect.evaluate_precondition
+            # pre-bound protocol callables — no per-round attribute
+            # chase, and no ``evaluate_precondition`` wrapper around the
+            # aspect's own precondition
+            assert cell.evaluate == cell.aspect.precondition
             assert cell.postaction == cell.aspect.postaction
+
+    def test_binding_keeps_overrides_and_drops_the_base_no_op(self):
+        class Skim(Aspect):
+            def evaluate_precondition(self, joinpoint):
+                return super().evaluate_precondition(joinpoint)
+
+        class Guard(Aspect):
+            def precondition(self, joinpoint):
+                return True
+
+        moderator = AspectModerator()
+        moderator.register_aspect("m", "skim", Skim())
+        moderator.register_aspect("m", "guard", Guard())
+        skim, guard = moderator.plan_for("m").cells
+        # an overriding evaluate_precondition stays the bound callable
+        assert skim.evaluate == skim.aspect.evaluate_precondition
+        assert guard.evaluate == guard.aspect.precondition
+        # the base no-op postaction binds nothing: the unwind calls none
+        assert skim.postaction is None and guard.postaction is None
+        # the round still coerces the bool vote
+        assert moderator.preactivation("m") is AspectResult.RESUME
 
     def test_routing_flags_never_blocks_chain(self):
         plan = _moderator(never_blocks=True).plan_for("m")

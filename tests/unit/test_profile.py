@@ -22,8 +22,10 @@ import pytest
 
 from repro.analysis import plan_table
 from repro.contracts import ContractRegistry
-from repro.core import AspectModerator, ComponentProxy, FunctionAspect
-from repro.core.errors import AspectFault, MethodAborted
+from repro.core import (
+    Aspect, AspectModerator, ComponentProxy, FunctionAspect,
+)
+from repro.core.errors import ActivationTimeout, AspectFault, MethodAborted
 from repro.core.results import AspectResult
 from repro.faults import FaultInjector, FaultPlan
 from repro.obs import ClauseProfiler, MemoCache
@@ -112,6 +114,39 @@ class TestRecording:
         state = profiler._cells[("tick", "a")]
         assert state.evals_post.value == 4
         assert state.cost_post.value.count == 4
+
+    def test_bare_votes_and_the_base_postaction_count_as_ever(self):
+        # Plan cells bind a bare ``precondition`` and no postaction for
+        # the base no-op; the shims must still see AspectResult votes
+        # and count the no-op unwind.
+        class Loose(Aspect):
+            concern = "loose"
+            idempotent_precondition = True
+            cache_key = staticmethod(lambda jp: jp.args)
+
+            def precondition(self, joinpoint):
+                return {"a": True, "b": None, "c": False}[joinpoint.args[0]]
+
+        class Echo:
+            def tick(self, value):
+                return value
+
+        moderator = AspectModerator()
+        moderator.register_aspect("tick", "loose", Loose())
+        profiler = ClauseProfiler(sample_rate=1).install(moderator)
+        proxy = ComponentProxy(Echo(), moderator)
+        assert [proxy.call("tick", v) for v in "aab"] == ["a", "a", "b"]
+        with pytest.raises(ActivationTimeout):
+            proxy.call("tick", "c", timeout=0.0)  # BLOCK, final round
+        [row] = profiler.report()
+        assert {key: row[key] for key in
+                ("evals", "vetoes", "memo_hits", "memo_size")} == \
+            {"evals": 5, "vetoes": 2, "memo_hits": 1, "memo_size": 2}
+        state = profiler._cells[("tick", "loose")]
+        assert state.veto_block.value == 2 and state.veto_abort.value == 0
+        assert state.evals_post.value == 3
+        assert state.cost_post.value.count == 3
+        assert moderator.stats.faults == 0
 
     @pytest.mark.parametrize("armed", ["nothing", "injector", "contract"])
     def test_postactions_profiled_whatever_is_armed(self, armed):
@@ -442,7 +477,8 @@ class TestRevision:
         assert stripped.profile is None
         # wrappers are gone: back to the pre-bound aspect callables
         cell = stripped.cells[0]
-        assert cell.evaluate == cell.aspect.evaluate_precondition
+        assert cell.evaluate == cell.aspect.precondition
+        assert cell.postaction == cell.aspect.postaction
 
     def test_profile_epoch_in_explain_and_registration_version(self):
         moderator = AspectModerator()
