@@ -84,12 +84,6 @@ class AuctionHouse:
         auction = self._auctions.get(item)
         return bool(auction and auction["open"])
 
-    def bid_count(self, item: str) -> int:
-        auction = self._auctions.get(item)
-        if auction is None:
-            raise AuctionError(f"no auction for {item!r}")
-        return len(auction["bids"])
-
 
 def _bid_is_competitive(joinpoint) -> bool:
     """Validation rule: a bid must beat the high bid by the increment."""

@@ -69,9 +69,6 @@ class TimecardLedger:
             for name, punches in sorted(self._punches.items())
         }
 
-    def shifts(self, employee: str) -> List[Dict]:
-        return [dict(p) for p in self._punches.get(employee, [])]
-
 
 def build_timecard_cluster(
     sessions: Optional[SessionManager] = None,

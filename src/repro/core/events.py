@@ -131,8 +131,9 @@ class EventBus:
     * **folds** get every observed activation's tally once,
       ``fold(method_id, items)`` (:meth:`flush`), and build nothing; an
       :meth:`emit` reaches them as a one-item tally. :meth:`subscribe`
-      registers a listener's ``fold`` attribute, if it has one, beside
-      it; :meth:`subscribe_fold` registers a bare fold.
+      registers the ``fold=`` it is given, or else the listener's
+      ``fold`` attribute if it has one, beside the listener;
+      :meth:`subscribe_fold` registers a bare fold.
 
     Subscriber tuples are **copy-on-write**: ``emit`` reads them without
     a lock or a copy (rebinding a tuple is atomic under the GIL) and
@@ -166,17 +167,21 @@ class EventBus:
         #: wall-clock instants
         self.anchor: Tuple[float, float] = (time.time(), time.monotonic())
 
-    def subscribe(self, listener: EventListener) -> Callable[[], None]:
+    def subscribe(self, listener: EventListener,
+                  fold: Optional[EventFold] = None) -> Callable[[], None]:
         """Add ``listener``; returns an unsubscribe callable.
 
         An integer ``sample_rate`` attribute on the listener asks for
-        1-in-N activations (default: every one); a ``fold`` attribute is
-        subscribed with it and gets every observed activation's tally.
+        1-in-N activations (default: every one). ``fold``, or else the
+        listener's ``fold`` attribute, is subscribed with it and gets
+        every observed activation's tally.
         """
         rate = getattr(listener, "sample_rate", 1)
         if not isinstance(rate, int) or rate < 1:
             rate = 1
-        return self._add((listener, getattr(listener, "fold", None), rate))
+        if fold is None:
+            fold = getattr(listener, "fold", None)
+        return self._add((listener, fold, rate))
 
     def subscribe_fold(self, fold: EventFold) -> Callable[[], None]:
         """Add a bare fold: every tally, no sampling say."""

@@ -1,10 +1,11 @@
 """The observability plane: one object that wires spans + metrics in.
 
 :class:`ObservabilityPlane` composes the pieces of ``repro.obs`` around
-one moderator, and is itself their one bus subscriber:
+one moderator, and subscribes them to its bus in one subscription:
 
 * a :class:`~repro.obs.spans.SpanRecorder`, which gets the events of
-  sampled activations and builds their span trees and wake edges;
+  sampled activations, keeps them, and builds their span trees when
+  they are read; it links wake edges as they happen;
 * the :class:`MetricsListener` families on the moderator's striped
   :class:`~repro.obs.metrics.MetricsRegistry` — per-(method, concern,
   phase) latency histograms, outcome, fault and quarantine counters,
@@ -31,7 +32,7 @@ import threading
 from bisect import bisect_left
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.events import TallyItem, TraceEvent
+from repro.core.events import TallyItem
 
 from . import export
 from .metrics import DEFAULT_LATENCY_BUCKETS, MetricsRegistry
@@ -143,7 +144,7 @@ class ObservabilityPlane:
     span-derived families.
 
     ``sample_rate`` is the recorder's, declared to the bus: 1-in-N
-    activations are sampled at the head and build span trees, while
+    activations are sampled at the head and get span trees, while
     the exact counts and every metrics family keep full accuracy. A
     listener asking for more (a :class:`~repro.core.events.Tracer`
     asks for every activation) lowers the bus's rate for everyone.
@@ -161,8 +162,6 @@ class ObservabilityPlane:
         self.recorder = SpanRecorder(node=node, max_finished=max_finished,
                                      sample_rate=sample_rate)
         self.metrics = MetricsListener(self.registry)
-        #: the recorder's rate, declared to the bus with the plane
-        self.sample_rate = self.recorder.sample_rate
         self._queue_gauge = self.registry.gauge(
             "repro_wait_queue_depth",
             help="Threads parked per method queue (sampled)",
@@ -185,10 +184,12 @@ class ObservabilityPlane:
         return self._unsubscribe is not None
 
     def enable(self) -> "ObservabilityPlane":
-        """Subscribe the plane to the bus: its events go to the
-        recorder, its one :meth:`fold` writes every exact count."""
+        """Subscribe to the bus, in one subscription: the recorder (as
+        :attr:`recorder` reads now) gets the events of sampled
+        activations, the plane's one :meth:`fold` every tally."""
         if self._unsubscribe is None:
-            self._unsubscribe = self.moderator.events.subscribe(self)
+            self._unsubscribe = self.moderator.events.subscribe(
+                self.recorder, fold=self.fold)
         return self
 
     def disable(self) -> None:
@@ -204,11 +205,8 @@ class ObservabilityPlane:
         self.disable()
 
     # ------------------------------------------------------------------
-    # the bus subscription: the recorder's events, one fold
+    # the fold
     # ------------------------------------------------------------------
-    def __call__(self, event: TraceEvent) -> None:
-        self.recorder(event)
-
     def fold(self, method_id: str, items: Sequence[TallyItem]) -> None:
         """The plane's one fold: every observed activation's tally, into
         the metrics families and the recorder's exact counts.

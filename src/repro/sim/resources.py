@@ -124,13 +124,5 @@ class SimStore:
     def __len__(self) -> int:
         return len(self._items)
 
-    @property
-    def waiting_getters(self) -> int:
-        return len(self._getters)
-
-    @property
-    def waiting_putters(self) -> int:
-        return len(self._putters)
-
     def snapshot(self) -> List[Any]:
         return list(self._items)

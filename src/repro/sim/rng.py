@@ -37,9 +37,6 @@ class WorkloadRNG:
         self._rng.shuffle(items)
         return items
 
-    def bernoulli(self, p: float) -> bool:
-        return self._rng.random() < p
-
     # ------------------------------------------------------------------
     # arrival / service processes
     # ------------------------------------------------------------------
@@ -65,10 +62,6 @@ class WorkloadRNG:
             raise ValueError("mean must be positive")
         mu = math.log(mean) - sigma * sigma / 2.0
         return self._rng.lognormvariate(mu, sigma)
-
-    def pareto(self, shape: float = 1.5, scale: float = 1.0) -> float:
-        """Heavy-tailed draw (shifted Pareto)."""
-        return scale * (self._rng.paretovariate(shape))
 
     # ------------------------------------------------------------------
     # popularity
