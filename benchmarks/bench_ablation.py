@@ -101,31 +101,6 @@ class TestExclusivityAblation:
         benchmark.extra_info["blocks"] = moderator.stats.blocks
 
 
-class TestNotifyScopeAblation:
-    """Broadcast vs. linked wakeups with an independent hot method."""
-
-    @pytest.mark.parametrize("scope", ["all", "linked"])
-    def test_notify_scope(self, benchmark, pc_workload, scope):
-        cluster = build_ticketing_cluster(capacity=4, notify_scope=scope)
-        # an unrelated moderated method sharing the moderator
-        cluster.moderator.register_aspect(
-            "ping", "null", NullAspect(),
-        )
-
-        def workload():
-            moved = pc_workload(
-                cluster.proxy.open, cluster.proxy.assign, 2, 2, 40,
-                lambda w, i: Ticket(summary=f"{w}:{i}"),
-            )
-            return moved
-
-        moved = benchmark.pedantic(workload, rounds=3, iterations=1)
-        assert moved == 80
-        benchmark.extra_info["scope"] = scope
-        benchmark.extra_info["blocks"] = cluster.moderator.stats.blocks
-        benchmark.extra_info["wakeups"] = cluster.moderator.stats.wakeups
-
-
 class TestCompensationCost:
     def test_chain_without_blocking(self, benchmark):
         cluster = build_ticketing_cluster(capacity=10 ** 6)

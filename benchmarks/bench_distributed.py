@@ -30,7 +30,6 @@ from repro.dist import (
     Node,
     RecoveryPlan,
     RequestTimeout,
-    RoundRobin,
     Supervisor,
 )
 
@@ -85,9 +84,7 @@ def test_balanced_remote_call(benchmark, world):
         clusters.append(cluster)
     client = Client("client", network, names, default_timeout=5.0)
     resources["clients"].append(client)
-    balancer = LoadBalancer(
-        client, [f"tickets-{i}" for i in range(3)], policy=RoundRobin(),
-    )
+    balancer = LoadBalancer(client, [f"tickets-{i}" for i in range(3)])
     counter = iter(range(10 ** 9))
     benchmark(lambda: balancer.call("open", f"t{next(counter)}"))
 

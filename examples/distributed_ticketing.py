@@ -32,7 +32,6 @@ from repro.dist import (
     Node,
     RecoveryPlan,
     RequestTimeout,
-    RoundRobin,
     Supervisor,
 )
 
@@ -61,8 +60,7 @@ def main() -> None:
 
     client = Client("helpdesk", network, names, default_timeout=2.0)
     balancer = LoadBalancer(
-        client, backends=["tickets-a", "tickets-b"],
-        policy=RoundRobin(), retries=1,
+        client, backends=["tickets-a", "tickets-b"], retries=1,
     )
 
     for index in range(10):

@@ -1,12 +1,6 @@
 """Analysis tools: separation-of-concerns metrics and trace verification."""
 
-from .diagram import (
-    bank_to_table,
-    cluster_to_dot,
-    plan_table,
-    plan_to_dot,
-    span_to_dot,
-)
+from .diagram import bank_to_table, cluster_to_dot, plan_table, plan_to_dot
 from .metrics import (
     CONCERN_KEYWORDS,
     ConcernReport,
@@ -31,7 +25,6 @@ __all__ = [
     "cluster_to_dot",
     "plan_table",
     "plan_to_dot",
-    "span_to_dot",
     "ConcernReport",
     "FIGURE2_TEMPLATE",
     "FIGURE3_TEMPLATE",

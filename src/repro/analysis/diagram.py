@@ -148,85 +148,6 @@ def plan_to_dot(plan: "object", name: str = "plan") -> str:
     return "\n".join(lines)
 
 
-def span_to_dot(span: "object", name: str = "span",
-                wake_edges: "object" = None) -> str:
-    """Render one activation span tree as a DOT graph.
-
-    Accepts a :class:`~repro.obs.spans.Span` or its exported dict form
-    (:meth:`~repro.obs.spans.Span.to_dict`). The temporal complement of
-    :func:`plan_to_dot`: the plan shows what an activation *would*
-    execute, this shows what one activation *did* — every segment with
-    its measured duration, aborted/faulted segments filled red, blocked
-    (parked) segments filled grey. ``wake_edges`` (an iterable of
-    :class:`~repro.obs.spans.WakeEdge` or equivalent dicts) adds dashed
-    cross-activation wake arrows when the referenced spans are present.
-    """
-    def _as_dict(node: "object") -> dict:
-        if isinstance(node, dict):
-            return node
-        return {
-            "name": node.name, "concern": node.concern,
-            "status": node.status, "duration": node.duration,
-            "span_id": node.span_id, "method_id": node.method_id,
-            "activation_id": node.activation_id,
-            "children": list(node.children),
-        }
-
-    lines: List[str] = [
-        f"digraph {name} {{",
-        "  rankdir=TB;",
-        "  node [shape=box, fontsize=10];",
-    ]
-    ids = {}
-
-    def _render(node: "object", parent: str) -> None:
-        data = _as_dict(node)
-        dot_id = f"s{len(ids)}"
-        ids[data["span_id"]] = dot_id
-        label = data["name"]
-        if data.get("concern"):
-            label += f"[{data['concern']}]"
-        if data["name"] == "activation":
-            label += (
-                f"\\n{data.get('method_id', '')}"
-                f" #{data.get('activation_id', '')}"
-            )
-        label += f"\\n{data.get('duration', 0.0) * 1e6:.1f}us"
-        status = data.get("status", "ok")
-        if status in ("aborted", "fault", "timeout"):
-            label += f"\\n{status.upper()}"
-            style = "style=filled, fillcolor=lightcoral"
-        elif data["name"] == "blocked":
-            style = "style=filled, fillcolor=lightgrey"
-        elif data["name"] == "activation":
-            style = "style=filled, fillcolor=lightyellow"
-        else:
-            style = "style=filled, fillcolor=lightblue"
-        lines.append(f"  {dot_id} [label={_quote(label)}, {style}];")
-        if parent:
-            lines.append(f"  {parent} -> {dot_id};")
-        for child in data.get("children", ()):
-            _render(child, dot_id)
-
-    roots = span if isinstance(span, (list, tuple)) else [span]
-    for root in roots:
-        _render(root, "")
-    for edge in (wake_edges or ()):
-        if isinstance(edge, dict):
-            notifier = edge.get("notifier_span")
-            woken = edge.get("woken_span")
-        else:
-            notifier = edge.notifier_span
-            woken = edge.woken_span
-        if notifier in ids and woken in ids:
-            lines.append(
-                f"  {ids[notifier]} -> {ids[woken]} "
-                f"[style=dashed, color=darkgreen, label=\"wakes\"];"
-            )
-    lines.append("}")
-    return "\n".join(lines)
-
-
 def plan_table(moderator: "object") -> str:
     """Summarize every method's compiled plan as a fixed-width table.
 

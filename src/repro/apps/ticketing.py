@@ -280,7 +280,6 @@ def build_ticketing_cluster(
     audit_log: Optional[AuditLog] = None,
     timing: bool = False,
     default_timeout: Optional[float] = None,
-    notify_scope: str = "all",
     lock_domain: Optional[str] = None,
 ) -> Cluster:
     """Framework-style construction of the same application.
@@ -302,7 +301,6 @@ def build_ticketing_cluster(
         bindings={"open": [SYNC], "assign": [SYNC]},
         ordering=guards_first,
         default_timeout=default_timeout,
-        notify_scope=notify_scope,
     )
     if lock_domain is not None:
         cluster.moderator.assign_lock_domain(lock_domain, "open", "assign")

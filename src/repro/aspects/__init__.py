@@ -49,12 +49,7 @@ from .synchronization import (
     SemaphoreAspect,
 )
 from .timing import StreamingStats, ThroughputWindow, TimingAspect
-from .transactions import SnapshotTransactionAspect, UndoLogAspect
-from .validation import (
-    StateInvariantAspect,
-    TypeContractAspect,
-    ValidationAspect,
-)
+from .validation import TypeContractAspect, ValidationAspect
 
 __all__ = [
     "AuditAspect",
@@ -84,17 +79,14 @@ __all__ = [
     "RetryPolicy",
     "RoleRegistry",
     "SemaphoreAspect",
-    "SnapshotTransactionAspect",
     "Session",
     "SessionManager",
-    "StateInvariantAspect",
     "StreamingStats",
     "ThroughputWindow",
     "TimingAspect",
     "TokenBucket",
     "TokenBucketAspect",
     "TurnTakingAspect",
-    "UndoLogAspect",
     "TypeContractAspect",
     "ValidationAspect",
     "retrying",

@@ -124,40 +124,3 @@ class TypeContractAspect(StatefulAspect):
                 return AspectResult.ABORT
         return AspectResult.RESUME
 
-
-class StateInvariantAspect(StatefulAspect):
-    """Check a component invariant before *and* after every activation.
-
-    A violated invariant before the call aborts it; a violated invariant
-    after the call raises immediately (the component is corrupt — hiding
-    that would be worse than failing). Callers see the containment
-    wrapper: an :class:`~repro.core.AspectFault` whose ``original`` is
-    this aspect's ``AssertionError``; the rest of the reverse unwind
-    still runs, so sibling aspects release their state first.
-    """
-
-    concern = "invariant"
-    never_blocks = True
-
-    def __init__(self, invariant: Callable[[Any], bool],
-                 description: str = "component invariant") -> None:
-        super().__init__()
-        self.invariant = invariant
-        self.description = description
-        self.pre_violations = 0
-
-    def precondition(self, joinpoint: JoinPoint) -> AspectResult:
-        if not self.invariant(joinpoint.component):
-            with self._lock:
-                self.pre_violations += 1
-            joinpoint.context["violated_rule"] = self.description
-            return AspectResult.ABORT
-        return AspectResult.RESUME
-
-    def postaction(self, joinpoint: JoinPoint) -> None:
-        if joinpoint.exception is None \
-                and not self.invariant(joinpoint.component):
-            raise AssertionError(
-                f"invariant violated after {joinpoint.method_id}: "
-                f"{self.description}"
-            )

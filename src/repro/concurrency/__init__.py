@@ -1,6 +1,5 @@
 """Concurrency substrate: functional components and thread utilities."""
 
-from .active_object import ActiveObject, MethodRequest
 from .buffer import (
     BoundedBuffer,
     BufferEmpty,
@@ -17,14 +16,12 @@ from .primitives import (
 )
 
 __all__ = [
-    "ActiveObject",
     "BoundedBuffer",
     "BufferEmpty",
     "BufferFull",
     "Future",
     "FutureError",
     "LockDomain",
-    "MethodRequest",
     "Ticket",
     "TicketStore",
     "WaitQueue",

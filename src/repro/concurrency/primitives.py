@@ -3,10 +3,9 @@
 Thin, well-tested wrappers over :mod:`threading` with the semantics the
 framework needs: the moderator's :class:`LockDomain`, a write-once
 :class:`Future` with callbacks (the one completion token of the
-continuation runtime, the RPC client, the worker pool and the active
-object), and an inspectable :class:`WaitQueue` (the framework's wait
-queues live inside the moderator; this standalone variant serves the
-active object and the distributed runtime).
+continuation runtime, the RPC client and the worker pool), and an
+inspectable :class:`WaitQueue` (the framework's wait queues live inside
+the moderator; this standalone variant serves the distributed runtime).
 """
 
 from __future__ import annotations

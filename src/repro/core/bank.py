@@ -40,8 +40,7 @@ class AspectBank:
         self._cells: Dict[str, Dict[str, Aspect]] = {}
         # method_id -> concern order (explicit composition order)
         self._order: Dict[str, List[str]] = {}
-        # bumped on every mutation; the moderator's linkage map keys on
-        # it to invalidate after (un)registration
+        # bumped on every mutation
         self._revision = 0
         # weak callbacks run after every mutation (see :meth:`watch`)
         self._watchers: Tuple[weakref.WeakMethod, ...] = ()
@@ -51,10 +50,10 @@ class AspectBank:
         """Monotonic counter incremented by every mutating operation.
 
         Read without the lock: an int attribute read is atomic in
-        CPython, and every consumer (the moderator's linkage map) only
-        needs monotonicity — a stale read makes a cache revalidate one
-        call later, never incorrectly. Moderators key their plans on a
-        version of their own, which :meth:`watch` moves.
+        CPython, and a consumer needs only monotonicity — a stale read
+        makes a cache revalidate one call later, never incorrectly.
+        Moderators key their plans on a version of their own, which
+        :meth:`watch` moves.
         """
         return self._revision
 

@@ -227,11 +227,6 @@ class HealthTracker:
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
-    @property
-    def active(self) -> bool:
-        """Whether any cell is quarantined."""
-        return bool(self.degraded)
-
     def snapshot(self) -> Dict[Tuple[str, str], Dict[str, object]]:
         """Copy of every cell's health record (cells with faults only)."""
         with self._lock:

@@ -270,7 +270,6 @@ class AspectModerator:
         default_timeout: optional bound, in seconds, on how long a
             BLOCKed activation may wait before :class:`ActivationTimeout`
             (``None`` reproduces the paper's unbounded wait).
-        notify_scope: wakeup policy after post-activation — see below.
         fault_threshold: default number of aspect faults tolerated per
             (method, concern) cell before its quarantine policy (if any)
             kicks in; overridable per registration or per aspect.
@@ -287,11 +286,8 @@ class AspectModerator:
         ordering: OrderingPolicy = registration_order,
         events: Optional[EventBus] = None,
         default_timeout: Optional[float] = None,
-        notify_scope: str = "all",
         fault_threshold: int = 3,
     ) -> None:
-        if notify_scope not in ("all", "linked"):
-            raise ValueError("notify_scope must be 'all' or 'linked'")
         #: Version of the aspect composition, stored. Every compiled
         #: plan is keyed on it, and proxies key their guarded-wrapper
         #: caches on it. :meth:`_bump_version` moves it by one for every
@@ -317,13 +313,6 @@ class AspectModerator:
         self._plan_handles: Dict[str, PlanHandle] = {}
         self.ordering = ordering
         self.default_timeout = default_timeout
-        #: wakeup policy after post-activation: ``"all"`` notifies every
-        #: method queue (the paper's conservative behaviour, absorbed by
-        #: re-evaluation); ``"linked"`` notifies only methods sharing at
-        #: least one aspect instance (or state holder, or lock domain)
-        #: with the completed method — fewer spurious wakeups, same
-        #: safety, measured in bench A-ABL.
-        self.notify_scope = notify_scope
         self.stats = ModerationStats()
         #: per-(method, concern) fault accounting and quarantine state
         self.health = HealthTracker(default_threshold=fault_threshold,
@@ -335,15 +324,13 @@ class AspectModerator:
         #: moderation path byte-for-byte the legacy one — each seam is
         #: a single ``is not None`` check
         self.contracts = None
-        #: registry lock: guards the domain maps and the linkage cache,
-        #: never held while moderating or notifying a foreign domain.
+        #: registry lock: guards the domain maps, never held while
+        #: moderating or notifying a foreign domain.
         self._lock = threading.RLock()
         self._domains: Dict[str, LockDomain] = {}
         #: explicit shared-domain assignments (method_id -> domain name);
         #: methods absent here use their private per-method domain
         self._method_domains: Dict[str, str] = {}
-        self._links: Optional[Dict[str, set]] = None
-        self._links_revision = -1
         #: number of activations currently inside the blocking slow path;
         #: fast-path completions consult it to decide whether a wake is
         #: needed at all (see :meth:`postactivation`)
@@ -600,7 +587,6 @@ class AspectModerator:
                     )
             self.bank.register(method_id, concern, aspect, replace=replace)
             self.health.set_policy(method_id, concern, policy, threshold)
-            self._links = None
             if domain_name is not None and \
                     method_id not in self._method_domains:
                 self._method_domains[method_id] = domain_name
@@ -623,8 +609,6 @@ class AspectModerator:
         """Remove an aspect; wakes blocked activations to re-evaluate."""
         aspect = self.bank.unregister(method_id, concern)
         self.health.drop(method_id, concern)
-        with self._lock:
-            self._links = None
         self.notify()
         return aspect
 
@@ -678,7 +662,6 @@ class AspectModerator:
                 if old is not None:
                     moved.append((old, method_id))
             self._bump_version()
-            self._links = None
         for domain, method_id in moved:
             domain.notify_all(method_id)
         if moved and self._runtime is not None:
@@ -1477,28 +1460,14 @@ class AspectModerator:
             self._wake_epoch += 1
             parked = self._parked
         runtime = self._runtime
-        targets: Optional[set] = None
-        if self.notify_scope == "linked" and (parked or runtime is not None):
-            targets = self._linked_methods(method_id)
         woke = False
         if runtime is not None:
-            # Continuation-parked activations take the same wake, under
-            # the same scope policy. Ordered against continuation parks
-            # by the epoch bump above (both park seams sit behind the
-            # same pre-park epoch re-check in :meth:`_rounds`).
-            woke = runtime.wake(targets)
-        if parked and self.notify_scope == "linked":
-            own_domain = self._domain_for(method_id)
-            for domain in self._all_domains():
-                if domain is own_domain:
-                    # Domain mates share the method's lock (and usually
-                    # its state): always eligible.
-                    domain.notify_all()
-                    continue
-                for key, _condition in domain.conditions():
-                    if key in targets:
-                        domain.notify_all(key)
-        elif parked:
+            # Continuation-parked activations take the same wake.
+            # Ordered against continuation parks by the epoch bump above
+            # (both park seams sit behind the same pre-park epoch
+            # re-check in :meth:`_rounds`).
+            woke = runtime.wake()
+        if parked:
             for domain in self._all_domains():
                 domain.notify_all()
         self.stats.flush(_WAKE_FLUSH)
@@ -1512,38 +1481,6 @@ class AspectModerator:
             # their notifier.
             self.events.deliver("notify", method_id,
                                 activation_id=joinpoint.activation_id)
-
-    def _linked_methods(self, method_id: str) -> set:
-        """Methods sharing at least one aspect instance with ``method_id``.
-
-        The completing method itself is always included (its own waiters
-        may now be eligible). The map is rebuilt lazily after any
-        (un)registration — tracked via the bank revision, so direct bank
-        mutations are caught too.
-        """
-        with self._lock:
-            revision = self.bank.revision
-            if self._links is None or self._links_revision != revision:
-                links: Dict[str, set] = {}
-                owners: Dict[int, set] = {}
-                for owner_method, _concern, aspect in self.bank:
-                    # linkage keys: the aspect itself plus any shared state
-                    # holders it references (paper-style sibling aspects
-                    # share a state object rather than being one instance)
-                    keys = [id(aspect)]
-                    for value in vars(aspect).values():
-                        if hasattr(value, "__dict__") and not callable(value):
-                            keys.append(id(value))
-                    for key in keys:
-                        owners.setdefault(key, set()).add(owner_method)
-                for methods in owners.values():
-                    for method in methods:
-                        links.setdefault(method, set()).update(methods)
-                self._links = links
-                self._links_revision = revision
-            linked = set(self._links.get(method_id, ()))
-        linked.add(method_id)
-        return linked
 
     def notify(self, method_id: Optional[str] = None) -> None:
         """Explicitly wake waiters (all methods, or one method's queue).

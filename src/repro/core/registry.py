@@ -31,8 +31,6 @@ class Cluster:
             instantiate at initialization (paper Figure 5's constructor).
         ordering: concern composition-order policy for the moderator.
         default_timeout: optional BLOCK wait bound for the moderator.
-        notify_scope: wakeup policy forwarded to the moderator
-            (``"all"`` or ``"linked"``).
 
     Example::
 
@@ -51,7 +49,6 @@ class Cluster:
         bindings: Optional[Mapping[str, Iterable[str]]] = None,
         ordering: OrderingPolicy = registration_order,
         default_timeout: Optional[float] = None,
-        notify_scope: str = "all",
     ) -> None:
         self.component = component
         self.events = EventBus()
@@ -61,7 +58,6 @@ class Cluster:
             ordering=ordering,
             events=self.events,
             default_timeout=default_timeout,
-            notify_scope=notify_scope,
         )
         self.factory = CompositeFactory()
         if factory is not None:

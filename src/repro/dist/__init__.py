@@ -1,13 +1,6 @@
 """Simulated distributed runtime: nodes, network, RPC, naming, balancing."""
 
-from .loadbalance import (
-    BalancingPolicy,
-    LeastLoaded,
-    LoadBalancer,
-    RandomChoice,
-    RoundRobin,
-    WeightedChoice,
-)
+from .loadbalance import LoadBalancer, RoundRobin
 from .failure_detector import HeartbeatDetector, HeartbeatEmitter
 from .message import Message, WireFormatError, check_wire_safe
 from .migration import MigrationError, MigrationReport, Migrator
@@ -43,7 +36,6 @@ from .resilience import (
 from .rpc import Client, RemoteError, RemoteProxy, RequestTimeout
 
 __all__ = [
-    "BalancingPolicy",
     "Binding",
     "Client",
     "FailoverReport",
@@ -52,7 +44,6 @@ __all__ = [
     "HashRing",
     "HeartbeatDetector",
     "HeartbeatEmitter",
-    "LeastLoaded",
     "LoadBalancer",
     "MemoryStore",
     "Message",
@@ -62,7 +53,6 @@ __all__ = [
     "NameService",
     "Network",
     "Node",
-    "RandomChoice",
     "RebalanceReport",
     "Rebalancer",
     "RecoveredService",
@@ -81,7 +71,6 @@ __all__ = [
     "DestinationBreakers",
     "IdempotencyCache",
     "ShedInbox",
-    "WeightedChoice",
     "WireFormatError",
     "check_wire_safe",
     "first_argument_key",

@@ -1,35 +1,26 @@
 """Load balancing: dispatch across replicas as a separated concern.
 
 "Load balancing" heads the paper's Section 2 concern list. Here it is a
-policy object plus a dispatcher servant: clients call the balancer's
-logical name; the balancer forwards to one backend according to the
-policy. Swapping policies (round-robin / random / least-loaded /
-weighted) touches neither clients nor backends — the separation claim,
-demonstrated at the distribution layer.
+dispatcher servant: clients call the balancer's logical name, and the
+balancer forwards each call to one backend in a round-robin rotation,
+failing over to the others on delivery failure. Neither clients nor
+backends know it is there — the separation claim, demonstrated at the
+distribution layer. There is one rotation and no swappable policy.
 """
 
 from __future__ import annotations
 
-import random
 import threading
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.core.errors import NetworkError
 from .rpc import Client, RemoteError, RequestTimeout
 
-#: A backend is a (logical name, load probe) pair; probe may be None.
+#: A backend is identified by its logical name.
 Backend = str
-LoadProbe = Callable[[Backend], float]
 
 
-class BalancingPolicy:
-    """Strategy interface: pick a backend for the next call."""
-
-    def choose(self, backends: Sequence[Backend]) -> Backend:
-        raise NotImplementedError
-
-
-class RoundRobin(BalancingPolicy):
+class RoundRobin:
     """Cycle through backends in order.
 
     Rotation is anchored to stable backend *identity*, not to the
@@ -37,7 +28,7 @@ class RoundRobin(BalancingPolicy):
     failover the balancer filters out already-tried backends, and a
     cursor taken modulo the filtered list's length would skew the
     rotation whenever one backend is down (the survivors after the hole
-    get double the traffic). Instead the policy remembers each backend
+    get double the traffic). Instead the rotation remembers each backend
     in first-seen order and scans from its cursor for the first one
     currently offered.
     """
@@ -65,69 +56,24 @@ class RoundRobin(BalancingPolicy):
             raise NetworkError("no backend available")
 
 
-class RandomChoice(BalancingPolicy):
-    """Uniform random backend (seeded for reproducibility)."""
-
-    def __init__(self, seed: int = 11) -> None:
-        self._rng = random.Random(seed)
-
-    def choose(self, backends: Sequence[Backend]) -> Backend:
-        return self._rng.choice(list(backends))
-
-
-class LeastLoaded(BalancingPolicy):
-    """Pick the backend whose probe reports the smallest load."""
-
-    def __init__(self, probe: LoadProbe) -> None:
-        self._probe = probe
-
-    def choose(self, backends: Sequence[Backend]) -> Backend:
-        return min(backends, key=self._probe)
-
-
-class WeightedChoice(BalancingPolicy):
-    """Static weights (capacity-proportional dispatch)."""
-
-    def __init__(self, weights: Dict[Backend, float], seed: int = 13) -> None:
-        if not weights or any(w <= 0 for w in weights.values()):
-            raise ValueError("weights must be positive")
-        self._weights = dict(weights)
-        self._rng = random.Random(seed)
-
-    def choose(self, backends: Sequence[Backend]) -> Backend:
-        candidates = [b for b in backends if b in self._weights]
-        if not candidates:
-            raise NetworkError("no weighted backend available")
-        total = sum(self._weights[b] for b in candidates)
-        draw = self._rng.random() * total
-        cumulative = 0.0
-        for backend in candidates:
-            cumulative += self._weights[backend]
-            if draw <= cumulative:
-                return backend
-        return candidates[-1]
-
-
 class LoadBalancer:
     """Client-side balancer forwarding named calls to backend replicas.
 
     Args:
         client: RPC client used for forwarding.
         backends: logical names of the replicas.
-        policy: a :class:`BalancingPolicy`.
         retries: how many *other* backends to try after a delivery
             failure (timeout / unreachable) — fault tolerance composed
             with load balancing.
     """
 
     def __init__(self, client: Client, backends: Sequence[Backend],
-                 policy: Optional[BalancingPolicy] = None,
                  retries: int = 1) -> None:
         if not backends:
             raise ValueError("at least one backend required")
         self.client = client
         self.backends = list(backends)
-        self.policy = policy if policy is not None else RoundRobin()
+        self._rotation = RoundRobin()
         self.retries = retries
         self._lock = threading.Lock()
         self.dispatched: Dict[Backend, int] = {b: 0 for b in self.backends}
@@ -135,7 +81,7 @@ class LoadBalancer:
 
     def call(self, method: str, *args: Any, caller: Optional[str] = None,
              **kwargs: Any) -> Any:
-        """Forward one invocation according to the policy."""
+        """Forward one invocation to the next backend in the rotation."""
         tried: List[Backend] = []
         last_error: Optional[Exception] = None
         attempts = 1 + max(0, self.retries)
@@ -143,7 +89,7 @@ class LoadBalancer:
             candidates = [b for b in self.backends if b not in tried]
             if not candidates:
                 break
-            backend = self.policy.choose(candidates)
+            backend = self._rotation.choose(candidates)
             tried.append(backend)
             try:
                 result = self.client.call_name(

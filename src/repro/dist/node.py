@@ -581,7 +581,7 @@ class Node:
 
     @property
     def load(self) -> int:
-        """Queued requests — the least-loaded balancer's signal."""
+        """Queued requests waiting in the node's inbox."""
         return len(self.inbox)
 
     # ------------------------------------------------------------------

@@ -18,9 +18,9 @@ CACHE-PRE  error     a caching aspect placed before an access-control
                      guard serves cached results to unauthorized callers
 BLOCK-2    warning   two blocking synchronization aspects on one chain
                      can deadlock pairwise (hold-and-wait across rounds)
-TXN-OUT    warning   a transaction aspect outside (before) the
-                     synchronization aspect snapshots unsynchronized
-                     state
+TXN-OUT    warning   a transaction aspect (concern ``txn``) outside
+                     (before) the synchronization aspect snapshots
+                     unsynchronized state
 GUARD-DUP  info      duplicate guard kinds on one chain (usually a
                      wiring mistake, occasionally intentional)
 EMPTY      info      a participating method with an empty chain is a
@@ -82,10 +82,8 @@ def _is_blocking(aspect: Aspect) -> bool:
     return type(aspect).__name__ in _BLOCKING_HINTS
 
 
-def _is_txn(concern: str, aspect: Aspect) -> bool:
-    return type(aspect).__name__ in (
-        "SnapshotTransactionAspect", "UndoLogAspect",
-    ) or concern.lower() == "txn"
+def _is_txn(concern: str) -> bool:
+    return concern.lower() == "txn"
 
 
 def lint_chain(method_id: str,
@@ -153,8 +151,8 @@ def lint_chain(method_id: str,
 
     # TXN-OUT: transaction outside synchronization
     txn_positions = [
-        index for index, (concern, aspect) in enumerate(pairs)
-        if _is_txn(concern, aspect)
+        index for index, (concern, _aspect) in enumerate(pairs)
+        if _is_txn(concern)
     ]
     sync_positions = [
         index for index, (_concern, aspect) in enumerate(pairs)

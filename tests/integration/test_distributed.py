@@ -21,7 +21,6 @@ from repro.dist import (
     Node,
     RecoveryPlan,
     RequestTimeout,
-    RoundRobin,
     Supervisor,
 )
 
@@ -100,9 +99,7 @@ class TestLoadBalancedTicketing:
             names.bind(f"tickets-{index}", f"replica-{index}", "tickets")
             clusters.append(cluster)
         client = make_client("lb-client")
-        balancer = LoadBalancer(
-            client, ["tickets-0", "tickets-1"], policy=RoundRobin(),
-        )
+        balancer = LoadBalancer(client, ["tickets-0", "tickets-1"])
         for index in range(8):
             balancer.call("open", f"issue-{index}")
         assert clusters[0].component.pending == 4

@@ -6,7 +6,6 @@ from repro.aspects.audit import AuditAspect
 from repro.aspects.authentication import AuthenticationAspect
 from repro.aspects.caching import CachingAspect
 from repro.aspects.synchronization import MutexAspect, SemaphoreAspect
-from repro.aspects.transactions import SnapshotTransactionAspect
 from repro.apps import build_ticketing_cluster, make_session_manager
 from repro.core import NullAspect
 from repro.verify.lint import Finding, lint_chain, lint_cluster
@@ -72,7 +71,7 @@ class TestBlockingPairs:
 class TestTransactionPlacement:
     def test_txn_before_sync_flagged(self):
         chain = [
-            ("txn", SnapshotTransactionAspect()),
+            ("txn", NullAspect()),
             ("mutex", MutexAspect()),
         ]
         assert "TXN-OUT" in rules_of(lint_chain("transfer", chain))
@@ -80,7 +79,7 @@ class TestTransactionPlacement:
     def test_txn_inside_sync_clean(self):
         chain = [
             ("mutex", MutexAspect()),
-            ("txn", SnapshotTransactionAspect()),
+            ("txn", NullAspect()),
         ]
         assert "TXN-OUT" not in rules_of(lint_chain("transfer", chain))
 

@@ -1,20 +1,20 @@
-"""Unit tests for load-balancing policies and the balancer."""
+"""Unit tests for the round-robin rotation and the balancer."""
+
+import threading
+from collections import Counter
 
 import pytest
 
+from repro.core.errors import NetworkError
 from repro.dist import (
     Client,
-    LeastLoaded,
     LoadBalancer,
     NameService,
     Network,
     Node,
-    RandomChoice,
     RemoteError,
     RoundRobin,
-    WeightedChoice,
 )
-from repro.dist.loadbalance import BalancingPolicy
 
 
 class Backend:
@@ -59,31 +59,6 @@ class TestPolicies:
         picks = [policy.choose(BACKEND_NAMES) for _ in range(6)]
         assert picks == BACKEND_NAMES * 2
 
-    def test_random_choice_seeded_reproducible(self):
-        a = [RandomChoice(seed=5).choose(BACKEND_NAMES) for _ in range(10)]
-        b = [RandomChoice(seed=5).choose(BACKEND_NAMES) for _ in range(10)]
-        # regenerate with fresh instances per draw is wrong; compare streams
-        first = RandomChoice(seed=5)
-        second = RandomChoice(seed=5)
-        assert [first.choose(BACKEND_NAMES) for _ in range(10)] == \
-            [second.choose(BACKEND_NAMES) for _ in range(10)]
-
-    def test_least_loaded_uses_probe(self):
-        loads = {"svc-0": 5.0, "svc-1": 1.0, "svc-2": 3.0}
-        policy = LeastLoaded(probe=loads.__getitem__)
-        assert policy.choose(BACKEND_NAMES) == "svc-1"
-
-    def test_weighted_respects_weights(self):
-        policy = WeightedChoice({"svc-0": 9.0, "svc-1": 1.0}, seed=3)
-        picks = [policy.choose(["svc-0", "svc-1"]) for _ in range(500)]
-        assert picks.count("svc-0") > 350
-
-    def test_weighted_validation(self):
-        with pytest.raises(ValueError):
-            WeightedChoice({})
-        with pytest.raises(ValueError):
-            WeightedChoice({"a": 0.0})
-
     def test_round_robin_stable_under_filtered_candidates(self):
         # During failover the balancer passes a *filtered* candidate
         # list; rotation must stay anchored to backend identity, not to
@@ -97,16 +72,45 @@ class TestPolicies:
         assert policy.choose(BACKEND_NAMES) == "svc-1"
 
     def test_round_robin_empty_rejected(self):
-        from repro.core.errors import NetworkError
-
         with pytest.raises(NetworkError):
             RoundRobin().choose([])
+
+    def test_round_robin_new_backend_joins_rotation(self):
+        policy = RoundRobin()
+        assert policy.choose(["svc-0", "svc-1"]) == "svc-0"
+        assert policy.choose(BACKEND_NAMES) == "svc-1"
+        picks = [policy.choose(BACKEND_NAMES) for _ in range(4)]
+        assert picks == ["svc-2", "svc-0", "svc-1", "svc-2"]
+
+    def test_round_robin_rotations_are_independent(self):
+        first, second = RoundRobin(), RoundRobin()
+        assert first.choose(BACKEND_NAMES) == "svc-0"
+        assert first.choose(BACKEND_NAMES) == "svc-1"
+        assert second.choose(BACKEND_NAMES) == "svc-0"
+
+    def test_round_robin_even_under_concurrent_callers(self):
+        policy = RoundRobin()
+        picks = Counter()
+        lock = threading.Lock()
+
+        def caller():
+            for _ in range(300):
+                backend = policy.choose(BACKEND_NAMES)
+                with lock:
+                    picks[backend] += 1
+
+        threads = [threading.Thread(target=caller) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(10)
+        assert picks == {"svc-0": 400, "svc-1": 400, "svc-2": 400}
 
 
 class TestLoadBalancer:
     def test_round_robin_distributes_evenly(self, rig):
         network, names, nodes, backends, client = rig
-        balancer = LoadBalancer(client, BACKEND_NAMES, policy=RoundRobin())
+        balancer = LoadBalancer(client, BACKEND_NAMES)
         for _ in range(9):
             balancer.call("work")
         assert balancer.distribution() == {
@@ -123,7 +127,7 @@ class TestLoadBalancer:
         network, names, nodes, backends, client = rig
         network.take_down("node-0")
         balancer = LoadBalancer(
-            client, BACKEND_NAMES, policy=RoundRobin(), retries=2,
+            client, BACKEND_NAMES, retries=2,
         )
         client.default_timeout = 0.3
         results = [balancer.call("work") for _ in range(3)]
@@ -137,7 +141,7 @@ class TestLoadBalancer:
         network, names, nodes, backends, client = rig
         network.take_down("node-0")
         balancer = LoadBalancer(
-            client, BACKEND_NAMES, policy=RoundRobin(), retries=2,
+            client, BACKEND_NAMES, retries=2,
         )
         client.default_timeout = 0.25
         for _ in range(12):
@@ -149,11 +153,34 @@ class TestLoadBalancer:
 
     def test_application_errors_do_not_fail_over(self, rig):
         network, names, nodes, backends, client = rig
-        balancer = LoadBalancer(client, BACKEND_NAMES, policy=RoundRobin())
+        balancer = LoadBalancer(client, BACKEND_NAMES)
         with pytest.raises(RemoteError):
             balancer.call("explode")
         # only the first backend was attempted
         assert sum(backend.calls for backend in backends) == 0
+
+    def test_all_backends_down_raises_delivery_error(self, rig):
+        network, names, nodes, backends, client = rig
+        for index in range(3):
+            network.take_down(f"node-{index}")
+        balancer = LoadBalancer(client, BACKEND_NAMES, retries=2)
+        client.default_timeout = 0.2
+        with pytest.raises(NetworkError):
+            balancer.call("work")
+        assert balancer.failovers == 3
+        assert balancer.distribution() == {
+            "svc-0": 0, "svc-1": 0, "svc-2": 0,
+        }
+
+    def test_no_retries_means_no_failover(self, rig):
+        network, names, nodes, backends, client = rig
+        network.take_down("node-0")
+        balancer = LoadBalancer(client, BACKEND_NAMES, retries=0)
+        client.default_timeout = 0.2
+        with pytest.raises(NetworkError):
+            balancer.call("work")  # svc-0 is first and down
+        assert sum(backend.calls for backend in backends) == 0
+        assert balancer.call("work") == "backend-1"
 
     def test_empty_backends_rejected(self, rig):
         network, names, nodes, backends, client = rig

@@ -1,18 +1,17 @@
-"""Unit tests for the moderator's notify_scope wakeup policies."""
+"""Unit tests for the moderator's post-activation wake."""
 
 import threading
 import time
-
-import pytest
 
 from repro.apps.ticketing import (
     AssignSynchronizationAspect,
     OpenSynchronizationAspect,
     TicketSyncState,
 )
-from repro.aspects.synchronization import BoundedBufferSync, MutexAspect
+from repro.aspects.synchronization import BoundedBufferSync
+from repro.concurrency.buffer import Ticket, TicketStore
 from repro.core import AspectModerator, ComponentProxy, JoinPoint
-from repro.core.aspect import FunctionAspect, NullAspect
+from repro.core.aspect import FunctionAspect
 from repro.core.results import BLOCK, RESUME
 
 
@@ -31,6 +30,22 @@ class Buffer:
         return "independent"
 
 
+class Door:
+    def open_gate(self):
+        return "opened"
+
+    def enter(self):
+        return "entered"
+
+    def leave(self):
+        return "left"
+
+
+def gated_on(flag):
+    """A guard reading state that no aspect attribute holds."""
+    return lambda joinpoint: RESUME if flag.is_set() else BLOCK
+
+
 def wait_for(predicate, timeout=5.0):
     deadline = time.monotonic() + timeout
     while not predicate():
@@ -38,24 +53,16 @@ def wait_for(predicate, timeout=5.0):
         time.sleep(0.01)
 
 
-class TestValidation:
-    def test_scope_validated(self):
-        with pytest.raises(ValueError):
-            AspectModerator(notify_scope="broadcast")
+class TestBroadcastWake:
+    """Every completion wakes every queue; re-evaluation absorbs it."""
 
-
-class TestLinkedScopeCorrectness:
-    def make_rig(self, scope):
-        moderator = AspectModerator(notify_scope=scope)
+    def test_producer_consumer_handoff_works(self, threaded):
+        moderator = AspectModerator()
         buffer = Buffer(capacity=1)
         sync = BoundedBufferSync(buffer, producer="put", consumer="take")
         moderator.register_aspect("put", "sync", sync)
         moderator.register_aspect("take", "sync", sync)
-        return moderator, ComponentProxy(buffer, moderator)
-
-    @pytest.mark.parametrize("scope", ["all", "linked"])
-    def test_producer_consumer_handoff_works(self, scope, threaded):
-        moderator, proxy = self.make_rig(scope)
+        proxy = ComponentProxy(buffer, moderator)
         got = []
 
         def consumer():
@@ -69,85 +76,8 @@ class TestLinkedScopeCorrectness:
         threaded(consumer, producer)
         assert got == list(range(10))
 
-    def test_shared_instance_links_methods(self):
-        moderator, _proxy = self.make_rig("linked")
-        with moderator._lock:
-            linked = moderator._linked_methods("put")
-        assert linked == {"put", "take"}
-
-    def test_paper_style_shared_state_links_methods(self):
-        """Distinct aspect instances sharing TicketSyncState are linked."""
-        moderator = AspectModerator(notify_scope="linked")
-        state = TicketSyncState(capacity=2)
-        moderator.register_aspect(
-            "open", "sync", OpenSynchronizationAspect(state),
-        )
-        moderator.register_aspect(
-            "assign", "sync", AssignSynchronizationAspect(state),
-        )
-        with moderator._lock:
-            assert moderator._linked_methods("open") == {"open", "assign"}
-
-    def test_unrelated_methods_not_linked(self):
-        moderator, _proxy = self.make_rig("linked")
-        moderator.register_aspect("unrelated", "mutex", MutexAspect())
-        with moderator._lock:
-            assert "unrelated" not in moderator._linked_methods("put")
-            assert moderator._linked_methods("unrelated") == {"unrelated"}
-
-    def test_linkage_map_invalidated_on_registration(self):
-        moderator, _proxy = self.make_rig("linked")
-        with moderator._lock:
-            moderator._linked_methods("put")  # build the map
-        shared = NullAspect()
-        moderator.register_aspect("put", "extra", shared)
-        moderator.register_aspect("other", "extra", shared)
-        with moderator._lock:
-            assert "other" in moderator._linked_methods("put")
-
-
-class TestLinkedScopeReducesWakeups:
-    def test_unrelated_waiter_not_woken_by_linked_scope(self):
-        moderator = AspectModerator(notify_scope="linked")
-        buffer = Buffer(capacity=4)
-        sync = BoundedBufferSync(buffer, producer="put", consumer="take")
-        moderator.register_aspect("put", "sync", sync)
-        moderator.register_aspect("take", "sync", sync)
-        evaluations = {"count": 0}
-
-        def gate(joinpoint):
-            evaluations["count"] += 1
-            return BLOCK
-
-        moderator.register_aspect(
-            "unrelated", "gate", FunctionAspect(
-                concern="gate", precondition=gate,
-            ),
-        )
-        proxy = ComponentProxy(buffer, moderator)
-
-        blocker = threading.Thread(
-            target=lambda: moderator.preactivation(
-                "unrelated", JoinPoint(method_id="unrelated"), timeout=2.0,
-            )
-        )
-        blocker.start()
-        wait_for(lambda: evaluations["count"] >= 1)
-        baseline = evaluations["count"]
-
-        for index in range(4):  # capacity 4: stay below blocking
-            proxy.put(index)  # completions on an unlinked method
-        time.sleep(0.2)
-        # the unrelated waiter was not re-evaluated by put completions
-        assert evaluations["count"] == baseline
-
-        moderator.notify("unrelated")  # explicit wake still works
-        wait_for(lambda: evaluations["count"] > baseline)
-        moderator.unregister_aspect("unrelated", "gate")
-        blocker.join(5)
-
-    def test_all_scope_wakes_everyone(self):
-        moderator = AspectModerator(notify_scope="all")
+    def test_unrelated_waiter_is_reevaluated(self):
+        moderator = AspectModerator()
         buffer = Buffer(capacity=4)
         sync = BoundedBufferSync(buffer, producer="put", consumer="take")
         moderator.register_aspect("put", "sync", sync)
@@ -172,7 +102,115 @@ class TestLinkedScopeReducesWakeups:
         blocker.start()
         wait_for(lambda: evaluations["count"] >= 1)
         baseline = evaluations["count"]
-        proxy.put(1)
+        proxy.put(1)  # a completion on a method sharing no state
+        wait_for(lambda: evaluations["count"] > baseline)
+        baseline = evaluations["count"]
+        moderator.notify("unrelated")  # the targeted wake
         wait_for(lambda: evaluations["count"] > baseline)
         moderator.unregister_aspect("unrelated", "gate")
         blocker.join(5)
+        assert not blocker.is_alive()
+
+    def test_distinct_aspects_sharing_state_hand_off(self, threaded):
+        # The paper's Figure 7 shape: one aspect instance per method,
+        # coupled only through the TicketSyncState they both hold.
+        moderator = AspectModerator(default_timeout=5.0)
+        state = TicketSyncState(capacity=1)
+        moderator.register_aspect(
+            "open", "sync", OpenSynchronizationAspect(state),
+        )
+        moderator.register_aspect(
+            "assign", "sync", AssignSynchronizationAspect(state),
+        )
+        proxy = ComponentProxy(TicketStore(capacity=1), moderator)
+        assigned = []
+
+        def agent():
+            for _ in range(8):
+                assigned.append(proxy.assign().summary)
+
+        def reporter():
+            for index in range(8):
+                proxy.open(Ticket(summary=f"t{index}"))
+
+        threaded(agent, reporter)
+        assert assigned == [f"t{index}" for index in range(8)]
+
+    def test_closure_held_state_waiter_is_woken(self):
+        # The guard on enter closes over a flag that open_gate's
+        # postaction sets; no aspect attribute links the two methods.
+        moderator = AspectModerator(default_timeout=5.0)
+        opened = threading.Event()
+        moderator.register_aspect("open_gate", "gate", FunctionAspect(
+            concern="gate", postaction=lambda joinpoint: opened.set(),
+        ))
+        moderator.register_aspect("enter", "gate", FunctionAspect(
+            concern="gate", precondition=gated_on(opened),
+        ))
+        proxy = ComponentProxy(Door(), moderator)
+        results = []
+        waiter = threading.Thread(target=lambda: results.append(
+            proxy.enter()
+        ))
+        waiter.start()
+        wait_for(lambda: moderator.parked_snapshot())
+        assert proxy.open_gate() == "opened"
+        waiter.join(5)
+        assert not waiter.is_alive()
+        assert results == ["entered"]
+
+    def test_one_completion_wakes_every_domain(self):
+        moderator = AspectModerator(default_timeout=5.0)
+        opened = threading.Event()
+        moderator.register_aspect("open_gate", "gate", FunctionAspect(
+            concern="gate", postaction=lambda joinpoint: opened.set(),
+            lock_domain="control",
+        ))
+        for method_id in ("enter", "leave"):
+            moderator.register_aspect(method_id, "gate", FunctionAspect(
+                concern="gate", precondition=gated_on(opened),
+                lock_domain=f"{method_id}-domain",
+            ))
+        proxy = ComponentProxy(Door(), moderator)
+        results = []
+        waiters = [
+            threading.Thread(target=lambda m=method_id: results.append(
+                getattr(proxy, m)()
+            ))
+            for method_id in ("enter", "leave")
+        ]
+        for waiter in waiters:
+            waiter.start()
+        wait_for(lambda: len(moderator.parked_snapshot()) == 2)
+        proxy.open_gate()
+        for waiter in waiters:
+            waiter.join(5)
+        assert not any(waiter.is_alive() for waiter in waiters)
+        assert sorted(results) == ["entered", "left"]
+
+    def test_notify_without_method_wakes_every_queue(self):
+        # A coupling outside the aspects: the flag changes with no
+        # moderated completion, so the changer calls notify().
+        moderator = AspectModerator(default_timeout=5.0)
+        opened = threading.Event()
+        for method_id in ("enter", "leave"):
+            moderator.register_aspect(method_id, "gate", FunctionAspect(
+                concern="gate", precondition=gated_on(opened),
+            ))
+        proxy = ComponentProxy(Door(), moderator)
+        results = []
+        waiters = [
+            threading.Thread(target=lambda m=method_id: results.append(
+                getattr(proxy, m)()
+            ))
+            for method_id in ("enter", "leave")
+        ]
+        for waiter in waiters:
+            waiter.start()
+        wait_for(lambda: len(moderator.parked_snapshot()) == 2)
+        opened.set()
+        moderator.notify()
+        for waiter in waiters:
+            waiter.join(5)
+        assert not any(waiter.is_alive() for waiter in waiters)
+        assert sorted(results) == ["entered", "left"]

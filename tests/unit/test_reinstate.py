@@ -201,9 +201,10 @@ class TestReinstateProperties:
             tracker.set_policy("op", f"c{index}", FAIL_OPEN, threshold=1)
             tracker.record_fault("op", f"c{index}", "precondition",
                                  OSError("x"))
-        assert tracker.active
+        assert tracker.degraded
         order = data.draw(st.permutations(range(cells)))
         for position, index in enumerate(order):
             tracker.reinstate("op", f"c{index}")
             remaining = cells - position - 1
-            assert tracker.active == (remaining > 0)
+            assert bool(tracker.degraded) == (remaining > 0)
+            assert len(tracker.degraded.get("op", {})) == remaining

@@ -1,19 +1,7 @@
 """Unit tests for validation aspects."""
 
-import pytest
-
-from repro.aspects.validation import (
-    StateInvariantAspect,
-    TypeContractAspect,
-    ValidationAspect,
-)
-from repro.core import (
-    AspectFault,
-    AspectModerator,
-    ComponentProxy,
-    JoinPoint,
-    MethodAborted,
-)
+from repro.aspects.validation import TypeContractAspect, ValidationAspect
+from repro.core import JoinPoint
 from repro.core.results import ABORT, RESUME
 
 
@@ -80,42 +68,3 @@ class TestTypeContractAspect:
         aspect = TypeContractAspect({"m": (int, int, int)})
         assert aspect.precondition(jp(args=(1,))) is RESUME
 
-
-class TestStateInvariantAspect:
-    class Account:
-        def __init__(self):
-            self.balance = 10
-
-        def withdraw(self, amount):
-            self.balance -= amount
-
-    def test_violated_before_call_aborts(self):
-        account = self.Account()
-        account.balance = -5
-        aspect = StateInvariantAspect(lambda c: c.balance >= 0)
-        assert aspect.precondition(
-            jp("withdraw", component=account)
-        ) is ABORT
-        assert aspect.pre_violations == 1
-
-    def test_violated_after_call_raises(self):
-        moderator = AspectModerator()
-        moderator.register_aspect(
-            "withdraw", "invariant",
-            StateInvariantAspect(lambda c: c.balance >= 0,
-                                 description="balance non-negative"),
-        )
-        proxy = ComponentProxy(self.Account(), moderator)
-        proxy.withdraw(5)  # fine
-        # the deliberate AssertionError surfaces wrapped by containment,
-        # with the corruption report as its cause
-        with pytest.raises(AspectFault) as info:
-            proxy.withdraw(100)  # drives balance negative
-        assert isinstance(info.value.original, AssertionError)
-        assert "balance non-negative" in str(info.value.original)
-
-    def test_intact_invariant_silent(self):
-        aspect = StateInvariantAspect(lambda c: True)
-        activation = jp(component=self.Account())
-        assert aspect.precondition(activation) is RESUME
-        aspect.postaction(activation)
